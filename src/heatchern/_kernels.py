@@ -102,7 +102,8 @@ def gauss_hermite_gaussian_integral(M, four_t, tol=1e-8, max_order=48):
             return val
         prev = val
         order += 8
-    raise RuntimeError("Gauss-Hermite refinement did not converge to 1e-8")
+    raise RuntimeError(f"Gauss-Hermite refinement did not converge to {tol} "
+                       f"by order {max_order}")
 
 
 # -- spectral mode sums ---------------------------------------------------

@@ -1,20 +1,19 @@
 """The algebra C(V,q) (x) C(V,-q) in normal order, with its matrix oracle.
 
 Words are pairs of n-bit masks (c-mask, chat-mask): all c-generators
-precede all chat-generators, indices increasing.  The defining relations
-are c(e_i)^2 = -1, chat(e_i)^2 = +1, and all distinct generators
-(including across the two factors) anticommute.  The representation on
-Lambda(V) uses c = eps - iota, chat = eps + iota.
+precede all chat-generators, indices increasing.  This is the word
+format of :mod:`heatchern.multivector`, and the product is its kernel
+with generator squares (-1, +1): c(e_i)^2 = -1, chat(e_i)^2 = +1, and
+all distinct generators (including across the two factors) anticommute.
+The representation on Lambda(V) uses c = eps - iota, chat = eps + iota.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .multivector import Multivector, berezin
-from .scalars import backend_of, join_backend
+from .multivector import (Multivector, _SparseElement, _mask_indices,
+                          _popcount, _product, berezin)
 
 __all__ = [
     "CliffordElement", "gen_c", "gen_chat", "clifford_multiply",
@@ -22,120 +21,24 @@ __all__ = [
 ]
 
 
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
-
-
-def _reorder_sign(a: int, b: int) -> int:
-    swaps = 0
-    a >>= 1
-    while a:
-        swaps += _popcount(a & b)
-        a >>= 1
-    return -1 if swaps & 1 else 1
-
-
-def _blade_product(a: int, b: int, square: int):
-    """Product of two blades over a diagonal metric with e_i^2 = square."""
-    sign = _reorder_sign(a, b)
-    if square == -1 and _popcount(a & b) & 1:
-        sign = -sign
-    return a ^ b, sign
-
-
-class CliffordElement:
+class CliffordElement(_SparseElement):
     """Sparse normal-ordered element of C(V,q) (x) C(V,-q)."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        full = (1 << n) - 1
-        clean = {}
-        for (cm, hm), c in (terms or {}).items():
-            if cm & ~full or hm & ~full:
-                raise ValueError(f"generator index out of range for n={n}")
-            if c == 0:
-                continue
-            clean[(cm, hm)] = c
-        self.terms = clean
+    __slots__ = ()
 
     @classmethod
     def one(cls, n: int) -> "CliffordElement":
         return cls(n, {(0, 0): 1})
 
-    @classmethod
-    def zero(cls, n: int) -> "CliffordElement":
-        return cls(n, {})
-
-    @classmethod
-    def scalar(cls, n: int, value) -> "CliffordElement":
-        return cls(n, {(0, 0): value})
-
-    def backend(self):
-        return backend_of(self.terms.values())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, cm: int, hm: int):
-        return self.terms.get((cm, hm), 0)
-
-    def __eq__(self, other):
-        if isinstance(other, CliffordElement):
-            return self.n == other.n and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def _check(self, other: "CliffordElement"):
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        join_backend(self.backend(), other.backend())
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return CliffordElement(self.n, terms)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor) -> "CliffordElement":
-        return CliffordElement(self.n, {k: factor * c for k, c in self.terms.items()})
-
     def __mul__(self, other: "CliffordElement") -> "CliffordElement":
         return clifford_multiply(self, other)
 
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (cm, hm) in sorted(self.terms):
-            c = self.terms[(cm, hm)]
-            factors = [f"c{i}" for i in _mask_indices(cm)]
-            factors += [f"ch{i}" for i in _mask_indices(hm)]
-            word = " ".join(factors) if factors else "1"
-            parts.append(f"{c} * {word}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"CliffordElement(n={self.n}, {self.to_text()})"
-
-
-def _mask_indices(m: int):
-    i = 1
-    while m:
-        if m & 1:
-            yield i
-        m >>= 1
-        i += 1
+    @staticmethod
+    def _word(cm: int, hm: int) -> str:
+        """``c{i} .. ch{j} ..`` separated by spaces, or ``1`` for the empty word."""
+        factors = [f"c{i}" for i in _mask_indices(cm)]
+        factors += [f"ch{i}" for i in _mask_indices(hm)]
+        return " ".join(factors) if factors else "1"
 
 
 def gen_c(n: int, i: int) -> CliffordElement:
@@ -152,17 +55,7 @@ def gen_chat(n: int, i: int) -> CliffordElement:
 
 def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     x._check(y)
-    terms = {}
-    for (c1, h1), a in x.terms.items():
-        d_h1 = _popcount(h1)
-        for (c2, h2), b in y.terms.items():
-            # move the chat-word of x past the c-word of y
-            sign = -1 if (d_h1 * _popcount(c2)) & 1 else 1
-            cm, s1 = _blade_product(c1, c2, -1)
-            hm, s2 = _blade_product(h1, h2, +1)
-            key = (cm, hm)
-            terms[key] = terms.get(key, 0) + sign * s1 * s2 * a * b
-    return CliffordElement(x.n, terms)
+    return CliffordElement(x.n, _product(x.terms, y.terms, -1, +1))
 
 
 def _apply_generator(j: int, subset: int, kind: str):

@@ -410,6 +410,39 @@ def _entry(matrix: dict, i: int, j: int, a: int, zero: Multivector):
     return -matrix.get((j, i), zero)
 
 
+def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
+    """Expansion of a Pfaffian of commuting even forms along its first row.
+
+    With marked None this is Pf(base).  Otherwise it is the multilinear
+    sum in which exactly one entry comes from marked and all others from
+    base: the derivative of Pf(base + b marked) at b = 0.  Both dicts map
+    (i,j), i<j, to entries; antisymmetry below the diagonal is implied.
+    """
+    zero = Multivector.zero(a)
+
+    def rec(indices, used_marked):
+        if not indices:
+            return Multivector.scalar(a, Fraction(1)) if used_marked else zero
+        i0 = indices[0]
+        rest = indices[1:]
+        total = zero
+        for pos, j in enumerate(rest):
+            sub_rest = tuple(x for x in rest if x != j)
+            sign = -1 if pos & 1 else 1
+            if not used_marked:
+                m = _entry(marked, i0, j, a, zero)
+                if not m.is_zero():
+                    term = wedge(m, rec(sub_rest, True))
+                    total = total + (term if sign > 0 else -term)
+            e = _entry(base, i0, j, a, zero)
+            if not e.is_zero():
+                term = wedge(e, rec(sub_rest, used_marked))
+                total = total + (term if sign > 0 else -term)
+        return total
+
+    return rec(tuple(range(1, a + 1)), marked is None)
+
+
 def pfaffian(matrix: dict, a: int) -> Multivector:
     """Pfaffian of an antisymmetric matrix of commuting even forms.
 
@@ -418,28 +451,7 @@ def pfaffian(matrix: dict, a: int) -> Multivector:
     """
     if a % 2:
         raise ValueError("Pfaffian needs even dimension")
-    zero = Multivector.zero(a)
-    if a == 0:
-        return Multivector.scalar(a, Fraction(1))
-
-    def rec(indices):
-        if not indices:
-            return Multivector.scalar(a, Fraction(1))
-        i0 = indices[0]
-        rest = indices[1:]
-        total = Multivector.zero(a)
-        for pos, j in enumerate(rest):
-            e = _entry(matrix, i0, j, a, zero)
-            if e.is_zero():
-                continue
-            sub = rec(tuple(x for x in rest if x != j))
-            term = wedge(e, sub)
-            if pos & 1:
-                term = -term
-            total = total + term
-        return total
-
-    return rec(tuple(range(1, a + 1)))
+    return _pfaffian_expansion(matrix, None, a)
 
 
 def euler_form(R: CurvatureTensor, a: int | None = None):
@@ -486,43 +498,12 @@ def transgression(R: CurvatureTensor, sdot: dict, a: int) -> Multivector:
     """
     if a % 2:
         raise ValueError("transgression needs even tangent dimension")
-    base = curvature_form_matrix(R, a)
-    zero = Multivector.zero(a)
     sdot_mv = {}
     for (i, j), v in sdot.items():
         if i >= j:
             raise ValueError("sdot keys must have i < j")
         sdot_mv[(i, j)] = v
-    if a == 0:
-        return Multivector.zero(0)
-
-    def rec(indices, used_marked):
-        if not indices:
-            if used_marked:
-                return Multivector.scalar(a, Fraction(1))
-            return Multivector.zero(a)
-        i0 = indices[0]
-        rest = indices[1:]
-        total = Multivector.zero(a)
-        for pos, j in enumerate(rest):
-            sub_rest = tuple(x for x in rest if x != j)
-            sign = -1 if pos & 1 else 1
-            e = _entry(base, i0, j, a, zero)
-            if not used_marked:
-                m = _entry(sdot_mv, i0, j, a, zero)
-                if not m.is_zero():
-                    term = wedge(m, rec(sub_rest, True))
-                    total = total + (term if sign > 0 else -term)
-                if not e.is_zero():
-                    term = wedge(e, rec(sub_rest, False))
-                    total = total + (term if sign > 0 else -term)
-            else:
-                if not e.is_zero():
-                    term = wedge(e, rec(sub_rest, True))
-                    total = total + (term if sign > 0 else -term)
-        return total
-
-    dpf = rec(tuple(range(1, a + 1)), False)
+    dpf = _pfaffian_expansion(curvature_form_matrix(R, a), sdot_mv, a)
     return dpf.scale(Fraction(-1, 2) ** (a // 2))
 
 

@@ -28,7 +28,7 @@ from math import comb, factorial
 
 from .clifford import CliffordElement
 from .equivariant import BundleVariationData, CurvatureTensor
-from .multivector import Multivector
+from .multivector import _popcount, _product
 from .scalars import CFrac, I
 
 __all__ = [
@@ -101,7 +101,7 @@ def _coef_neg(c):
 # -- graded differential operators ---------------------------------------
 
 def _word_order(cmask: int, hmask: int) -> Fraction:
-    return Fraction(bin(cmask).count("1") + bin(hmask).count("1"), 2)
+    return Fraction(_popcount(cmask) + _popcount(hmask), 2)
 
 
 def _term_order(key) -> Fraction:
@@ -304,6 +304,25 @@ def model_operator(op: GradedDiffOp) -> GradedDiffOp:
     return GradedDiffOp(op.n, top.terms, kind="exterior")
 
 
+def _cw(i, j, kind_pair):
+    """Two-generator word c/ch(e_i) c/ch(e_j), as a Clifford word dict."""
+    masks = {"c": lambda x: (1 << (x - 1), 0), "ch": lambda x: (0, 1 << (x - 1))}
+    return _product({masks[kind_pair[0]](i): 1}, {masks[kind_pair[1]](j): 1},
+                    -1, +1)
+
+
+def _curvature_quartic(R: CurvatureTensor) -> CliffordElement:
+    """-(1/8) sum_ijkl R_ijkl c_i c_j ch_k ch_l, for both operator assemblies."""
+    terms = {}
+    for i, j, k, l in itertools.product(range(1, R.n + 1), repeat=4):
+        v = R.get(i, j, k, l)
+        if v:
+            w = _product(_cw(i, j, ("c", "c")), _cw(k, l, ("ch", "ch")), -1, +1)
+            for key, s in w.items():
+                terms[key] = terms.get(key, 0) + Fraction(-v, 8) * s
+    return CliffordElement(R.n, terms)
+
+
 def weitzenbock(R: CurvatureTensor) -> GradedDiffOp:
     """Square of the de Rham-Dirac operator on forms, flat-frame terms.
 
@@ -320,19 +339,7 @@ def weitzenbock(R: CurvatureTensor) -> GradedDiffOp:
     r = R.scalar_curvature()
     if r:
         terms[(z, 0, 0, z, 0)] = Fraction(r, 4)
-    quartic = CliffordElement.zero(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    v = R.get(i, j, k, l)
-                    if v:
-                        w = (CliffordElement(n, {(1 << (i - 1), 0): 1})
-                             * CliffordElement(n, {(1 << (j - 1), 0): 1})
-                             * CliffordElement(n, {(0, 1 << (k - 1)): 1})
-                             * CliffordElement(n, {(0, 1 << (l - 1)): 1}))
-                        quartic = quartic + w.scale(Fraction(-v, 8))
-    for (cm, hm), c in quartic.terms.items():
+    for (cm, hm), c in _curvature_quartic(R).terms.items():
         key = (z, cm, hm, z, 0)
         terms[key] = _coef_add(terms.get(key, 0), c)
     opaque = {}
@@ -350,13 +357,8 @@ def _leibniz_1d(a: int, b: int):
         yield coef, b - k, a - k
 
 
-def _word_product(n: int, kind: str, w1, w2):
-    """Product of two basis words, as a terms dict (may be empty)."""
-    if kind == "clifford":
-        prod = (CliffordElement(n, {w1: 1}) * CliffordElement(n, {w2: 1}))
-        return prod.terms
-    prod = Multivector(n, {w1: 1}) ^ Multivector(n, {w2: 1})
-    return prod.terms
+# generator squares (q_c, q_h) of the word algebra of each operator kind
+_SQUARES = {"clifford": (-1, +1), "exterior": (0, 0)}
 
 
 def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
@@ -367,6 +369,7 @@ def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
     """
     p._check(q)
     n = p.n
+    q_c, q_h = _SQUARES[p.kind]
     terms = {}
     opaque = {}
 
@@ -384,7 +387,7 @@ def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
 
     for (x1, c1, h1, d1, t1), a in p.terms.items():
         for (x2, c2, h2, d2, t2), b in q.terms.items():
-            words = _word_product(n, p.kind, (c1, h1), (c2, h2))
+            words = _product({(c1, h1): 1}, {(c2, h2): 1}, q_c, q_h)
             if not words:
                 continue
             coef = _coef_mul(a, b)
@@ -450,17 +453,10 @@ class LichnerowiczSplit:
     identities: dict
 
 
-def _cw(n, i, j, kind_pair):
-    """Two-generator word c/ch(e_i) c/ch(e_j) as a CliffordElement."""
-    masks = {"c": lambda x: (1 << (x - 1), 0), "ch": lambda x: (0, 1 << (x - 1))}
-    return (CliffordElement(n, {masks[kind_pair[0]](i): 1})
-            * CliffordElement(n, {masks[kind_pair[1]](j): 1}))
-
-
-def _clifford_to_op(n: int, elem: CliffordElement, coef) -> GradedDiffOp:
+def _clifford_to_op(n: int, words: dict, coef) -> GradedDiffOp:
     z = (0,) * n
     terms = {}
-    for (cm, hm), s in elem.terms.items():
+    for (cm, hm), s in words.items():
         key = (z, cm, hm, z, 0)
         c = _coef_mul(s, coef)
         terms[key] = _coef_add(terms[key], c) if key in terms else c
@@ -507,16 +503,10 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
                                    coef=_mat_scalar(-1, r_fib))
     zero = GradedDiffOp.zero(n)
 
-    curv_quartic = zero
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    v = R.get(i, j, k, l)
-                    if v:
-                        w = _cw(n, i, j, ("c", "c")) * _cw(n, k, l, ("ch", "ch"))
-                        curv_quartic = curv_quartic + _clifford_to_op(
-                            n, w, _mat_scalar(Fraction(-v, 8), r_fib))
+    z = (0,) * n
+    curv_quartic = GradedDiffOp(n, {
+        (z, cm, hm, z, 0): _mat_scalar(c, r_fib)
+        for (cm, hm), c in _curvature_quartic(R).terms.items()})
 
     cc_w2 = zero
     hh_w2 = zero
@@ -525,9 +515,9 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
             wij = w2(i, j)
             if not _coef_is_zero(wij):
                 cc_w2 = cc_w2 + _clifford_to_op(
-                    n, _cw(n, i, j, ("c", "c")), _coef_mul(Fraction(-1, 8), wij))
+                    n, _cw(i, j, ("c", "c")), _coef_mul(Fraction(-1, 8), wij))
                 hh_w2 = hh_w2 + _clifford_to_op(
-                    n, _cw(n, i, j, ("ch", "ch")), _coef_mul(Fraction(1, 8), wij))
+                    n, _cw(i, j, ("ch", "ch")), _coef_mul(Fraction(1, 8), wij))
 
     mixed = zero
     for i in range(1, n + 1):
@@ -535,7 +525,7 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
             bracket = _coef_add(nabla[(i, j)], _coef_mul(Fraction(1, 2), w2(i, j)))
             if not _coef_is_zero(bracket):
                 mixed = mixed + _clifford_to_op(
-                    n, _cw(n, i, j, ("c", "ch")), _coef_mul(Fraction(-1, 2), bracket))
+                    n, _cw(i, j, ("c", "ch")), _coef_mul(Fraction(-1, 2), bracket))
 
     omega_sq = _mat_scalar(0, r_fib)
     for j in range(1, n + 1):

@@ -1,9 +1,19 @@
-"""Bigraded exterior algebra Lambda(n) (x) Lambda(n).
+"""Bigraded exterior algebra Lambda(n) (x) Lambda(n), on the word core it
+shares with the Clifford algebra C(V,q) (x) C(V,-q).
 
 Basis words are pairs of n-bit masks: bit i-1 of the first mask means the
-factor e^i, bit i-1 of the second mask the factor ehat^i, always written
-with strictly increasing indices.  The tensor product is the graded one,
-so ehat-factors anticommute with e-factors of odd degree.
+first-family generator number i, bit i-1 of the second mask the
+second-family one, always written with strictly increasing indices.
+Distinct generators anticommute, also across the two families.  One
+product kernel, ``_product``, serves both algebras; only the squares of
+the generators differ:
+
+* (0, 0) for Lambda(n) (x) Lambda(n): the families are e^i and ehat^i,
+  and the product is :func:`wedge`;
+* (-1, +1) for C(V,q) (x) C(V,-q): the families are c_i and chat_i, and
+  the product is ``clifford.clifford_multiply``.
+
+The symbol map sigma is therefore the identity on words.
 """
 
 from __future__ import annotations
@@ -20,18 +30,50 @@ __all__ = [
 ]
 
 
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
+_popcount = int.bit_count
 
 
-def _wedge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of increasing words a, b (disjoint)."""
+def _reorder_sign(a: int, b: int) -> int:
+    """Sign of sorting the concatenation of increasing words a, b.
+
+    Counts the pairs i in a, j in b with i > j; a generator in both
+    words is left for :func:`_product` to contract.
+    """
     swaps = 0
     a >>= 1
     while a:
         swaps += _popcount(a & b)
         a >>= 1
     return -1 if swaps & 1 else 1
+
+
+def _product(x_terms: dict, y_terms: dict, q_c: int, q_h: int) -> dict:
+    """Product of two word dicts, as a word dict (zero sums kept).
+
+    Generators of the first family square to q_c, those of the second to
+    q_h, each in {0, -1, +1}; distinct generators anticommute, also
+    across the two families.
+    """
+    terms = {}
+    for (s1, t1), c1 in x_terms.items():
+        d1 = _popcount(t1)
+        for (s2, t2), c2 in y_terms.items():
+            both_s, both_t = s1 & s2, t1 & t2
+            if (both_s and not q_c) or (both_t and not q_h):
+                continue
+            # move the second word of x past the first word of y, then
+            # contract each generator the two words share to its square
+            parity = d1 * _popcount(s2)
+            if q_c < 0:
+                parity += _popcount(both_s)
+            if q_h < 0:
+                parity += _popcount(both_t)
+            sign = _reorder_sign(s1, s2) * _reorder_sign(t1, t2)
+            if parity & 1:
+                sign = -sign
+            key = (s1 ^ s2, t1 ^ t2)
+            terms[key] = terms.get(key, 0) + sign * c1 * c2
+    return terms
 
 
 def _mask_indices(m: int):
@@ -43,8 +85,12 @@ def _mask_indices(m: int):
         i += 1
 
 
-class Multivector:
-    """Element of Lambda(n) (x) Lambda(n) with sparse canonical terms."""
+class _SparseElement:
+    """Sparse sum of words (first mask, second mask) -> coefficient.
+
+    Shared by the exterior and the Clifford elements, which differ only
+    in their product and in how a word is printed.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -63,11 +109,11 @@ class Multivector:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def scalar(cls, n: int, value) -> "Multivector":
+    def scalar(cls, n: int, value):
         return cls(n, {(0, 0): value})
 
     @classmethod
-    def zero(cls, n: int) -> "Multivector":
+    def zero(cls, n: int):
         return cls(n, {})
 
     # -- basic queries -------------------------------------------------
@@ -81,12 +127,8 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self):
-        """Set of total degrees present."""
-        return {_popcount(s) + _popcount(t) for s, t in self.terms}
-
     def __eq__(self, other):
-        if isinstance(other, Multivector):
+        if type(self) is type(other):
             return self.n == other.n and self.terms == other.terms
         return NotImplemented
 
@@ -95,52 +137,57 @@ class Multivector:
 
     # -- linear structure ----------------------------------------------
 
-    def _check(self, other: "Multivector"):
+    def _check(self, other):
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
         join_backend(self.backend(), other.backend())
 
-    def __add__(self, other: "Multivector") -> "Multivector":
+    def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0) + c
-        return Multivector(self.n, terms)
+        return type(self)(self.n, terms)
 
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.n, {k: -c for k, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "Multivector") -> "Multivector":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor) -> "Multivector":
-        return Multivector(self.n, {k: factor * c for k, c in self.terms.items()})
-
-    # -- product ---------------------------------------------------------
-
-    def __xor__(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
+    def scale(self, factor):
+        return type(self)(self.n, {k: factor * c for k, c in self.terms.items()})
 
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form ``coef * e{i,..} ^ ehat{j,..}`` for golden tests."""
+        """Canonical text form ``coef * word + ...``, words sorted, for golden tests."""
         if not self.terms:
             return "0"
-        parts = []
-        for (s, t) in sorted(self.terms):
-            c = self.terms[(s, t)]
-            factors = []
-            if s:
-                factors.append("e{%s}" % ",".join(str(i) for i in _mask_indices(s)))
-            if t:
-                factors.append("ehat{%s}" % ",".join(str(i) for i in _mask_indices(t)))
-            word = " ^ ".join(factors) if factors else "1"
-            parts.append(f"{c} * {word}")
-        return " + ".join(parts)
+        return " + ".join(f"{self.terms[key]} * {self._word(*key)}"
+                          for key in sorted(self.terms))
 
     def __repr__(self):
-        return f"Multivector(n={self.n}, {self.to_text()})"
+        return f"{type(self).__name__}(n={self.n}, {self.to_text()})"
+
+
+class Multivector(_SparseElement):
+    """Element of Lambda(n) (x) Lambda(n) with sparse canonical terms."""
+
+    __slots__ = ()
+
+    def __xor__(self, other: "Multivector") -> "Multivector":
+        return wedge(self, other)
+
+    @staticmethod
+    def _word(s: int, t: int) -> str:
+        """``e{i,..} ^ ehat{j,..}``, or ``1`` for the empty word."""
+        factors = []
+        if s:
+            factors.append("e{%s}" % ",".join(str(i) for i in _mask_indices(s)))
+        if t:
+            factors.append("ehat{%s}" % ",".join(str(i) for i in _mask_indices(t)))
+        return " ^ ".join(factors) if factors else "1"
 
 
 @dataclass(frozen=True)
@@ -206,19 +253,7 @@ def volume(n: int) -> Multivector:
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     x._check(y)
-    terms = {}
-    for (s1, t1), c1 in x.terms.items():
-        d1 = _popcount(t1)
-        for (s2, t2), c2 in y.terms.items():
-            if s1 & s2 or t1 & t2:
-                continue
-            sign = _wedge_sign(s1, s2) * _wedge_sign(t1, t2)
-            # graded tensor product: move ehat-word of x past e-word of y
-            if (d1 * _popcount(s2)) & 1:
-                sign = -sign
-            key = (s1 | s2, t1 | t2)
-            terms[key] = terms.get(key, 0) + sign * c1 * c2
-    return Multivector(x.n, terms)
+    return Multivector(x.n, _product(x.terms, y.terms, 0, 0))
 
 
 def grade_component(x: Multivector, split: BigradeSplit, selector) -> Multivector:
@@ -258,7 +293,8 @@ def berezin(x: Multivector, split: BigradeSplit | None = None, mode: str = "full
 
 def exp_even(x: Multivector) -> Multivector:
     """exp of a nilpotent element with only positive even total degree."""
-    for deg in x.degrees():
+    for s, t in x.terms:
+        deg = _popcount(s) + _popcount(t)
         if deg == 0 or deg % 2:
             raise ValueError("exp_even input must have positive even degree only")
     result = Multivector.scalar(x.n, 1)

@@ -61,18 +61,20 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown suite {self.suite!r}")
         if self.format not in FORMATS:
             raise ScenarioError(f"unknown format {self.format!r}")
-        if self.tolerance <= 0:
-            raise ScenarioError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ScenarioError("tolerance must be positive and finite")
         if self.cutoff < 1:
             raise ScenarioError("cutoff must be >= 1")
         if not self.t_grid:
             raise ScenarioError("t-grid must not be empty")
-        if any(t <= 0 for t in self.t_grid):
-            raise ScenarioError("t-grid entries must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in self.t_grid):
+            raise ScenarioError("t-grid entries must be positive and finite")
         if self.n < 1 or not 0 <= self.a <= self.n:
             raise ScenarioError("need 1 <= n and 0 <= a <= n")
         if self.a + 2 * len(self.angles) != self.n and self.angles:
             raise ScenarioError("angles must pair up the normal directions")
+        if not all(math.isfinite(x) for x in self.angles):
+            raise ScenarioError("angles must be finite")
 
 
 def _parse_fraction(tok: str) -> Fraction:
@@ -94,6 +96,10 @@ def _parse_lines(text: str, cfg: ScenarioConfig, base_dir: str,
             _apply(key, args, cfg, base_dir, allow_include)
         except ScenarioError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            # int()/float() of a malformed number, or a zero angle divisor
+            raise ScenarioError(f"line {lineno}: bad value for {key}: {exc}") \
+                from None
 
 
 def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str,

@@ -1,20 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from heatchern.equivariant import CurvatureTensor
-
-
-def random_curvature(n, rng, lo=-5, hi=5, backend=Fraction):
-    comps = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    if (i, j) <= (k, l):
-                        comps[(i, j, k, l)] = backend(rng.randint(lo, hi))
-    return CurvatureTensor(n, comps)
+from heatchern.suites import _random_curvature as random_curvature  # noqa: F401
 
 
 @pytest.fixture

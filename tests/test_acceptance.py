@@ -96,7 +96,8 @@ def test_criterion_04_fiber_integral_consistency():
         b = n - a
         angles = tuple(RNG.uniform(0.1, math.pi - 0.1) for _ in range(b // 2))
         iso = IsometryNormalForm(n, a, angles)
-        R = random_curvature(n, RNG, backend=lambda v: float(v))
+        R = random_curvature(n, RNG)
+        R = CurvatureTensor(n, {k: float(v) for k, v in R.components.items()})
         for t in (0.1, 1.0):
             cf = fiber_integral(R, iso, t, "closed-form")
             qd = fiber_integral(R, iso, t, "quadrature")

@@ -84,6 +84,16 @@ def test_nested_include_rejected(tmp_path):
     "action rotation\n",
     "wibble 3\n",
     "curvature missing.inc\n",
+    "n four\n",
+    "angles 0.8 x\n",
+    "R 1 2 x 1 1\n",
+    "cutoff ten\n",
+    "seed s\n",
+    "action rotation pi/0\n",
+    "t-grid nan\n",
+    "t-grid 0.1 inf\n",
+    "tolerance nan\n",
+    "angles nan\n",
 ])
 def test_bad_scenarios(tmp_path, body):
     path = write_scn(tmp_path, body)
@@ -179,6 +189,21 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert main(["--config", scn]) == 2
     assert main(["--config", str(tmp_path / "missing.scn")]) == 2
     assert capsys.readouterr().err
+
+
+def test_cli_nan_t_grid_exit_2(tmp_path, capsys):
+    # a NaN time never ends the spectral tail loop, so it is rejected
+    scn = write_scn(tmp_path, "suite spectral\nt-grid nan\n")
+    assert main(["--config", scn]) == 2
+    assert "t-grid" in capsys.readouterr().err
+
+
+def test_torsion_ill_conditioned_seeds_pass(tmp_path, capsys):
+    # seeds whose complex is ill-conditioned enough that rounding exceeds
+    # a fixed 1e-12 tolerance on the unitary-invariance check
+    scn = write_scn(tmp_path, "suite torsion\n")
+    for seed in ("373", "708356"):
+        assert main(["--config", scn, "--seed", seed]) == 0
 
 
 def test_cli_overrides(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heatchern._kernels import gauss_hermite_gaussian_integral
 from heatchern.clifford import CliffordElement, represent, symbol_map
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    IsometryNormalForm, curvature_bivector,
@@ -133,7 +134,8 @@ def test_mehler_heat_residual(rng):
 
 
 def test_fiber_integral_modes(rng):
-    R = random_curvature(4, rng, backend=lambda v: float(v))
+    R = random_curvature(4, rng)
+    R = CurvatureTensor(4, {k: float(v) for k, v in R.components.items()})
     iso = IsometryNormalForm(4, 2, (0.8,))
     for t in (0.1, 1.0):
         cf = fiber_integral(R, iso, t, "closed-form")
@@ -141,6 +143,11 @@ def test_fiber_integral_modes(rng):
         keys = set(cf.terms) | set(qd.terms)
         err = max(abs(cf.coefficient(*k) - qd.coefficient(*k)) for k in keys)
         assert err < 1e-6
+
+
+def test_gauss_hermite_reports_tolerance_and_order():
+    with pytest.raises(RuntimeError, match="converge to 1e-09 by order 8"):
+        gauss_hermite_gaussian_integral(np.eye(1), 1.0, tol=1e-9, max_order=8)
 
 
 def test_pfaffian_textbook_4x4():
