@@ -1,8 +1,9 @@
 """Numeric inner loops: Gauss-Hermite fiber quadrature and spectral sums.
 
 Each kernel has a numba @njit implementation and a pure-numpy fallback.
-Set HEATCHERN_PURE_NUMPY=1 to force the fallback (also used by the
-benchmark in benchmarks/bench_kernels.py to compare both paths).
+Set HEATCHERN_PURE_NUMPY=1 to force the fallback.  The kernels are
+timed, as two-route checks, by the numeric-kernels workload of
+``python3 perfbench/run.py``.
 """
 
 from __future__ import annotations

@@ -120,13 +120,18 @@ def supertrace(x: CliffordElement, method: str = "matrix"):
     """Supertrace on C(V,q) (x) C(V,-q).
 
     "matrix": sum over subsets S of (-1)^{|S|} <S| x |S> in the Lambda(V)
-    representation.  "berezin": (-1)^{n/2} 2^n T(sigma(x)), even n only.
+    representation.  c(e_j) and chat(e_j) each flip bit j of S, so the
+    word (cm, hm) maps e^S to +-e^{S xor cm xor hm}: only the words with
+    cm == hm reach the diagonal, and only they are applied.
+    "berezin": (-1)^{n/2} 2^n T(sigma(x)), even n only.
     """
     if method == "matrix":
+        words = [(cm, c) for (cm, hm), c in x.terms.items() if cm == hm]
         total = 0
         for subset in range(1 << x.n):
-            img = apply_to_basis(x, subset)
-            diag = img.get(subset, 0)
+            diag = 0
+            for cm, c in words:
+                diag += _apply_word(cm, cm, subset)[1] * c
             if diag:
                 total += -diag if _popcount(subset) & 1 else diag
         return total

@@ -17,6 +17,7 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +27,8 @@ import numpy as np
 
 from .clifford import CliffordElement, clifford_multiply, supertrace, symbol_map
 from .multivector import (
-    BigradeSplit, Multivector, berezin, exp_even, grade_component, wedge,
+    BigradeSplit, Multivector, _product, _reorder_sign, berezin, exp_even,
+    grade_component, wedge,
 )
 
 __all__ = [
@@ -214,21 +216,18 @@ def exterior_pushforward(mat: np.ndarray) -> np.ndarray:
 
     Entry [S, T] is the minor det(mat[S, T]); the degree-1 block is mat
     itself.  This is the independent oracle for represent(phi_tilde).
+    The minors of each degree k come from one stacked determinant call.
     """
     n = mat.shape[0]
     dim = 1 << n
     out = np.zeros((dim, dim))
-    for t_mask in range(dim):
-        cols = [i for i in range(n) if t_mask >> i & 1]
-        for s_mask in range(dim):
-            rows = [i for i in range(n) if s_mask >> i & 1]
-            if len(rows) != len(cols):
-                continue
-            if not rows:
-                out[s_mask, t_mask] = 1.0
-                continue
-            sub = mat[np.ix_(rows, cols)]
-            out[s_mask, t_mask] = float(np.linalg.det(sub))
+    out[0, 0] = 1.0
+    for k in range(1, n + 1):
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        masks = (1 << subsets).sum(axis=1)
+        # blocks[r, c] is the k x k block on rows subsets[r], columns subsets[c]
+        blocks = mat[subsets[:, None, :, None], subsets[None, :, None, :]]
+        out[np.ix_(masks, masks)] = np.linalg.det(blocks)
     return out
 
 
@@ -417,9 +416,12 @@ def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
     sum in which exactly one entry comes from marked and all others from
     base: the derivative of Pf(base + b marked) at b = 0.  Both dicts map
     (i,j), i<j, to entries; antisymmetry below the diagonal is implied.
+    A minor (remaining indices, marked entry used or not) is reached along
+    several paths of the expansion and is computed once.
     """
     zero = Multivector.zero(a)
 
+    @functools.cache
     def rec(indices, used_marked):
         if not indices:
             return Multivector.scalar(a, Fraction(1)) if used_marked else zero
@@ -478,12 +480,39 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
 
     (-1)^{n/2} 2^n (-1/4)^{b/2} (4 pi)^{-a/2} |exp(Rdot/2)|^{((a,0),(a,0))},
     returned as the exact coefficient of pi^{-a/2}.
+
+    Only the word (tan, tan) of the exponential is read, and only what
+    reaches it is computed.  The wedge product never removes a generator,
+    so a word of Rdot with a normal index cannot contribute: those words
+    are dropped.  Every remaining word has bidegree (2, 2), so only the
+    power m = a/2 reaches (tan, tan), with weight 1/m!.  That power is
+    taken on integer numerators (denominators cleared by their lcm D),
+    and its top coefficient is read by pairing x^ceil(m/2) with
+    x^floor(m/2) on complementary words.
     """
     n, a, b = iso.n, iso.a, iso.b
-    rdot = curvature_bivector(R)
-    body = exp_even(rdot.scale(Fraction(1, 2))) if not rdot.is_zero() \
-        else Multivector.scalar(n, Fraction(1))
-    coeff = berezin(body, BigradeSplit(n, a), "tangent")
+    tan = (1 << a) - 1
+    rdot = {(s, t): Fraction(c)
+            for (s, t), c in curvature_bivector(R).terms.items()
+            if not (s | t) & ~tan}
+    m = a // 2
+    coeff = Fraction(1) if m == 0 else Fraction(0)
+    if m and rdot:
+        D = math.lcm(*(c.denominator for c in rdot.values()))
+        nums = {w: int(c * D) for w, c in rdot.items()}
+        low = {(0, 0): 1}
+        for _ in range(m // 2):
+            low = _product(low, nums, 0, 0)
+        high = _product(low, nums, 0, 0) if m % 2 else low
+        # a word of high has an even number of hatted generators, so
+        # moving its complement in front costs only the in-family signs
+        top = 0
+        for (s, t), c in high.items():
+            c2 = low.get((tan ^ s, tan ^ t))
+            if c2:
+                sign = _reorder_sign(s, tan ^ s) * _reorder_sign(t, tan ^ t)
+                top += sign * c * c2
+        coeff = Fraction(top, math.factorial(m) * (2 * D) ** m)
     pref = Fraction((-1) ** (n // 2) * (1 << n))
     pref *= Fraction(-1, 4) ** (b // 2)
     pref *= Fraction(1, 4) ** (a // 2)

@@ -9,10 +9,13 @@ lines are ignored.  Keys:
     a <int>                      fixed-submanifold dimension
     angles <f> [<f> ...]         rotation angles of the normal action
     R <i> <j> <k> <l> <value>    curvature component (value rational,
-                                 e.g. 3 or -5/2)
+                                 e.g. 3 or -5/2; indices in 1..n, lines
+                                 consistent under the symmetries of R)
     curvature <path>             include n/a/angles/R lines from a file
     geometry torus | sphere
     action identity | minus-id | translation <vx> <vy> | rotation <theta>
+                                 (the torus takes the first three, the
+                                 sphere only rotation)
     t-grid <f> [<f> ...]
     cutoff <int>
     tolerance <float>
@@ -29,6 +32,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .equivariant import CurvatureTensor
 
 SUITES = ("algebra", "fixed-point", "getzler", "duhamel", "spectral",
           "torsion", "all")
@@ -75,6 +80,17 @@ class ScenarioConfig:
             raise ScenarioError("angles must pair up the normal directions")
         if not all(math.isfinite(x) for x in self.angles):
             raise ScenarioError("angles must be finite")
+        try:
+            CurvatureTensor(self.n, self.curvature)
+        except ValueError as exc:
+            raise ScenarioError(f"curvature: {exc}") from None
+        if self.suite in ("spectral", "all"):
+            # the spectral suite has no stand-in for a pair it cannot run
+            if self.geometry == "torus" and self.action_kind == "rotation":
+                raise ScenarioError("the torus takes action identity, "
+                                    "minus-id or translation, not rotation")
+            if self.geometry == "sphere" and self.action_kind != "rotation":
+                raise ScenarioError("the sphere takes only action rotation")
 
 
 def _parse_fraction(tok: str) -> Fraction:

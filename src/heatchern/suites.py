@@ -292,21 +292,10 @@ def _suite_duhamel(cfg: ScenarioConfig, rng: random.Random, report: Report):
 
 # -- spectral -------------------------------------------------------------
 
-def _actions_for(cfg: ScenarioConfig):
-    if cfg.geometry == "sphere":
-        return spectral.IsometryAction.rotation(cfg.action_params[0]
-                                                if cfg.action_kind == "rotation"
-                                                else 0.7)
-    if cfg.action_kind == "minus-id":
-        return spectral.IsometryAction.minus_id()
-    params = cfg.action_params if cfg.action_kind == "translation" else (0.0, 0.0)
-    return spectral.IsometryAction.translation(*params)
-
-
 def _suite_spectral(cfg: ScenarioConfig, rng: random.Random, report: Report):
     try:
         model = spectral.build_model(cfg.geometry, cfg.cutoff)
-        action = _actions_for(cfg)
+        action = spectral.IsometryAction(cfg.action_kind, cfg.action_params)
     except Exception as exc:   # noqa: BLE001
         report.add(CheckRecord("spectral/setup", "", "", f"error: {exc}",
                                "", False))

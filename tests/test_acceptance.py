@@ -62,13 +62,15 @@ def test_criterion_01_supertrace_word_table():
 
 def test_criterion_02_index_density_polynomial_identity():
     t0 = time.time()
-    combos = [(4, 2), (4, 4), (6, 2), (6, 4), (6, 6)]
+    combos = [(4, 2, 20), (4, 4, 20), (6, 2, 20), (6, 4, 20), (6, 6, 20),
+              (8, 2, 5), (8, 4, 5), (8, 6, 5), (8, 8, 3),
+              (10, 2, 3), (10, 4, 3), (10, 6, 3)]
     checked = 0
     ok = True
-    for n, a in combos:
+    for n, a, count in combos:
         angles = tuple(0.4 + 0.5 * i for i in range((n - a) // 2))
         iso = IsometryNormalForm(n, a, angles)
-        for _ in range(20):
+        for _ in range(count):
             R = random_curvature(n, RNG)
             if local_index_density(R, iso) != euler_form(R.tangent_block(a), a):
                 ok = False

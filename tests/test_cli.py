@@ -94,6 +94,12 @@ def test_nested_include_rejected(tmp_path):
     "t-grid 0.1 inf\n",
     "tolerance nan\n",
     "angles nan\n",
+    "R 1 2 9 9 1\n",
+    "R 0 2 1 2 1\n",
+    "R 1 1 1 2 5\n",
+    "R 1 2 1 2 3\nR 2 1 1 2 3\n",
+    "geometry torus\naction rotation 1\n",
+    "suite spectral\ngeometry sphere\naction minus-id\n",
 ])
 def test_bad_scenarios(tmp_path, body):
     path = write_scn(tmp_path, body)
@@ -196,6 +202,23 @@ def test_cli_nan_t_grid_exit_2(tmp_path, capsys):
     scn = write_scn(tmp_path, "suite spectral\nt-grid nan\n")
     assert main(["--config", scn]) == 2
     assert "t-grid" in capsys.readouterr().err
+
+
+def test_cli_rejected_curvature_exit_2(tmp_path, capsys):
+    # out of range, and nonzero although antisymmetry forces zero
+    for line in ("R 1 2 9 9 1", "R 1 1 1 2 5"):
+        scn = write_scn(tmp_path, f"suite fixed-point\nn 4\na 2\n{line}\n")
+        assert main(["--config", scn]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: curvature:") and err.count("\n") == 1
+
+
+def test_action_checked_when_spectral_runs(tmp_path, capsys):
+    scn = write_scn(tmp_path, "suite torsion\ngeometry torus\n"
+                              "action rotation 1\n")
+    assert main(["--config", scn]) == 0
+    assert main(["--config", scn, "--suite", "spectral"]) == 2
+    assert "torus" in capsys.readouterr().err
 
 
 def test_torsion_ill_conditioned_seeds_pass(tmp_path, capsys):

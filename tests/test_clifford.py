@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,27 @@ def test_supertrace_kills_supercommutators(c1, h1, c2, h2):
 @given(ce_strategy())
 def test_supertrace_paths_agree(x):
     assert supertrace(x, "matrix") == supertrace(x, "berezin")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("exact", [True, False])
+def test_matrix_supertrace_is_diagonal_of_represent(n, exact):
+    rng = random.Random(n)
+    for _ in range(10):
+        terms = {}
+        for i in range(8):
+            # even i: an off-diagonal word (cm != hm); odd i: a diagonal one
+            cm = rng.randrange(1 << n)
+            hm = cm if i % 2 else cm ^ rng.randrange(1, 1 << n)
+            terms[(cm, hm)] = (Fraction(rng.choice([-7, -2, 1, 3, 5]),
+                                        rng.randint(1, 4))
+                               if exact else rng.uniform(-1.0, 1.0))
+        x = CliffordElement(n, terms)
+        assert any(cm != hm for cm, hm in x.terms)
+        mat = represent(x)
+        want = sum(-mat[S, S] if bin(S).count("1") & 1 else mat[S, S]
+                   for S in range(1 << n))
+        assert supertrace(x, "matrix") == want
 
 
 def test_berezin_path_needs_even_dimension():

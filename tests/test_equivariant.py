@@ -10,13 +10,15 @@ from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    IsometryNormalForm, curvature_bivector,
                                    curvature_form_matrix,
                                    equivariant_supertrace, euler_form,
+                                   exterior_pushforward,
                                    fiber_integral, hodge_variation_operator,
                                    lambda_pushforward_oracle,
                                    local_index_density, mehler_heat_residual,
                                    mehler_kernel, pfaffian, phi_tilde,
                                    sigma_phi_top, supertrace_decomposition,
                                    theta_form, transgression)
-from heatchern.multivector import BigradeSplit, Multivector, grade_component
+from heatchern.multivector import (Multivector, berezin, exp_even,
+                                   grade_component)
 
 from conftest import random_curvature
 
@@ -171,6 +173,57 @@ def test_index_density_identity_exact(rng):
             R = random_curvature(n, rng)
             assert local_index_density(R, iso) \
                 == euler_form(R.tangent_block(a), a)
+
+
+def _density_by_full_exp(R, iso):
+    """The index density by its definition: the whole exp(Rdot/2), then
+    its tangent Berezin coefficient, then the prefactor."""
+    rdot = curvature_bivector(R)
+    body = exp_even(rdot.scale(Fraction(1, 2))) if not rdot.is_zero() \
+        else Multivector.scalar(iso.n, Fraction(1))
+    coeff = berezin(body, iso.split(), "tangent")
+    pref = Fraction((-1) ** (iso.n // 2) * (1 << iso.n))
+    pref *= Fraction(-1, 4) ** (iso.b // 2) * Fraction(1, 4) ** (iso.a // 2)
+    return pref * coeff
+
+
+def _sparse_curvature(n, rng):
+    """About a third of the seeded components, over denominators 1, 2, 3."""
+    dense = random_curvature(n, rng).components
+    return CurvatureTensor(n, {k: v / rng.choice([1, 2, 3])
+                               for k, v in dense.items() if rng.random() < 0.3})
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_index_density_matches_full_exponential(n, rng):
+    for a in range(0, n + 1, 2):
+        angles = tuple(0.4 + 0.5 * i for i in range((n - a) // 2))
+        iso = IsometryNormalForm(n, a, angles)
+        normal_only = CurvatureTensor(n, {(n - 1, n, n - 1, n): Fraction(7)})
+        for R in (random_curvature(n, rng), _sparse_curvature(n, rng),
+                  normal_only, CurvatureTensor(n, {})):
+            got = local_index_density(R, iso)
+            assert type(got) is Fraction
+            assert got == _density_by_full_exp(R, iso)
+
+
+def _pushforward_by_minors(mat):
+    n = mat.shape[0]
+    out = np.zeros((1 << n, 1 << n))
+    for s_mask in range(1 << n):
+        rows = [i for i in range(n) if s_mask >> i & 1]
+        for t_mask in range(1 << n):
+            cols = [i for i in range(n) if t_mask >> i & 1]
+            if len(rows) == len(cols):
+                out[s_mask, t_mask] = float(np.linalg.det(
+                    mat[np.ix_(rows, cols)])) if rows else 1.0
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_exterior_pushforward_matches_minor_loop(n):
+    mat = np.random.default_rng(n).normal(size=(n, n))
+    assert np.array_equal(exterior_pushforward(mat), _pushforward_by_minors(mat))
 
 
 def test_euler_form_surface():
