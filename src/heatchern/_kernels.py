@@ -1,25 +1,19 @@
 """Numeric inner loops: Gauss-Hermite fiber quadrature and spectral sums.
 
-Each kernel has a numba @njit implementation and a pure-numpy fallback.
-Set HEATCHERN_PURE_NUMPY=1 to force the fallback.  The kernels are
-timed, as two-route checks, by the numeric-kernels workload of
+Plain Python loops over numpy arrays, one point at a time.  The kernels
+are timed, as two-route checks, by the numeric-kernels workload of
 ``python3 perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("HEATCHERN_PURE_NUMPY", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:   # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
+# No compiled backend exists; the flag stays for callers that report the
+# kernel backend in their environment line (the benchmark worker does).
+USE_NUMBA = False
 
 __all__ = [
     "USE_NUMBA", "gauss_hermite_gaussian_integral",
@@ -29,7 +23,7 @@ __all__ = [
 
 # -- Gauss-Hermite tensor quadrature ------------------------------------
 
-def _gh_sum_numpy(nodes, weights, scales, A):
+def _gh_sum(nodes, weights, scales, A):
     """Sum over the tensor grid of prod(w) * exp(|u|^2 - (Su)^T A (Su))."""
     b = len(scales)
     m = len(nodes)
@@ -46,39 +40,6 @@ def _gh_sum_numpy(nodes, weights, scales, A):
         w = float(np.prod(weights[np.array(idx)]))
         total += w * math.exp(float(u @ u) - q)
     return total
-
-
-def _gh_sum_impl(nodes, weights, scales, A):
-    b = scales.shape[0]
-    m = nodes.shape[0]
-    total = 0.0
-    for flat in range(m ** b):
-        f = flat
-        w = 1.0
-        usq = 0.0
-        q = 0.0
-        v = np.empty(b)
-        for k in range(b):
-            i = f % m
-            f //= m
-            w *= weights[i]
-            usq += nodes[i] * nodes[i]
-            v[k] = nodes[i] * scales[k]
-        for r in range(b):
-            for c in range(b):
-                q += v[r] * A[r, c] * v[c]
-        total += w * math.exp(usq - q)
-    return total
-
-
-if USE_NUMBA:
-    _gh_sum_numba = njit(cache=True)(_gh_sum_impl)
-
-    def _gh_sum(nodes, weights, scales, A):
-        return _gh_sum_numba(nodes, weights, scales, A)
-else:
-    def _gh_sum(nodes, weights, scales, A):
-        return _gh_sum_numpy(nodes, weights, scales, A)
 
 
 def gauss_hermite_gaussian_integral(M, four_t, tol=1e-8, max_order=48):
@@ -109,7 +70,7 @@ def gauss_hermite_gaussian_integral(M, four_t, tol=1e-8, max_order=48):
 
 # -- spectral mode sums ---------------------------------------------------
 
-def _torus_sum_impl(kmax, vx, vy, minus_id, t):
+def torus_supertrace(kmax, vx, vy, minus_id, t):
     """Supertrace over the torus lattice |k_i| <= kmax.
 
     Translation by v: every mode carries weight cos(k.v) and the form
@@ -131,7 +92,7 @@ def _torus_sum_impl(kmax, vx, vy, minus_id, t):
     return total
 
 
-def _sphere_sum_impl(lmax, theta, t):
+def sphere_supertrace(lmax, theta, t):
     """Supertrace over the sphere towers l <= lmax under rotation theta."""
     total = 0.0
     for l in range(lmax + 1):
@@ -146,11 +107,3 @@ def _sphere_sum_impl(lmax, theta, t):
         if l >= 1:
             total -= 2.0 * chi * heat  # degree 1, exact + coexact
     return total
-
-
-if USE_NUMBA:
-    torus_supertrace = njit(cache=True)(_torus_sum_impl)
-    sphere_supertrace = njit(cache=True)(_sphere_sum_impl)
-else:
-    torus_supertrace = _torus_sum_impl
-    sphere_supertrace = _sphere_sum_impl

@@ -16,6 +16,10 @@ declared grading bound, since only the top-order part is ever consumed.
 Truncated symbol composition for the parabolic calculus uses the
 Fourier convention D_x = -i d/dx (fixed once here; the composition
 example x^j o xi_j depends on it) with Gaussian-rational coefficients.
+
+Both products rest on one multi-index Leibniz rule, ``_leibniz``: d^a
+moved past x^b in ``compose``, and xi^a composed with x^b (weighted by
+(-i)^|alpha|) in ``volterra_compose``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from math import comb, factorial
 from .clifford import CliffordElement
 from .equivariant import BundleVariationData, CurvatureTensor
 from .multivector import _popcount, _product
-from .scalars import CFrac, I
+from .scalars import CFrac
 
 __all__ = [
     "GradedDiffOp", "SigmaExtendedOp", "VolterraSymbol",
@@ -350,11 +354,22 @@ def weitzenbock(R: CurvatureTensor) -> GradedDiffOp:
 
 # -- composition ---------------------------------------------------------
 
-def _leibniz_1d(a: int, b: int):
-    """d^a x^b = sum_k C(a,k) b!/(b-k)! x^{b-k} d^{a-k} (one coordinate)."""
-    for k in range(min(a, b) + 1):
-        coef = comb(a, k) * factorial(b) // factorial(b - k)
-        yield coef, b - k, a - k
+def _leibniz(d, x):
+    """Normal order of d^d x^x for exponent tuples d and x.
+
+    d^d x^x = sum over alpha <= min(d, x) of coef x^(x - alpha) d^(d - alpha).
+    Yields (coef, x - alpha, d - alpha, |alpha|) with coef = prod_j
+    C(d_j, alpha_j) x_j!/(x_j - alpha_j)!.  With xi^d in place of d^d and
+    the 1/alpha! of the symbol calculus folded into C(d_j, alpha_j), the
+    same rule is the Volterra composition of two monomials.
+    """
+    ranges = [range(min(a, b) + 1) for a, b in zip(d, x)]
+    for alpha in itertools.product(*ranges):
+        coef = 1
+        for a, b, k in zip(d, x, alpha):
+            coef *= comb(a, k) * factorial(b) // factorial(b - k)
+        yield (coef, tuple(b - k for b, k in zip(x, alpha)),
+               tuple(a - k for a, k in zip(d, alpha)), sum(alpha))
 
 
 # generator squares (q_c, q_h) of the word algebra of each operator kind
@@ -391,16 +406,7 @@ def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
             if not words:
                 continue
             coef = _coef_mul(a, b)
-            # commute d^{d1} past x^{x2} coordinatewise
-            per_coord = [list(_leibniz_1d(d1[i], x2[i])) for i in range(n)]
-            for choice in itertools.product(*per_coord):
-                lc = 1
-                xmid = []
-                dmid = []
-                for f, xb, da in choice:
-                    lc *= f
-                    xmid.append(xb)
-                    dmid.append(da)
+            for lc, xmid, dmid, _ in _leibniz(d1, x2):
                 xexp = tuple(e1 + e2 for e1, e2 in zip(x1, xmid))
                 dexp = tuple(e1 + e2 for e1, e2 in zip(dmid, d2))
                 for (cm, hm), s in words.items():
@@ -700,19 +706,8 @@ class VolterraSymbol:
         return f"VolterraSymbol(n={self.n}, {self.to_text()})"
 
 
-def _d_poly(terms, slot, j):
-    """Partial derivative of a term dict in x (slot 0) or xi (slot 1)."""
-    out = {}
-    for key, c in terms.items():
-        e = key[slot][j]
-        if e:
-            new = list(key[slot])
-            new[j] = e - 1
-            nk = list(key)
-            nk[slot] = tuple(new)
-            nk = tuple(nk)
-            out[nk] = out.get(nk, CFrac(0)) + e * c
-    return out
+# (-i)^k for k mod 4: the phase of D_x^alpha = (-i)^|alpha| d_x^alpha
+_PHASE = (CFrac(1), CFrac(0, -1), CFrac(-1), CFrac(0, 1))
 
 
 def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
@@ -726,7 +721,6 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
     """
     if q1.n != q2.n:
         raise ValueError("dimension mismatch")
-    n = q1.n
     threshold = min(
         max((sum(xi) for (_, xi, _) in q1.terms), default=0),
         q2.x_degree())
@@ -735,33 +729,15 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
     if N < threshold:
         warnings.warn("composition truncated below the polynomial exactness "
                       "threshold; result is approximate", RuntimeWarning)
-    result = VolterraSymbol.zero(n)
-    # iterate multi-indices alpha by total degree
-    for total in range(N + 1):
-        for alpha in itertools.product(range(total + 1), repeat=n):
-            if sum(alpha) != total:
-                continue
-            left = dict(q1.terms)
-            right = dict(q2.terms)
-            for j in range(n):
-                for _ in range(alpha[j]):
-                    left = _d_poly(left, 1, j)
-                    right = _d_poly(right, 0, j)
-            if not left or not right:
-                continue
-            # D_x^alpha = (-i)^{|alpha|} d_x^alpha
-            phase = CFrac(1)
-            for _ in range(total):
-                phase = phase * (-I)
-            fac = Fraction(1)
-            for a in alpha:
-                fac /= factorial(a)
-            terms = {}
-            for (x1, xi1, t1), c1 in left.items():
-                for (x2, xi2, t2), c2 in right.items():
-                    key = (tuple(a + b for a, b in zip(x1, x2)),
-                           tuple(a + b for a, b in zip(xi1, xi2)),
-                           t1 + t2)
-                    terms[key] = terms.get(key, CFrac(0)) + (fac * phase) * (c1 * c2)
-            result = result + VolterraSymbol(n, terms)
-    return result
+    terms = {}
+    for (x1, xi1, t1), c1 in q1.terms.items():
+        for (x2, xi2, t2), c2 in q2.terms.items():
+            c12 = c1 * c2
+            for coef, xrest, xirest, k in _leibniz(xi1, x2):
+                if k > N:
+                    continue
+                key = (tuple(a + b for a, b in zip(x1, xrest)),
+                       tuple(a + b for a, b in zip(xirest, xi2)), t1 + t2)
+                c = c12 * _PHASE[k % 4] * coef
+                terms[key] = terms[key] + c if key in terms else c
+    return VolterraSymbol(q1.n, terms)

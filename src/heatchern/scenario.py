@@ -15,7 +15,8 @@ lines are ignored.  Keys:
     geometry torus | sphere
     action identity | minus-id | translation <vx> <vy> | rotation <theta>
                                  (the torus takes the first three, the
-                                 sphere only rotation)
+                                 sphere only rotation; vx, vy and theta
+                                 in [0, 2pi))
     t-grid <f> [<f> ...]
     cutoff <int>
     tolerance <float>
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equivariant import CurvatureTensor
+from .spectral import IsometryAction
 
 SUITES = ("algebra", "fixed-point", "getzler", "duhamel", "spectral",
           "torsion", "all")
@@ -85,12 +87,18 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ScenarioError(f"curvature: {exc}") from None
         if self.suite in ("spectral", "all"):
-            # the spectral suite has no stand-in for a pair it cannot run
+            # the spectral suite has no stand-in for an input it cannot run
+            if self.geometry not in ("torus", "sphere"):
+                raise ScenarioError(f"unknown geometry {self.geometry!r}")
             if self.geometry == "torus" and self.action_kind == "rotation":
                 raise ScenarioError("the torus takes action identity, "
                                     "minus-id or translation, not rotation")
             if self.geometry == "sphere" and self.action_kind != "rotation":
                 raise ScenarioError("the sphere takes only action rotation")
+            try:
+                IsometryAction(self.action_kind, self.action_params)
+            except ValueError as exc:
+                raise ScenarioError(f"action: {exc}") from None
 
 
 def _parse_fraction(tok: str) -> Fraction:

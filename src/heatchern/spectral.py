@@ -128,16 +128,18 @@ def _check_pair(model: SpectralModel, action: IsometryAction):
 def tail_bound(model: SpectralModel, t: float) -> float:
     """Upper bound on the modes dropped by the cutoff.
 
-    Per-mode form weights are bounded by 4 (torus) and 2(2l+1) per
-    sphere tower; geometric-decay majorants close the sums.
+    The form weights of a torus mode are bounded by 4 in total and those
+    of sphere tower l by 4(2l+1); the 1-d tails are summed until a term
+    falls below 1e-22 of the running sum.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if model.geometry == "torus":
         kmax = model.cutoff
-        # sum over |k| > kmax: 4 sum_{k>kmax} e^{-t k^2} (4 half-axes
-        # worth, each 1-d tail times the full transverse theta sum)
-        full = sum(math.exp(-t * k * k) for k in range(-kmax - 60, kmax + 61))
+        # the dropped set {|kx| > kmax or |ky| > kmax} has Gaussian mass
+        # (inner + 2 T)^2 - inner^2 = 4 T (inner + T), with the kept 1-d sum
+        # inner = sum_{|k| <= kmax} e^{-t k^2} and T = sum_{k > kmax} e^{-t k^2}
+        inner = sum(math.exp(-t * k * k) for k in range(-kmax, kmax + 1))
         tail1d = 0.0
         k = kmax + 1
         while True:
@@ -146,7 +148,7 @@ def tail_bound(model: SpectralModel, t: float) -> float:
             if term < 1e-22 * (tail1d + 1e-300):
                 break
             k += 1
-        return 4.0 * 2.0 * tail1d * (full + 2.0 * tail1d)
+        return 16.0 * tail1d * (inner + tail1d)
     lmax = model.cutoff
     total = 0.0
     l = lmax + 1

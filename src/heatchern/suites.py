@@ -293,13 +293,9 @@ def _suite_duhamel(cfg: ScenarioConfig, rng: random.Random, report: Report):
 # -- spectral -------------------------------------------------------------
 
 def _suite_spectral(cfg: ScenarioConfig, rng: random.Random, report: Report):
-    try:
-        model = spectral.build_model(cfg.geometry, cfg.cutoff)
-        action = spectral.IsometryAction(cfg.action_kind, cfg.action_params)
-    except Exception as exc:   # noqa: BLE001
-        report.add(CheckRecord("spectral/setup", "", "", f"error: {exc}",
-                               "", False))
-        return
+    # cfg.validate() has checked that both build
+    model = spectral.build_model(cfg.geometry, cfg.cutoff)
+    action = spectral.IsometryAction(cfg.action_kind, cfg.action_params)
     inputs = f"{cfg.geometry} {action.kind}{list(action.params)} cutoff={cfg.cutoff}"
     want = spectral.fixed_point_prediction(cfg.geometry, action)
 

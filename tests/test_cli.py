@@ -100,6 +100,9 @@ def test_nested_include_rejected(tmp_path):
     "R 1 2 1 2 3\nR 2 1 1 2 3\n",
     "geometry torus\naction rotation 1\n",
     "suite spectral\ngeometry sphere\naction minus-id\n",
+    "geometry klein\n",
+    "geometry torus\naction translation 7 0\n",
+    "action rotation 7\n",
 ])
 def test_bad_scenarios(tmp_path, body):
     path = write_scn(tmp_path, body)
@@ -214,11 +217,17 @@ def test_cli_rejected_curvature_exit_2(tmp_path, capsys):
 
 
 def test_action_checked_when_spectral_runs(tmp_path, capsys):
-    scn = write_scn(tmp_path, "suite torsion\ngeometry torus\n"
-                              "action rotation 1\n")
-    assert main(["--config", scn]) == 0
-    assert main(["--config", scn, "--suite", "spectral"]) == 2
-    assert "torus" in capsys.readouterr().err
+    for body, message in [
+            ("geometry torus\naction rotation 1\n", "torus"),
+            ("geometry klein\n", "klein"),
+            ("geometry torus\naction translation 7 0\n", "[0, 2 pi)"),
+            ("action rotation 7\n", "[0, 2 pi)")]:
+        scn = write_scn(tmp_path, "suite torsion\n" + body)
+        assert main(["--config", scn]) == 0
+        capsys.readouterr()
+        assert main(["--config", scn, "--suite", "spectral"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
 
 
 def test_torsion_ill_conditioned_seeds_pass(tmp_path, capsys):

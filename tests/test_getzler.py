@@ -1,5 +1,7 @@
+import itertools
 import warnings
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -73,6 +75,17 @@ def test_compose_leibniz():
     rhs = GradedDiffOp.x_coord(n, 1) * GradedDiffOp.d_x(n, 1) \
         + GradedDiffOp.scalar(n, 1)
     assert lhs == rhs
+    # d1^a d2^c o x1^b x2^e against the closed form, coordinate by coordinate
+    for a, b, c, e in itertools.product(range(4), repeat=4):
+        lhs = compose(GradedDiffOp(n, {(z(n), 0, 0, (a, c), 0): 1}),
+                      GradedDiffOp(n, {((b, e), 0, 0, z(n), 0): 1}))
+        want = {}
+        for k in range(min(a, b) + 1):
+            for m in range(min(c, e) + 1):
+                coef = (comb(a, k) * factorial(b) // factorial(b - k)
+                        * comb(c, m) * factorial(e) // factorial(e - m))
+                want[((b - k, e - m), 0, 0, (a - k, c - m), 0)] = coef
+        assert lhs == GradedDiffOp(n, want)
 
 
 def test_compose_subadditive(rng):
@@ -221,6 +234,67 @@ def test_volterra_truncation_flagged():
         volterra_compose(VolterraSymbol.xi(2, 1),
                          VolterraSymbol.monomial(2, (2, 0), (0, 0)), N=0)
     assert caught and issubclass(caught[0].category, RuntimeWarning)
+
+
+def _oracle_compose(q1, q2, N):
+    """sum_{|alpha| <= N} (1/alpha!) d_xi^alpha q1 * (-i d_x)^alpha q2, one
+    derivative step at a time on whole term dicts."""
+    n = q1.n
+
+    def d_step(terms, slot, j):
+        out = {}
+        for key, c in terms.items():
+            e = key[slot][j]
+            if e:
+                exps = list(key[slot])
+                exps[j] -= 1
+                new = list(key)
+                new[slot] = tuple(exps)
+                out[tuple(new)] = out.get(tuple(new), CFrac(0)) + e * c
+        return out
+
+    result = VolterraSymbol.zero(n)
+    for alpha in itertools.product(range(N + 1), repeat=n):
+        if sum(alpha) > N:
+            continue
+        left, right = dict(q1.terms), dict(q2.terms)
+        weight = CFrac(1)
+        for j, a in enumerate(alpha):
+            for _ in range(a):
+                left, right = d_step(left, 1, j), d_step(right, 0, j)
+                weight = weight * (-I)
+            weight = weight * Fraction(1, factorial(a))
+        terms = {}
+        for (x1, xi1, t1), c1 in left.items():
+            for (x2, xi2, t2), c2 in right.items():
+                key = (tuple(p + q for p, q in zip(x1, x2)),
+                       tuple(p + q for p, q in zip(xi1, xi2)), t1 + t2)
+                terms[key] = terms.get(key, CFrac(0)) + weight * c1 * c2
+        result = result + VolterraSymbol(n, terms)
+    return result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_volterra_truncation_matches_oracle(rng, n):
+    def rand_symbol():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            key = (tuple(rng.randint(0, 3) for _ in range(n)),
+                   tuple(rng.randint(0, 3) for _ in range(n)), rng.randint(0, 1))
+            terms[key] = CFrac(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                               Fraction(rng.choice([-3, -1, 1, 2]),
+                                        rng.randint(1, 3)))
+        return VolterraSymbol(n, terms)
+
+    for _ in range(6):
+        q1, q2 = rand_symbol(), rand_symbol()
+        threshold = min(max(sum(xi) for (_, xi, _) in q1.terms), q2.x_degree())
+        for N in range(threshold + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = volterra_compose(q1, q2, N)
+            assert got == _oracle_compose(q1, q2, N)
+        assert volterra_compose(q1, q2) == _oracle_compose(q1, q2, threshold)
 
 
 def test_graded_op_text_golden():

@@ -94,6 +94,32 @@ def test_tail_bound_certification():
         tail_bound(big, 0.0)
 
 
+def _dropped_mass(model, t):
+    """Brute force: the form-weight bound summed over every dropped mode."""
+    K = model.cutoff
+    far = K + int(math.ceil(math.sqrt(80.0 / t)))   # e^{-t far^2} < e^{-80}
+    if model.geometry == "torus":
+        k = np.arange(-far, far + 1)
+        kx, ky = np.meshgrid(k, k)
+        dropped = (np.abs(kx) > K) | (np.abs(ky) > K)
+        return math.fsum((4.0 * np.exp(-t * (kx * kx + ky * ky)[dropped])).tolist())
+    return math.fsum(4.0 * (2 * l + 1) * math.exp(-t * l * (l + 1))
+                     for l in range(K + 1, far + 1))
+
+
+@pytest.mark.parametrize("geometry", ["torus", "sphere"])
+@pytest.mark.parametrize("K,t", [(3, 0.2), (5, 0.05), (10, 0.01), (40, 0.001),
+                                 (1, 1.0), (2, 0.5)])
+def test_tail_bound_dominates_brute_force(geometry, K, t):
+    model = build_model(geometry, K)
+    true = _dropped_mass(model, t)
+    assert true > 0
+    bound = tail_bound(model, t)
+    assert bound >= true * (1 - 1e-12)
+    # and it is the dropped mass itself, not a loose majorant
+    assert bound <= true * (1 + 1e-9)
+
+
 def test_supertrace_matches_harmonic_count():
     # the heat supertrace is t-independent and equals the alternating
     # trace on the zero-eigenvalue modes
