@@ -84,11 +84,14 @@ class IsometryNormalForm:
         out[self.a:, self.a:] = self.normal_rotation()
         return out
 
-    def det_one_minus_normal(self) -> float:
-        """det(1 - phi^N) = prod (2 - 2 cos theta_j); always positive."""
-        out = 1.0
-        for t in self.angles:
-            out *= 2.0 - 2.0 * math.cos(t)
+    def det_one_minus_normal(self, trig=None):
+        """det(1 - phi^N) = prod (2 - 2 cos theta_j); always positive.
+
+        Exact when exact (cos, sin) pairs are passed as ``trig``.
+        """
+        out = 1 if trig is not None else 1.0
+        for c, _ in _trig_pairs(self, trig):
+            out *= 2 - 2 * c
         return out
 
 
@@ -143,15 +146,6 @@ class CurvatureTensor:
     def tangent_block(self, a: int) -> "CurvatureTensor":
         comp = {k: v for k, v in self.components.items() if max(k) <= a}
         return CurvatureTensor(a, comp)
-
-    def first_bianchi_residuals(self):
-        """Cyclic sums R_{ijkl} + R_{iklj} + R_{iljk}; zero iff Bianchi holds."""
-        out = {}
-        for i, j, k, l in itertools.combinations(range(1, self.n + 1), 4):
-            r = self.get(i, j, k, l) + self.get(i, k, l, j) + self.get(i, l, j, k)
-            if r != 0:
-                out[(i, j, k, l)] = r
-        return out
 
 
 @dataclass
@@ -231,13 +225,6 @@ def exterior_pushforward(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _det_one_minus_normal(iso: IsometryNormalForm, trig=None):
-    out = 1 if trig is not None else 1.0
-    for c, _ in _trig_pairs(iso, trig):
-        out *= 2 - 2 * c
-    return out
-
-
 def lambda_pushforward_oracle(iso: IsometryNormalForm) -> np.ndarray:
     """Matrix of the lifted isometry on the exterior algebra, by minors.
 
@@ -251,7 +238,7 @@ def lambda_pushforward_oracle(iso: IsometryNormalForm) -> np.ndarray:
 def sigma_phi_top(iso: IsometryNormalForm, trig=None) -> Multivector:
     """Top normal bigrade of sigma(phi_tilde) in closed form."""
     quarter = Fraction(-1, 4) if trig is not None else -0.25
-    coeff = (quarter ** (iso.b // 2)) * _det_one_minus_normal(iso, trig)
+    coeff = (quarter ** (iso.b // 2)) * iso.det_one_minus_normal(trig)
     split = iso.split()
     mask = split.normal_mask
     return Multivector(iso.n, {(mask, mask): coeff})
@@ -283,7 +270,7 @@ def supertrace_decomposition(iso: IsometryNormalForm, A: CliffordElement,
     sig_phi = symbol_map(phi_tilde(iso, trig))
     sig_a = symbol_map(A)
     quarter = Fraction(-1, 4) if trig is not None else -0.25
-    lead = (pref * (quarter ** (b // 2)) * _det_one_minus_normal(iso, trig)
+    lead = (pref * (quarter ** (b // 2)) * iso.det_one_minus_normal(trig)
             * berezin(sig_a, split, "tangent"))
     corr = 0
     for l1 in range(b + 1):

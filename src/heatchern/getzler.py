@@ -32,7 +32,7 @@ from math import comb, factorial
 
 from .clifford import CliffordElement
 from .equivariant import BundleVariationData, CurvatureTensor
-from .multivector import _popcount, _product
+from .multivector import _SparseElement, _popcount, _product
 from .scalars import CFrac
 
 __all__ = [
@@ -585,38 +585,39 @@ class SigmaExtendedOp:
 
 # -- truncated parabolic symbol composition ------------------------------
 
-class VolterraSymbol:
+class VolterraSymbol(_SparseElement):
     """Polynomial symbol in (x, xi, tau) with degrees deg xi = 1, deg tau = 2.
 
     Term keys are (x-exponents, xi-exponents, tau power); coefficients
     are Gaussian rationals so the D_x = -i d/dx convention stays exact.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        clean = {}
-        for (xexp, xiexp, taupow), c in (terms or {}).items():
-            xexp, xiexp = tuple(xexp), tuple(xiexp)
-            if len(xexp) != n or len(xiexp) != n:
-                raise ValueError("exponent tuples must have length n")
-            if any(e < 0 for e in xexp + xiexp) or taupow < 0:
-                raise ValueError("exponents must be non-negative")
-            if not isinstance(c, CFrac):
-                c = CFrac(c)
-            if c:
-                clean[(xexp, xiexp, taupow)] = c
-        self.terms = clean
+    @staticmethod
+    def _clean(n: int, key, c):
+        xexp, xiexp, taupow = key
+        xexp, xiexp = tuple(xexp), tuple(xiexp)
+        if len(xexp) != n or len(xiexp) != n:
+            raise ValueError("exponent tuples must have length n")
+        if any(e < 0 for e in xexp + xiexp) or taupow < 0:
+            raise ValueError("exponents must be non-negative")
+        return (xexp, xiexp, taupow), c if isinstance(c, CFrac) else CFrac(c)
 
-    @classmethod
-    def zero(cls, n: int) -> "VolterraSymbol":
-        return cls(n)
+    @staticmethod
+    def _word(x, xi, tp) -> str:
+        """``x1^2 xi2 tau`` separated by spaces, or ``1`` for the empty word."""
+        factors = [f"x{i+1}" + (f"^{e}" if e > 1 else "")
+                   for i, e in enumerate(x) if e]
+        factors += [f"xi{i+1}" + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(xi) if e]
+        if tp:
+            factors.append("tau" + (f"^{tp}" if tp > 1 else ""))
+        return " ".join(factors) if factors else "1"
 
     @classmethod
     def monomial(cls, n: int, xexp, xiexp, taupow=0, coef=1) -> "VolterraSymbol":
-        return cls(n, {(tuple(xexp), tuple(xiexp), taupow): CFrac(coef)
-                       if not isinstance(coef, CFrac) else coef})
+        return cls(n, {(xexp, xiexp, taupow): coef})
 
     @classmethod
     def xi(cls, n: int, j: int) -> "VolterraSymbol":
@@ -631,34 +632,6 @@ class VolterraSymbol:
     @classmethod
     def tau(cls, n: int) -> "VolterraSymbol":
         return cls.monomial(n, (0,) * n, (0,) * n, 1)
-
-    def __add__(self, other: "VolterraSymbol") -> "VolterraSymbol":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, CFrac(0)) + c
-        return VolterraSymbol(self.n, terms)
-
-    def __neg__(self) -> "VolterraSymbol":
-        return VolterraSymbol(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor) -> "VolterraSymbol":
-        return VolterraSymbol(self.n, {k: factor * c for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, VolterraSymbol):
-            return self.n == other.n and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def parabolic_order(self) -> Fraction | None:
         """Max of |xi-degree| + 2 tau-power over terms; None if zero."""
@@ -682,28 +655,6 @@ class VolterraSymbol:
         return VolterraSymbol(self.n, {
             k: (lam ** (sum(k[1]) + 2 * k[2] - sum(k[0]))) * c
             for k, c in self.terms.items()})
-
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (x, xi, tp) in sorted(self.terms):
-            c = self.terms[(x, xi, tp)]
-            factors = []
-            for i, e in enumerate(x):
-                if e:
-                    factors.append(f"x{i+1}" + (f"^{e}" if e > 1 else ""))
-            for i, e in enumerate(xi):
-                if e:
-                    factors.append(f"xi{i+1}" + (f"^{e}" if e > 1 else ""))
-            if tp:
-                factors.append("tau" + (f"^{tp}" if tp > 1 else ""))
-            word = " ".join(factors) if factors else "1"
-            parts.append(f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i) * {word}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"VolterraSymbol(n={self.n}, {self.to_text()})"
 
 
 # (-i)^k for k mod 4: the phase of D_x^alpha = (-i)^|alpha| d_x^alpha

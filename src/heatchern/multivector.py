@@ -86,31 +86,34 @@ def _mask_indices(m: int):
 
 
 class _SparseElement:
-    """Sparse sum of words (first mask, second mask) -> coefficient.
+    """Sparse sum of words key -> coefficient, zero coefficients dropped.
 
-    Shared by the exterior and the Clifford elements, which differ only
-    in their product and in how a word is printed.
+    Shared by the exterior and the Clifford elements, whose keys are
+    (first mask, second mask), and by ``getzler.VolterraSymbol``.  A
+    subclass supplies its product, ``_word(*key)`` for printing, and,
+    unless its keys are mask pairs, ``_clean``.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        full = (1 << n) - 1
         clean = {}
-        for (s, t), c in (terms or {}).items():
-            if s & ~full or t & ~full:
-                raise ValueError(f"index mask out of range for n={n}")
-            if c == 0:
-                continue
-            clean[(s, t)] = c
+        for key, c in (terms or {}).items():
+            key, c = self._clean(n, key, c)
+            if c:
+                clean[key] = c
         self.terms = clean
 
-    # -- constructors -------------------------------------------------
+    @staticmethod
+    def _clean(n: int, key, c):
+        """Canonical (key, coefficient) of one input term, or raise."""
+        s, t = key
+        if (s | t) >> n:
+            raise ValueError(f"index mask out of range for n={n}")
+        return key, c
 
-    @classmethod
-    def scalar(cls, n: int, value):
-        return cls(n, {(0, 0): value})
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, n: int):
@@ -121,8 +124,8 @@ class _SparseElement:
     def backend(self):
         return backend_of(self.terms.values())
 
-    def coefficient(self, s: int, t: int):
-        return self.terms.get((s, t), 0)
+    def coefficient(self, *key):
+        return self.terms.get(key, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -175,6 +178,10 @@ class Multivector(_SparseElement):
     """Element of Lambda(n) (x) Lambda(n) with sparse canonical terms."""
 
     __slots__ = ()
+
+    @classmethod
+    def scalar(cls, n: int, value) -> "Multivector":
+        return cls(n, {(0, 0): value})
 
     def __xor__(self, other: "Multivector") -> "Multivector":
         return wedge(self, other)

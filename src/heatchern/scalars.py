@@ -21,14 +21,15 @@ class BackendMismatch(TypeError):
 def backend_of(values) -> str | None:
     """Backend of an iterable of coefficients.
 
-    Plain ints are neutral (valid in either backend); returns None when
+    Fractions and Gaussian rationals (:class:`CFrac`) are exact, plain
+    ints are neutral (valid in either backend); returns None when
     nothing pins the backend down.
     """
     seen = None
     for v in values:
         if isinstance(v, bool) or type(v) is int:
             continue
-        b = EXACT if isinstance(v, Fraction) else FLOAT
+        b = EXACT if isinstance(v, (Fraction, CFrac)) else FLOAT
         if seen is None:
             seen = b
         elif seen != b:
@@ -113,6 +114,9 @@ class CFrac:
 
     def __repr__(self):
         return f"CFrac({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
     def __complex__(self):
         return float(self.re) + 1j * float(self.im)

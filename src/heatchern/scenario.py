@@ -6,8 +6,10 @@ lines are ignored.  Keys:
     suite <name>                 algebra | fixed-point | getzler |
                                  duhamel | spectral | torsion | all
     n <int>                      ambient dimension
-    a <int>                      fixed-submanifold dimension
-    angles <f> [<f> ...]         rotation angles of the normal action
+    a <int>                      fixed-submanifold dimension (n and a
+                                 even when the fixed-point suite runs)
+    angles <f> [<f> ...]         rotation angles of the normal action,
+                                 none a multiple of 2pi
     R <i> <j> <k> <l> <value>    curvature component (value rational,
                                  e.g. 3 or -5/2; indices in 1..n, lines
                                  consistent under the symmetries of R)
@@ -18,7 +20,9 @@ lines are ignored.  Keys:
                                  sphere only rotation; vx, vy and theta
                                  in [0, 2pi))
     t-grid <f> [<f> ...]
-    cutoff <int>
+    cutoff <K>                   the spectral suite sums (2K+1)^2 torus
+                                 or K+1 sphere modes, len(t-grid) + 1
+                                 times; at most 1e7 terms in all
     tolerance <float>
     seed <int>
     out <path>
@@ -34,12 +38,14 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .equivariant import CurvatureTensor
+from .equivariant import CurvatureTensor, IsometryNormalForm
 from .spectral import IsometryAction
 
 SUITES = ("algebra", "fixed-point", "getzler", "duhamel", "spectral",
           "torsion", "all")
 FORMATS = ("json", "csv", "text")
+# mode terms one spectral suite may sum; 1e6 of them take 0.5-0.8 s
+MAX_MODE_TERMS = 10 ** 7
 
 
 class ScenarioError(ValueError):
@@ -86,6 +92,8 @@ class ScenarioConfig:
             CurvatureTensor(self.n, self.curvature)
         except ValueError as exc:
             raise ScenarioError(f"curvature: {exc}") from None
+        if self.suite in ("fixed-point", "all"):
+            self.isometry()
         if self.suite in ("spectral", "all"):
             # the spectral suite has no stand-in for an input it cannot run
             if self.geometry not in ("torus", "sphere"):
@@ -99,6 +107,23 @@ class ScenarioConfig:
                 IsometryAction(self.action_kind, self.action_params)
             except ValueError as exc:
                 raise ScenarioError(f"action: {exc}") from None
+            # one mode sum per t, plus the variation insertion
+            K = self.cutoff
+            modes = (2 * K + 1) ** 2 if self.geometry == "torus" else K + 1
+            terms = modes * (len(self.t_grid) + 1)
+            if terms > MAX_MODE_TERMS:
+                raise ScenarioError(f"cutoff {K} on the {self.geometry} needs "
+                                    f"{terms} mode terms, more than "
+                                    f"{MAX_MODE_TERMS}")
+
+    def isometry(self) -> IsometryNormalForm:
+        """The fixed-point suite's isometry; the angles default to 0.7 + 0.4 j."""
+        angles = self.angles or tuple(
+            0.7 + 0.4 * j for j in range((self.n - self.a) // 2))
+        try:
+            return IsometryNormalForm(self.n, self.a, angles)
+        except ValueError as exc:
+            raise ScenarioError(f"isometry: {exc}") from None
 
 
 def _parse_fraction(tok: str) -> Fraction:

@@ -19,7 +19,7 @@ from .clifford import CliffordElement, represent, supertrace
 from .multivector import Multivector, wedge
 from .report import CheckRecord, Report
 from .scalars import I
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import ScenarioConfig
 
 __all__ = ["run_suite", "SUITE_RUNNERS"]
 
@@ -49,16 +49,6 @@ def _config_curvature(cfg: ScenarioConfig, rng: random.Random, n: int):
     if cfg.curvature:
         return equivariant.CurvatureTensor(cfg.n, dict(cfg.curvature))
     return _random_curvature(n, rng)
-
-
-def _config_isometry(cfg: ScenarioConfig) -> equivariant.IsometryNormalForm:
-    n, a = cfg.n, cfg.a
-    if n % 2 or a % 2:
-        raise ScenarioError("isometry normal form needs even n and a")
-    angles = cfg.angles
-    if not angles:
-        angles = tuple(0.7 + 0.4 * i for i in range((n - a) // 2))
-    return equivariant.IsometryNormalForm(n, a, angles)
 
 
 # -- algebra --------------------------------------------------------------
@@ -109,12 +99,7 @@ def _suite_algebra(cfg: ScenarioConfig, rng: random.Random, report: Report):
 # -- fixed-point ----------------------------------------------------------
 
 def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random, report: Report):
-    try:
-        iso = _config_isometry(cfg)
-    except Exception as exc:   # noqa: BLE001
-        report.add(CheckRecord("fixed-point/setup", "", "", f"error: {exc}",
-                               "", False))
-        return
+    iso = cfg.isometry()   # cfg.validate() has checked that it builds
     R = _config_curvature(cfg, rng, iso.n)
     Rf = equivariant.CurvatureTensor(
         R.n, {k: float(v) for k, v in R.components.items()})

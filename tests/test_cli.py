@@ -1,6 +1,8 @@
 import json
 import math
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +105,9 @@ def test_nested_include_rejected(tmp_path):
     "geometry klein\n",
     "geometry torus\naction translation 7 0\n",
     "action rotation 7\n",
+    "suite fixed-point\nn 5\na 1\n",
+    "angles 0\n",
+    "suite spectral\ngeometry torus\naction minus-id\ncutoff 200000\n",
 ])
 def test_bad_scenarios(tmp_path, body):
     path = write_scn(tmp_path, body)
@@ -230,6 +235,45 @@ def test_action_checked_when_spectral_runs(tmp_path, capsys):
         assert message in err and len(err.splitlines()) == 1
 
 
+def test_isometry_checked_when_fixed_point_runs(tmp_path, capsys):
+    for body, message in [("n 5\na 1\n", "even"),
+                          ("angles 0\n", "degenerate rotation angle")]:
+        scn = write_scn(tmp_path, "suite algebra\n" + body)
+        assert main(["--config", scn]) == 0
+        capsys.readouterr()
+        for suite in ("fixed-point", "all"):
+            assert main(["--config", scn, "--suite", suite]) == 2
+            err = capsys.readouterr().err
+            assert message in err and len(err.splitlines()) == 1
+
+
+def test_mode_term_cap(tmp_path, capsys):
+    # (2K+1)^2 torus or K+1 sphere modes per sum, len(t-grid) + 1 sums
+    for body in ("geometry torus\naction minus-id\ncutoff 300\n"
+                 "t-grid 0.01 0.1 0.5 1\n",
+                 "cutoff 100000\nt-grid 0.001 0.1 0.5 1\n",
+                 "cutoff 4999999\nt-grid 1\n"):
+        parse_scenario(write_scn(tmp_path, "suite spectral\n" + body))
+    scn = write_scn(tmp_path, "suite torsion\ncutoff 5000000\nt-grid 1\n")
+    assert main(["--config", scn]) == 0
+    capsys.readouterr()
+    assert main(["--config", scn, "--suite", "spectral"]) == 2
+    err = capsys.readouterr().err
+    assert "10000002 mode terms" in err and len(err.splitlines()) == 1
+
+
+def test_tiny_t_ends_with_failing_tail_bound(tmp_path, capsys):
+    # the tail of e^{-t k^2} at t = 1e-300 would need about 1e150 terms
+    scn = write_scn(tmp_path, "suite spectral\nt-grid 1e-300\n")
+    start = time.perf_counter()
+    assert main(["--config", scn]) == 1
+    assert time.perf_counter() - start < 10
+    out = capsys.readouterr().out
+    assert "[FAIL] spectral/tail-bound/t=1e-300: expected , observed error: " \
+        "tail sum not settled after 1000000 terms" in out
+    assert out.count("[FAIL]") == 1
+
+
 def test_torsion_ill_conditioned_seeds_pass(tmp_path, capsys):
     # seeds whose complex is ill-conditioned enough that rounding exceeds
     # a fixed 1e-12 tolerance on the unitary-invariance check
@@ -271,3 +315,23 @@ def test_run_suite_all_sections(tmp_path):
     prefixes = {r.name.split("/", 1)[0] for r in rep.records}
     assert {"algebra", "fixed-point", "getzler", "duhamel", "spectral",
             "torsion"} <= prefixes
+
+
+# -- golden reports --------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = [(p.stem, "text") for p in sorted((ROOT / "scenarios").glob("*.scn"))]
+GOLDEN += [("all", "json"), ("all", "csv")]
+
+
+@pytest.mark.parametrize("name, fmt", GOLDEN)
+def test_scenario_report_matches_golden(tmp_path, capsys, name, fmt):
+    """``verify`` reproduces tests/golden/ byte for byte.  After an intended
+    report change, regenerate a file with
+    ``python -m heatchern.cli --config scenarios/NAME.scn --format FMT
+    --out tests/golden/NAME.EXT`` and say why in CHANGES.md."""
+    ext = {"text": "txt", "json": "json", "csv": "csv"}[fmt]
+    out = tmp_path / f"{name}.{ext}"
+    assert main(["--config", str(ROOT / "scenarios" / f"{name}.scn"),
+                 "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / out.name).read_bytes()

@@ -12,7 +12,8 @@ from heatchern.getzler import (GradedDiffOp, SigmaExtendedOp, VolterraSymbol,
                                commutator_order_bound, compose, getzler_order,
                                lichnerowicz_split, model_operator,
                                top_order_part, volterra_compose, weitzenbock)
-from heatchern.scalars import CFrac, I
+from heatchern.multivector import _SparseElement
+from heatchern.scalars import EXACT, CFrac, I
 
 from conftest import random_curvature
 
@@ -181,6 +182,37 @@ def test_volterra_composition_example():
     got = volterra_compose(VolterraSymbol.xi(2, 1), VolterraSymbol.x(2, 1))
     want = VolterraSymbol(2, {((1, 0), (1, 0), 0): 1, ((0, 0), (0, 0), 0): -I})
     assert got == want
+
+
+def test_volterra_to_text_golden():
+    q = VolterraSymbol(2, {((2, 0), (0, 1), 1): CFrac(Fraction(1, 2), -3),
+                           ((0, 0), (0, 0), 0): CFrac(-1, 2),
+                           ((0, 1), (3, 0), 2): I})
+    assert q.to_text() == ("(-1+2i) * 1 + (0+1i) * x2 xi1^3 tau^2"
+                           " + (1/2-3i) * x1^2 xi2 tau")
+    assert repr(q) == f"VolterraSymbol(n=2, {q.to_text()})"
+    assert VolterraSymbol.zero(2).to_text() == "0"
+
+
+def test_volterra_symbol_on_sparse_element():
+    # everything but the key check, the word printer, the constructors
+    # and the parabolic grading comes from the shared sparse element
+    assert issubclass(VolterraSymbol, _SparseElement)
+    for name in ("__init__", "__add__", "__sub__", "__neg__", "scale",
+                 "__eq__", "__hash__", "is_zero", "zero", "to_text",
+                 "__repr__"):
+        assert name not in vars(VolterraSymbol), name
+    q = VolterraSymbol.xi(2, 1) + VolterraSymbol.tau(2).scale(3)
+    assert q.backend() == EXACT
+    assert q - q == VolterraSymbol.zero(2) and (q - q).is_zero()
+    assert -(-q) == q and hash(q.scale(1)) == hash(q)
+    assert q.coefficient((0, 0), (0, 0), 1) == CFrac(3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        q + VolterraSymbol.x(3, 1)
+    with pytest.raises(ValueError, match="length n"):
+        VolterraSymbol(2, {((1,), (0, 0), 0): 1})
+    with pytest.raises(ValueError, match="non-negative"):
+        VolterraSymbol(2, {((0, 0), (0, -1), 0): 1})
 
 
 def test_volterra_identity_symbol():

@@ -13,12 +13,15 @@ def test_backend_of_neutral_ints():
 
 def test_backend_of_pins():
     assert backend_of([Fraction(1, 2), 3]) == EXACT
+    assert backend_of([CFrac(1, 2), Fraction(1, 3), 1]) == EXACT
     assert backend_of([0.5, 2]) == FLOAT
 
 
 def test_backend_mix_raises():
     with pytest.raises(BackendMismatch):
         backend_of([Fraction(1, 2), 0.5])
+    with pytest.raises(BackendMismatch):
+        backend_of([CFrac(1, 2), 0.5])
     with pytest.raises(BackendMismatch):
         join_backend(EXACT, FLOAT)
 
@@ -44,3 +47,9 @@ def test_cfrac_complex_bridge():
     assert complex(CFrac(Fraction(1, 2), -2)) == 0.5 - 2j
     assert bool(CFrac(0, 0)) is False
     assert bool(CFrac(0, 1)) is True
+
+
+def test_cfrac_str():
+    assert str(CFrac(Fraction(1, 2), -3)) == "(1/2-3i)"
+    assert str(CFrac(-1)) == "(-1+0i)"
+    assert str(I) == "(0+1i)"

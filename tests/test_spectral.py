@@ -120,6 +120,12 @@ def test_tail_bound_dominates_brute_force(geometry, K, t):
     assert bound <= true * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("geometry", ["torus", "sphere"])
+def test_tail_bound_gives_up_after_a_million_terms(geometry):
+    with pytest.raises(RuntimeError, match="1000000 terms"):
+        tail_bound(build_model(geometry, 40), 1e-300)
+
+
 def test_supertrace_matches_harmonic_count():
     # the heat supertrace is t-independent and equals the alternating
     # trace on the zero-eigenvalue modes
