@@ -47,7 +47,6 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if args.format is not None:
             cfg.format = args.format
-        cfg.validate()
         report = run_suite(cfg)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

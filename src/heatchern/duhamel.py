@@ -15,7 +15,6 @@ successive rules agree to 1e-9.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial

@@ -12,6 +12,9 @@ curvature 4-form potential; that extraction drives the index density.
 Connection terms, and the rough Laplacian of a twisted bundle, are not
 expanded from a metric: they are carried as opaque named summands with a
 declared grading bound, since only the top-order part is ever consumed.
+An opaque summand is an ordinary term of the shared sparse element,
+keyed (name-tuple, order-bound).  Endomorphism-valued (End(F))
+coefficients are one square-matrix type, :class:`Mat`.
 
 Truncated symbol composition for the parabolic calculus uses the
 Fourier convention D_x = -i d/dx (fixed once here; the composition
@@ -32,121 +35,133 @@ from math import comb, factorial
 
 from .clifford import CliffordElement
 from .equivariant import BundleVariationData, CurvatureTensor
-from .multivector import _SparseElement, _popcount, _product
+from .multivector import _SparseElement, _mask_indices, _popcount, _product
 from .scalars import CFrac
 
 __all__ = [
-    "GradedDiffOp", "SigmaExtendedOp", "VolterraSymbol",
+    "GradedDiffOp", "Mat", "SigmaExtendedOp", "VolterraSymbol",
     "getzler_order", "model_operator", "top_order_part", "weitzenbock",
     "compose", "lichnerowicz_split", "LichnerowiczSplit",
     "volterra_compose", "commutator_order_bound",
 ]
 
 
-# -- coefficient helpers --------------------------------------------------
-#
-# Coefficients are scalars (int, Fraction, float) or square matrices
-# stored as tuples of tuples (endomorphism-valued terms).  Scalars act
-# on matrices as multiples of the identity.
+# -- End(F) coefficients ---------------------------------------------------
 
-def _is_mat(c) -> bool:
-    return isinstance(c, tuple)
+class Mat(tuple):
+    """Square matrix coefficient (an endomorphism-valued term), as row tuples.
 
+    In ``+`` a scalar stands for that multiple of the identity; in ``*``
+    it acts entrywise.
+    """
 
-def mat(rows) -> tuple:
-    """Freeze a nested-sequence matrix into the tuple form used here."""
-    out = tuple(tuple(v for v in row) for row in rows)
-    r = len(out)
-    if any(len(row) != r for row in out):
-        raise ValueError("matrix coefficient must be square")
-    return out
+    __slots__ = ()
 
+    def __new__(cls, rows):
+        self = super().__new__(cls, (tuple(row) for row in rows))
+        if any(len(row) != len(self) for row in self):
+            raise ValueError("matrix coefficient must be square")
+        return self
 
-def _mat_scalar(value, r: int) -> tuple:
-    return tuple(tuple(value if i == j else 0 for j in range(r)) for i in range(r))
+    @classmethod
+    def scalar(cls, value, r: int) -> "Mat":
+        return _square(tuple(value if i == j else 0 for j in range(r))
+                       for i in range(r))
 
-
-def _coef_add(a, b):
-    if _is_mat(a) or _is_mat(b):
-        if not _is_mat(a):
-            a = _mat_scalar(a, len(b))
-        if not _is_mat(b):
-            b = _mat_scalar(b, len(a))
-        if len(a) != len(b):
+    def _sized(self, other) -> "Mat":
+        if not isinstance(other, Mat):
+            return Mat.scalar(other, len(self))
+        if len(other) != len(self):
             raise ValueError("matrix coefficient size mismatch")
-        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return a + b
+        return other
+
+    def __add__(self, other):
+        return _square(tuple(x + y for x, y in zip(ra, rb))
+                       for ra, rb in zip(self, self._sized(other)))
+
+    def __radd__(self, other):
+        return self._sized(other) + self
+
+    def __mul__(self, other):
+        if isinstance(other, Mat):
+            cols = tuple(zip(*self._sized(other)))
+            return _square(tuple(sum(x * y for x, y in zip(row, col))
+                                 for col in cols) for row in self)
+        return _square(tuple(v * other for v in row) for row in self)
+
+    def __rmul__(self, other):
+        return _square(tuple(other * v for v in row) for row in self)
+
+    def __neg__(self):
+        return _square(tuple(-v for v in row) for row in self)
+
+    def __bool__(self):
+        return any(v for row in self for v in row)
 
 
-def _coef_mul(a, b):
-    if _is_mat(a) and _is_mat(b):
-        if len(a) != len(b):
-            raise ValueError("matrix coefficient size mismatch")
-        r = len(a)
-        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r))
-                           for j in range(r)) for i in range(r))
-    if _is_mat(a):
-        return tuple(tuple(v * b for v in row) for row in a)
-    if _is_mat(b):
-        return tuple(tuple(a * v for v in row) for row in b)
-    return a * b
-
-
-def _coef_is_zero(c) -> bool:
-    if _is_mat(c):
-        return all(v == 0 for row in c for v in row)
-    return c == 0
-
-
-def _coef_neg(c):
-    return _coef_mul(-1, c)
+def _square(rows) -> Mat:
+    """A Mat from row tuples already known to form a square."""
+    return tuple.__new__(Mat, rows)
 
 
 # -- graded differential operators ---------------------------------------
 
-def _word_order(cmask: int, hmask: int) -> Fraction:
-    return Fraction(_popcount(cmask) + _popcount(hmask), 2)
+def _is_opaque(key) -> bool:
+    """Opaque summands are keyed (name-tuple, order-bound)."""
+    return len(key) == 2
 
 
 def _term_order(key) -> Fraction:
+    if _is_opaque(key):
+        return key[1]
     xexp, cmask, hmask, dexp, tpow = key
-    return sum(dexp) + 2 * tpow + _word_order(cmask, hmask) - sum(xexp)
+    return (sum(dexp) + 2 * tpow - sum(xexp)
+            + Fraction(_popcount(cmask) + _popcount(hmask), 2))
 
 
-class GradedDiffOp:
+def _powers(name: str, exps) -> list:
+    """Factors ``name1^2 name3`` of an exponent tuple."""
+    return [f"{name}{i+1}" + (f"^{e}" if e > 1 else "")
+            for i, e in enumerate(exps) if e]
+
+
+class GradedDiffOp(_SparseElement):
     """Sparse canonical sum of graded differential-operator terms.
 
-    Term keys are (x-exponents, c-mask, chat-mask, d-exponents, d_t
-    power); for kind="exterior" the two masks index wedge words instead
-    of Clifford words.  ``opaque`` maps (name-tuple, order-bound) to a
-    scalar coefficient for summands that are tracked only through their
-    grading bound.
+    Concrete term keys are (x-exponents, c-mask, chat-mask, d-exponents,
+    d_t power); for kind="exterior" the two masks index wedge words
+    instead of Clifford words.  A summand tracked only through its
+    grading bound is opaque, keyed (name-tuple, order-bound).
+    Coefficients are scalars or :class:`Mat` endomorphisms.
     """
 
-    __slots__ = ("n", "kind", "terms", "opaque")
+    __slots__ = ("kind",)
 
-    def __init__(self, n: int, terms=None, opaque=None, kind: str = "clifford"):
+    def __init__(self, n: int, terms=None, kind: str = "clifford"):
         if kind not in ("clifford", "exterior"):
             raise ValueError(f"unknown kind {kind!r}")
-        self.n = n
         self.kind = kind
-        clean = {}
-        for (xexp, cmask, hmask, dexp, tpow), c in (terms or {}).items():
-            xexp, dexp = tuple(xexp), tuple(dexp)
-            if len(xexp) != n or len(dexp) != n:
-                raise ValueError("exponent tuples must have length n")
-            if any(e < 0 for e in xexp + dexp) or tpow < 0:
-                raise ValueError("exponents must be non-negative")
-            if cmask >> n or hmask >> n:
-                raise ValueError("word mask out of range")
-            if not _coef_is_zero(c):
-                clean[(xexp, cmask, hmask, dexp, tpow)] = c
-        self.terms = clean
-        clean_op = {}
-        for (names, order), c in (opaque or {}).items():
-            if not _coef_is_zero(c):
-                clean_op[(tuple(names), Fraction(order))] = c
-        self.opaque = clean_op
+        super().__init__(n, terms)
+
+    @staticmethod
+    def _clean(n: int, key, c):
+        if type(c) is tuple:
+            c = Mat(c)
+        if _is_opaque(key):
+            names, order = key
+            return (tuple(names), Fraction(order)), c
+        xexp, cmask, hmask, dexp, tpow = key
+        xexp, dexp = tuple(xexp), tuple(dexp)
+        if len(xexp) != n or len(dexp) != n:
+            raise ValueError("exponent tuples must have length n")
+        if any(e < 0 for e in xexp + dexp) or tpow < 0:
+            raise ValueError("exponents must be non-negative")
+        if cmask >> n or hmask >> n:
+            raise ValueError("word mask out of range")
+        return (xexp, cmask, hmask, dexp, tpow), c
+
+    def _like(self, terms) -> "GradedDiffOp":
+        return GradedDiffOp(self.n, terms, self.kind)
 
     # -- constructors --------------------------------------------------
 
@@ -185,9 +200,9 @@ class GradedDiffOp:
     @classmethod
     def opaque_term(cls, n: int, name: str, order, coef=1,
                     kind: str = "clifford") -> "GradedDiffOp":
-        return cls(n, opaque={((name,), Fraction(order)): coef}, kind=kind)
+        return cls(n, {((name,), order): coef}, kind=kind)
 
-    # -- linear structure ----------------------------------------------
+    # -- structure -------------------------------------------------------
 
     def _check(self, other: "GradedDiffOp"):
         if self.n != other.n:
@@ -195,81 +210,38 @@ class GradedDiffOp:
         if self.kind != other.kind:
             raise ValueError("cannot mix clifford and exterior operators")
 
-    def __add__(self, other: "GradedDiffOp") -> "GradedDiffOp":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = _coef_add(terms[k], c) if k in terms else c
-        opaque = dict(self.opaque)
-        for k, c in other.opaque.items():
-            opaque[k] = _coef_add(opaque[k], c) if k in opaque else c
-        return GradedDiffOp(self.n, terms, opaque, self.kind)
-
-    def __neg__(self) -> "GradedDiffOp":
-        return GradedDiffOp(self.n, {k: _coef_neg(c) for k, c in self.terms.items()},
-                            {k: _coef_neg(c) for k, c in self.opaque.items()},
-                            self.kind)
-
-    def __sub__(self, other: "GradedDiffOp") -> "GradedDiffOp":
-        return self + (-other)
-
-    def scale(self, factor) -> "GradedDiffOp":
-        return GradedDiffOp(self.n,
-                            {k: _coef_mul(factor, c) for k, c in self.terms.items()},
-                            {k: _coef_mul(factor, c) for k, c in self.opaque.items()},
-                            self.kind)
-
     def __mul__(self, other: "GradedDiffOp") -> "GradedDiffOp":
         return compose(self, other)
 
     def __eq__(self, other):
-        if isinstance(other, GradedDiffOp):
-            return (self.n == other.n and self.kind == other.kind
-                    and self.terms == other.terms and self.opaque == other.opaque)
+        if type(self) is type(other):
+            return self.kind == other.kind and super().__eq__(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.kind, frozenset(self.terms.items()),
-                     frozenset(self.opaque.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.opaque
+        return hash((self.kind, super().__hash__()))
 
     # -- serialization --------------------------------------------------
 
-    def to_text(self) -> str:
-        """Canonical text dump for golden tests; terms sorted by key."""
-        if self.is_zero():
-            return "0"
-        gen = ("c", "ch") if self.kind == "clifford" else ("e", "eh")
-        parts = []
-        for key in sorted(self.terms):
-            xexp, cmask, hmask, dexp, tpow = key
-            c = self.terms[key]
-            factors = []
-            for i, e in enumerate(xexp):
-                if e:
-                    factors.append(f"x{i+1}" + (f"^{e}" if e > 1 else ""))
-            for i in range(self.n):
-                if cmask >> i & 1:
-                    factors.append(f"{gen[0]}{i+1}")
-            for i in range(self.n):
-                if hmask >> i & 1:
-                    factors.append(f"{gen[1]}{i+1}")
-            for i, e in enumerate(dexp):
-                if e:
-                    factors.append(f"d{i+1}" + (f"^{e}" if e > 1 else ""))
-            if tpow:
-                factors.append("dt" + (f"^{tpow}" if tpow > 1 else ""))
-            word = " ".join(factors) if factors else "1"
-            parts.append(f"{c} * {word}")
-        for (names, order) in sorted(self.opaque):
-            c = self.opaque[(names, order)]
-            parts.append(f"{c} * [{' '.join(names)} | order<={order}]")
-        return " + ".join(parts)
+    @staticmethod
+    def _sort_key(key):
+        """Concrete terms print before opaque summands."""
+        return _is_opaque(key), key
 
-    def __repr__(self):
-        return f"GradedDiffOp(n={self.n}, kind={self.kind!r}, {self.to_text()})"
+    def _word(self, *key) -> str:
+        """``x1 c1 ch2 d2 dt`` (``1`` if empty), or ``[names | order<=b]``."""
+        if _is_opaque(key):
+            names, order = key
+            return f"[{' '.join(names)} | order<={order}]"
+        xexp, cmask, hmask, dexp, tpow = key
+        c, h = ("c", "ch") if self.kind == "clifford" else ("e", "eh")
+        factors = _powers("x", xexp)
+        factors += [f"{c}{i}" for i in _mask_indices(cmask)]
+        factors += [f"{h}{i}" for i in _mask_indices(hmask)]
+        factors += _powers("d", dexp)
+        if tpow:
+            factors.append("dt" + (f"^{tpow}" if tpow > 1 else ""))
+        return " ".join(factors) if factors else "1"
 
 
 def getzler_order(op) -> Fraction | None:
@@ -281,19 +253,13 @@ def getzler_order(op) -> Fraction | None:
         orders = [getzler_order(p) for p in (op.even, op.odd)]
         orders = [o for o in orders if o is not None]
         return max(orders) if orders else None
-    candidates = [_term_order(k) for k in op.terms]
-    candidates += [order for (_, order) in op.opaque]
-    return max(candidates) if candidates else None
+    return max(map(_term_order, op.terms), default=None)
 
 
 def top_order_part(op: GradedDiffOp) -> GradedDiffOp:
     """The terms of op at its maximal grading, in the same word algebra."""
     top = getzler_order(op)
-    if top is None:
-        return GradedDiffOp.zero(op.n, op.kind)
-    terms = {k: c for k, c in op.terms.items() if _term_order(k) == top}
-    opaque = {k: c for k, c in op.opaque.items() if k[1] == top}
-    return GradedDiffOp(op.n, terms, opaque, op.kind)
+    return op._like({k: c for k, c in op.terms.items() if _term_order(k) == top})
 
 
 def model_operator(op: GradedDiffOp) -> GradedDiffOp:
@@ -303,7 +269,7 @@ def model_operator(op: GradedDiffOp) -> GradedDiffOp:
     extracted and raise.
     """
     top = top_order_part(op)
-    if top.opaque:
+    if any(map(_is_opaque, top.terms)):
         raise ValueError("opaque summand reaches the top grading; model unknown")
     return GradedDiffOp(op.n, top.terms, kind="exterior")
 
@@ -345,11 +311,10 @@ def weitzenbock(R: CurvatureTensor) -> GradedDiffOp:
         terms[(z, 0, 0, z, 0)] = Fraction(r, 4)
     for (cm, hm), c in _curvature_quartic(R).terms.items():
         key = (z, cm, hm, z, 0)
-        terms[key] = _coef_add(terms.get(key, 0), c)
-    opaque = {}
+        terms[key] = terms.get(key, 0) + c
     if R.components:
-        opaque[(("connection",), Fraction(1))] = 1
-    return GradedDiffOp(n, terms, opaque)
+        terms[(("connection",), 1)] = 1
+    return GradedDiffOp(n, terms)
 
 
 # -- composition ---------------------------------------------------------
@@ -376,6 +341,11 @@ def _leibniz(d, x):
 _SQUARES = {"clifford": (-1, +1), "exterior": (0, 0)}
 
 
+def _bound(key):
+    """(names, order bound) of a term; a concrete one is named "term"."""
+    return key if _is_opaque(key) else (("term",), _term_order(key))
+
+
 def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
     """Operator product; derivatives of p act on the x-factors of q.
 
@@ -383,46 +353,30 @@ def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
     bounds (the bound of a concrete factor being its term order).
     """
     p._check(q)
-    n = p.n
     q_c, q_h = _SQUARES[p.kind]
     terms = {}
-    opaque = {}
 
-    def add_term(key, c):
-        if key in terms:
-            terms[key] = _coef_add(terms[key], c)
-        else:
-            terms[key] = c
+    def add(key, c):
+        terms[key] = terms[key] + c if key in terms else c
 
-    def add_opaque(key, c):
-        if key in opaque:
-            opaque[key] = _coef_add(opaque[key], c)
-        else:
-            opaque[key] = c
-
-    for (x1, c1, h1, d1, t1), a in p.terms.items():
-        for (x2, c2, h2, d2, t2), b in q.terms.items():
+    for k1, a in p.terms.items():
+        for k2, b in q.terms.items():
+            if _is_opaque(k1) or _is_opaque(k2):
+                (names1, o1), (names2, o2) = _bound(k1), _bound(k2)
+                add((names1 + names2, o1 + o2), a * b)
+                continue
+            x1, c1, h1, d1, t1 = k1
+            x2, c2, h2, d2, t2 = k2
             words = _product({(c1, h1): 1}, {(c2, h2): 1}, q_c, q_h)
             if not words:
                 continue
-            coef = _coef_mul(a, b)
+            coef = a * b
             for lc, xmid, dmid, _ in _leibniz(d1, x2):
                 xexp = tuple(e1 + e2 for e1, e2 in zip(x1, xmid))
                 dexp = tuple(e1 + e2 for e1, e2 in zip(dmid, d2))
                 for (cm, hm), s in words.items():
-                    add_term((xexp, cm, hm, dexp, t1 + t2),
-                             _coef_mul(lc * s, coef))
-    for (names1, o1), a in p.opaque.items():
-        for (names2, o2), b in q.opaque.items():
-            add_opaque((names1 + names2, o1 + o2), _coef_mul(a, b))
-        for k2, b in q.terms.items():
-            add_opaque((names1 + ("term",), o1 + _term_order(k2)),
-                       _coef_mul(a, b))
-    for k1, a in p.terms.items():
-        for (names2, o2), b in q.opaque.items():
-            add_opaque((("term",) + names2, _term_order(k1) + o2),
-                       _coef_mul(a, b))
-    return GradedDiffOp(n, terms, opaque, p.kind)
+                    add((xexp, cm, hm, dexp, t1 + t2), lc * s * coef)
+    return p._like(terms)
 
 
 def commutator_order_bound(k: int, lambdas) -> Fraction:
@@ -461,12 +415,8 @@ class LichnerowiczSplit:
 
 def _clifford_to_op(n: int, words: dict, coef) -> GradedDiffOp:
     z = (0,) * n
-    terms = {}
-    for (cm, hm), s in words.items():
-        key = (z, cm, hm, z, 0)
-        c = _coef_mul(s, coef)
-        terms[key] = _coef_add(terms[key], c) if key in terms else c
-    return GradedDiffOp(n, terms)
+    return GradedDiffOp(n, {(z, cm, hm, z, 0): s * coef
+                            for (cm, hm), s in words.items()})
 
 
 def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> LichnerowiczSplit:
@@ -487,7 +437,7 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
         raise ValueError("dimension mismatch between curvature and bundle data")
     if len(data.omega) != n:
         raise ValueError("need one omega matrix per frame direction")
-    omega = [mat(m) for m in data.omega]
+    omega = [Mat(m) for m in data.omega]
     r_fib = len(omega[0])
     if any(len(m) != r_fib for m in omega):
         raise ValueError("omega matrices must share one fiber dimension")
@@ -496,22 +446,21 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
         for j in range(1, n + 1):
             if (i, j) not in data.nabla_omega:
                 raise ValueError(f"missing nabla_omega sample at {(i, j)}")
-            m = mat(data.nabla_omega[(i, j)])
+            m = Mat(data.nabla_omega[(i, j)])
             if len(m) != r_fib:
                 raise ValueError("nabla_omega fiber dimension mismatch")
             nabla[(i, j)] = m
 
     def w2(i, j):
-        return _coef_add(_coef_mul(omega[i - 1], omega[j - 1]),
-                         _coef_neg(_coef_mul(omega[j - 1], omega[i - 1])))
+        return omega[i - 1] * omega[j - 1] + -(omega[j - 1] * omega[i - 1])
 
     lap = GradedDiffOp.opaque_term(n, "rough_laplacian", 2,
-                                   coef=_mat_scalar(-1, r_fib))
+                                   coef=Mat.scalar(-1, r_fib))
     zero = GradedDiffOp.zero(n)
 
     z = (0,) * n
     curv_quartic = GradedDiffOp(n, {
-        (z, cm, hm, z, 0): _mat_scalar(c, r_fib)
+        (z, cm, hm, z, 0): Mat.scalar(c, r_fib)
         for (cm, hm), c in _curvature_quartic(R).terms.items()})
 
     cc_w2 = zero
@@ -519,29 +468,24 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             wij = w2(i, j)
-            if not _coef_is_zero(wij):
+            if wij:
                 cc_w2 = cc_w2 + _clifford_to_op(
-                    n, _cw(i, j, ("c", "c")), _coef_mul(Fraction(-1, 8), wij))
+                    n, _cw(i, j, ("c", "c")), Fraction(-1, 8) * wij)
                 hh_w2 = hh_w2 + _clifford_to_op(
-                    n, _cw(i, j, ("ch", "ch")), _coef_mul(Fraction(1, 8), wij))
+                    n, _cw(i, j, ("ch", "ch")), Fraction(1, 8) * wij)
 
     mixed = zero
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            bracket = _coef_add(nabla[(i, j)], _coef_mul(Fraction(1, 2), w2(i, j)))
-            if not _coef_is_zero(bracket):
+            bracket = nabla[(i, j)] + Fraction(1, 2) * w2(i, j)
+            if bracket:
                 mixed = mixed + _clifford_to_op(
-                    n, _cw(i, j, ("c", "ch")), _coef_mul(Fraction(-1, 2), bracket))
+                    n, _cw(i, j, ("c", "ch")), Fraction(-1, 2) * bracket)
 
-    omega_sq = _mat_scalar(0, r_fib)
-    for j in range(1, n + 1):
-        omega_sq = _coef_add(omega_sq, _coef_mul(omega[j - 1], omega[j - 1]))
-    omega_sq_op = GradedDiffOp.scalar(n, _coef_mul(Fraction(1, 4), omega_sq)) \
-        if not _coef_is_zero(omega_sq) else zero
-
-    r_term = GradedDiffOp.scalar(
-        n, _mat_scalar(Fraction(R.scalar_curvature(), 4), r_fib)) \
-        if R.scalar_curvature() else zero
+    # a zero omega^2 drops out as a zero coefficient
+    omega_sq_op = GradedDiffOp.scalar(n, Fraction(1, 4) * sum(w * w for w in omega))
+    r = R.scalar_curvature()
+    r_term = GradedDiffOp.scalar(n, Mat.scalar(Fraction(r, 4), r_fib)) if r else zero
 
     E = curv_quartic + cc_w2 + hh_w2 + mixed + omega_sq_op + r_term
     triangle_F = lap + E
@@ -607,10 +551,7 @@ class VolterraSymbol(_SparseElement):
     @staticmethod
     def _word(x, xi, tp) -> str:
         """``x1^2 xi2 tau`` separated by spaces, or ``1`` for the empty word."""
-        factors = [f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                   for i, e in enumerate(x) if e]
-        factors += [f"xi{i+1}" + (f"^{e}" if e > 1 else "")
-                    for i, e in enumerate(xi) if e]
+        factors = _powers("x", x) + _powers("xi", xi)
         if tp:
             factors.append("tau" + (f"^{tp}" if tp > 1 else ""))
         return " ".join(factors) if factors else "1"

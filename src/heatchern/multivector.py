@@ -89,9 +89,11 @@ class _SparseElement:
     """Sparse sum of words key -> coefficient, zero coefficients dropped.
 
     Shared by the exterior and the Clifford elements, whose keys are
-    (first mask, second mask), and by ``getzler.VolterraSymbol``.  A
-    subclass supplies its product, ``_word(*key)`` for printing, and,
-    unless its keys are mask pairs, ``_clean``.
+    (first mask, second mask), and by ``getzler.VolterraSymbol`` and
+    ``getzler.GradedDiffOp``.  A subclass supplies its product,
+    ``_word(*key)`` for printing, and, unless its keys are mask pairs,
+    ``_clean``; one with state beyond ``n`` and the terms (the operator
+    kind) overrides ``_like``, which +, - and scale build results with.
     """
 
     __slots__ = ("n", "terms")
@@ -145,30 +147,37 @@ class _SparseElement:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
         join_backend(self.backend(), other.backend())
 
+    def _like(self, terms):
+        """An element of the same kind as self with the given terms."""
+        return type(self)(self.n, terms)
+
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return type(self)(self.n, terms)
+            terms[k] = terms[k] + c if k in terms else c
+        return self._like(terms)
 
     def __neg__(self):
-        return type(self)(self.n, {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor):
-        return type(self)(self.n, {k: factor * c for k, c in self.terms.items()})
+        return self._like({k: factor * c for k, c in self.terms.items()})
 
     # -- serialization ----------------------------------------------------
+
+    # sort key of the printed terms; None sorts by the key itself
+    _sort_key = None
 
     def to_text(self) -> str:
         """Canonical text form ``coef * word + ...``, words sorted, for golden tests."""
         if not self.terms:
             return "0"
         return " + ".join(f"{self.terms[key]} * {self._word(*key)}"
-                          for key in sorted(self.terms))
+                          for key in sorted(self.terms, key=self._sort_key))
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, {self.to_text()})"

@@ -19,9 +19,8 @@ with V_q = h_q^{-1} hdot_q; the agreement is reported, not assumed.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -108,11 +108,13 @@ def test_nested_include_rejected(tmp_path):
     "suite fixed-point\nn 5\na 1\n",
     "angles 0\n",
     "suite spectral\ngeometry torus\naction minus-id\ncutoff 200000\n",
+    "suite fixed-point\nn 8\na 0\n",
+    "suite fixed-point\nn 6\na 0\n",
 ])
 def test_bad_scenarios(tmp_path, body):
     path = write_scn(tmp_path, body)
     with pytest.raises(ScenarioError):
-        parse_scenario(path)
+        parse_scenario(path).validate()
 
 
 def test_error_carries_line_number(tmp_path):
@@ -253,13 +255,30 @@ def test_mode_term_cap(tmp_path, capsys):
                  "t-grid 0.01 0.1 0.5 1\n",
                  "cutoff 100000\nt-grid 0.001 0.1 0.5 1\n",
                  "cutoff 4999999\nt-grid 1\n"):
-        parse_scenario(write_scn(tmp_path, "suite spectral\n" + body))
+        parse_scenario(write_scn(tmp_path, "suite spectral\n" + body)).validate()
     scn = write_scn(tmp_path, "suite torsion\ncutoff 5000000\nt-grid 1\n")
     assert main(["--config", scn]) == 0
     capsys.readouterr()
     assert main(["--config", scn, "--suite", "spectral"]) == 2
     err = capsys.readouterr().err
     assert "10000002 mode terms" in err and len(err.splitlines()) == 1
+
+
+def test_validated_after_overrides(tmp_path, capsys):
+    # the file's suite would sum too many modes; --suite torsion sums none
+    scn = write_scn(tmp_path, "suite spectral\ncutoff 5000000\n")
+    assert main(["--config", scn, "--suite", "torsion"]) == 0
+    capsys.readouterr()
+    assert main(["--config", scn]) == 2
+
+
+def test_fiber_quadrature_cap(tmp_path, capsys):
+    # the Gauss-Hermite refinement evaluates 8^b + 16^b points, b = n - a
+    parse_scenario(write_scn(tmp_path, "suite fixed-point\nn 4\na 0\n")).validate()
+    scn = write_scn(tmp_path, "suite fixed-point\nn 6\na 0\n")
+    assert main(["--config", scn]) == 2
+    err = capsys.readouterr().err
+    assert "17039360 Gauss-Hermite points" in err and len(err.splitlines()) == 1
 
 
 def test_tiny_t_ends_with_failing_tail_bound(tmp_path, capsys):

@@ -5,10 +5,12 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    curvature_bivector)
-from heatchern.getzler import (GradedDiffOp, SigmaExtendedOp, VolterraSymbol,
+from heatchern.getzler import (GradedDiffOp, Mat, SigmaExtendedOp, VolterraSymbol,
                                commutator_order_bound, compose, getzler_order,
                                lichnerowicz_split, model_operator,
                                top_order_part, volterra_compose, weitzenbock)
@@ -333,3 +335,70 @@ def test_graded_op_text_golden():
     n = 2
     op = GradedDiffOp(n, {((1, 0), 0b01, 0b10, (0, 1), 1): Fraction(3, 2)})
     assert op.to_text() == "3/2 * x1 c1 ch2 d2 dt"
+
+
+def test_graded_op_on_sparse_element():
+    # the linear structure, the zero test and the coefficient lookup come
+    # from the shared sparse element; opaque summands are ordinary terms
+    assert issubclass(GradedDiffOp, _SparseElement)
+    for name in ("__add__", "__sub__", "__neg__", "scale", "is_zero",
+                 "coefficient"):
+        assert name not in vars(GradedDiffOp), name
+    p = GradedDiffOp.d_t(2, kind="exterior") \
+        + GradedDiffOp.opaque_term(2, "A", 1, coef=Mat([[1, 0], [2, 3]]),
+                                   kind="exterior")
+    assert not hasattr(p, "opaque")
+    assert p.coefficient(("A",), 1) == ((1, 0), (2, 3))
+    for q in (p + p, p - p, -p, p.scale(2), top_order_part(p)):
+        assert q.kind == "exterior"
+    assert p.to_text() == "1 * dt + ((1, 0), (2, 3)) * [A | order<=1]"
+
+
+def test_lichnerowicz_to_text_golden():
+    # captured before End(F) coefficients became Mat: the scalar-identity
+    # matrices keep integer zeros off the diagonal
+    R = CurvatureTensor(2, {(1, 2, 1, 2): Fraction(2)})
+    data = BundleVariationData(
+        n=2, omega=[[[0, 1], [-1, 0]], [[Fraction(1, 2), 0], [0, 1]]],
+        nabla_omega={(1, 1): [[1, 0], [0, 0]], (1, 2): [[0, 2], [0, 0]],
+                     (2, 1): [[0, 0], [Fraction(1, 3), 0]],
+                     (2, 2): [[0, 0], [0, -1]]})
+    F = "Fraction"
+    assert lichnerowicz_split(R, data).triangle_F.to_text() == (
+        f"(({F}(13, 16), {F}(0, 1)), ({F}(0, 1), {F}(1, 1))) * 1"
+        f" + (({F}(0, 1), {F}(1, 8)), ({F}(1, 8), {F}(0, 1))) * ch1 ch2"
+        f" + (({F}(-1, 2), {F}(0, 1)), ({F}(0, 1), {F}(0, 1))) * c1 ch1"
+        f" + (({F}(0, 1), {F}(-9, 8)), ({F}(-1, 8), {F}(0, 1))) * c1 ch2"
+        f" + (({F}(0, 1), {F}(1, 8)), ({F}(-1, 24), {F}(0, 1))) * c2 ch1"
+        f" + (({F}(0, 1), {F}(0, 1)), ({F}(0, 1), {F}(1, 2))) * c2 ch2"
+        f" + (({F}(0, 1), {F}(-1, 8)), ({F}(-1, 8), {F}(0, 1))) * c1 c2"
+        f" + (({F}(-1, 1), 0), (0, {F}(-1, 1))) * c1 c2 ch1 ch2"
+        " + ((-1, 0), (0, -1)) * [rough_laplacian | order<=2]")
+
+
+@st.composite
+def op_triples(draw):
+    """Three operators of one kind; all coefficients scalars or all 2x2
+    matrices (a scalar and its identity matrix are different coefficients)."""
+    kind = draw(st.sampled_from(["clifford", "exterior"]))
+    small = st.fractions(-3, 3, max_denominator=3)
+    coef = small
+    if draw(st.booleans()):
+        row = st.tuples(small, small)
+        coef = st.tuples(row, row).map(Mat)
+    exps = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    concrete = st.tuples(exps, st.integers(0, 3), st.integers(0, 3), exps,
+                         st.integers(0, 1))
+    opaque = st.tuples(st.sampled_from([("A",), ("rough_laplacian",)]),
+                       st.integers(0, 4).map(lambda k: Fraction(k, 2)))
+    terms = st.dictionaries(st.one_of(concrete, opaque), coef, max_size=4)
+    return tuple(GradedDiffOp(2, draw(terms), kind=kind) for _ in range(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op_triples())
+def test_graded_op_linearity(ops):
+    p, q1, q2 = ops
+    assert p + q1 == q1 + p
+    assert (p + q1) - q1 == p
+    assert compose(p, q1 + q2) == compose(p, q1) + compose(p, q2)
