@@ -52,7 +52,8 @@ class Mat(tuple):
     """Square matrix coefficient (an endomorphism-valued term), as row tuples.
 
     In ``+`` a scalar stands for that multiple of the identity; in ``*``
-    it acts entrywise.
+    it acts entrywise.  A multiple of the identity compares equal to that
+    scalar, and hashes like it.
     """
 
     __slots__ = ()
@@ -97,6 +98,29 @@ class Mat(tuple):
 
     def __bool__(self):
         return any(v for row in self for v in row)
+
+    def _identity_multiple(self):
+        """c when self is c times the identity, else None."""
+        if not self:
+            return 0
+        c = self[0][0]
+        if all(v == (c if i == j else 0)
+               for i, row in enumerate(self) for j, v in enumerate(row)):
+            return c
+        return None
+
+    def __eq__(self, other):
+        if isinstance(other, tuple):
+            return tuple.__eq__(self, other)
+        c = self._identity_multiple()
+        return c is not None and c == other
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        c = self._identity_multiple()
+        return tuple.__hash__(self) if c is None else hash(c)
 
 
 def _square(rows) -> Mat:

@@ -22,17 +22,21 @@ def backend_of(values) -> str | None:
     """Backend of an iterable of coefficients.
 
     Fractions and Gaussian rationals (:class:`CFrac`) are exact, plain
-    ints are neutral (valid in either backend); returns None when
-    nothing pins the backend down.
+    ints are neutral (valid in either backend); a matrix coefficient
+    (a tuple of row tuples) has the backend of its entries.  Returns None
+    when nothing pins the backend down.
     """
     seen = None
     for v in values:
-        if isinstance(v, bool) or type(v) is int:
-            continue
-        b = EXACT if isinstance(v, (Fraction, CFrac)) else FLOAT
+        if isinstance(v, tuple):
+            b = backend_of(v)
+        elif isinstance(v, bool) or type(v) is int:
+            b = None
+        else:
+            b = EXACT if isinstance(v, (Fraction, CFrac)) else FLOAT
         if seen is None:
             seen = b
-        elif seen != b:
+        elif b not in (None, seen):
             raise BackendMismatch("mixed exact and floating coefficients in one element")
     return seen
 

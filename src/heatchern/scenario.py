@@ -5,7 +5,8 @@ lines are ignored.  Keys:
 
     suite <name>                 algebra | fixed-point | getzler |
                                  duhamel | spectral | torsion | all
-    n <int>                      ambient dimension
+    n <int>                      ambient dimension (at most 10 when
+                                 the fixed-point suite runs)
     a <int>                      fixed-submanifold dimension (n and a
                                  even and n - a <= 4 when the
                                  fixed-point suite runs)
@@ -45,11 +46,14 @@ from .spectral import IsometryAction
 SUITES = ("algebra", "fixed-point", "getzler", "duhamel", "spectral",
           "torsion", "all")
 FORMATS = ("json", "csv", "text")
-# mode terms one spectral suite may sum; 1e6 of them take 0.5-0.8 s
+# mode terms one spectral suite may sum; 1e6 of them take 0.1-0.2 s
 MAX_MODE_TERMS = 10 ** 7
 # normal directions b = n - a of the fixed-point fiber quadrature, whose
-# refinement evaluates 8^b + 16^b points at about 15 us each
+# refinement evaluates 8^b + 16^b points at about 0.2 us each
 MAX_NORMAL_DIM = 4
+# ambient dimension of the fixed-point suite, whose exact routes work on
+# 2^n- and 4^n-sized bases; no test or workload goes past n = 10
+MAX_FIXED_POINT_DIM = 10
 
 
 class ScenarioError(ValueError):
@@ -97,6 +101,9 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ScenarioError(f"curvature: {exc}") from None
         if self.suite in ("fixed-point", "all"):
+            if self.n > MAX_FIXED_POINT_DIM:
+                raise ScenarioError(f"n = {self.n}: the fixed-point suite "
+                                    f"takes n <= {MAX_FIXED_POINT_DIM}")
             self.isometry()
             b = self.n - self.a
             if b > MAX_NORMAL_DIM:

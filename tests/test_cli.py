@@ -110,6 +110,8 @@ def test_nested_include_rejected(tmp_path):
     "suite spectral\ngeometry torus\naction minus-id\ncutoff 200000\n",
     "suite fixed-point\nn 8\na 0\n",
     "suite fixed-point\nn 6\na 0\n",
+    "suite fixed-point\nn 14\na 14\n",
+    "suite all\nn 12\na 12\n",
 ])
 def test_bad_scenarios(tmp_path, body):
     path = write_scn(tmp_path, body)
@@ -279,6 +281,18 @@ def test_fiber_quadrature_cap(tmp_path, capsys):
     assert main(["--config", scn]) == 2
     err = capsys.readouterr().err
     assert "17039360 Gauss-Hermite points" in err and len(err.splitlines()) == 1
+
+
+def test_fixed_point_dimension_cap(tmp_path, capsys):
+    # b = 0 passes the normal-dimension cap, but the exact routes at n = 14
+    # do not finish in reasonable time
+    parse_scenario(write_scn(tmp_path, "suite fixed-point\nn 10\na 10\n")
+                   ).validate()
+    scn = write_scn(tmp_path, "suite algebra\nn 14\na 14\n")
+    for suite in ("fixed-point", "all"):
+        assert main(["--config", scn, "--suite", suite]) == 2
+        err = capsys.readouterr().err
+        assert "n <= 10" in err and len(err.splitlines()) == 1
 
 
 def test_tiny_t_ends_with_failing_tail_bound(tmp_path, capsys):

@@ -15,7 +15,7 @@ from heatchern.getzler import (GradedDiffOp, Mat, SigmaExtendedOp, VolterraSymbo
                                lichnerowicz_split, model_operator,
                                top_order_part, volterra_compose, weitzenbock)
 from heatchern.multivector import _SparseElement
-from heatchern.scalars import EXACT, CFrac, I
+from heatchern.scalars import EXACT, BackendMismatch, CFrac, I
 
 from conftest import random_curvature
 
@@ -378,20 +378,20 @@ def test_lichnerowicz_to_text_golden():
 
 @st.composite
 def op_triples(draw):
-    """Three operators of one kind; all coefficients scalars or all 2x2
-    matrices (a scalar and its identity matrix are different coefficients)."""
+    """Three operators of one kind; each coefficient a scalar or a 2x2
+    matrix, drawn independently (a scalar equals its identity matrix)."""
     kind = draw(st.sampled_from(["clifford", "exterior"]))
     small = st.fractions(-3, 3, max_denominator=3)
-    coef = small
-    if draw(st.booleans()):
-        row = st.tuples(small, small)
-        coef = st.tuples(row, row).map(Mat)
+    row = st.tuples(small, small)
+    coef = st.one_of(small, st.tuples(row, row).map(Mat))
     exps = st.tuples(st.integers(0, 1), st.integers(0, 1))
     concrete = st.tuples(exps, st.integers(0, 3), st.integers(0, 3), exps,
                          st.integers(0, 1))
     opaque = st.tuples(st.sampled_from([("A",), ("rough_laplacian",)]),
                        st.integers(0, 4).map(lambda k: Fraction(k, 2)))
-    terms = st.dictionaries(st.one_of(concrete, opaque), coef, max_size=4)
+    # one key pool, so the three operators share terms
+    keys = draw(st.lists(st.one_of(concrete, opaque), min_size=1, max_size=5))
+    terms = st.dictionaries(st.sampled_from(keys), coef, max_size=4)
     return tuple(GradedDiffOp(2, draw(terms), kind=kind) for _ in range(3))
 
 
@@ -402,3 +402,24 @@ def test_graded_op_linearity(ops):
     assert p + q1 == q1 + p
     assert (p + q1) - q1 == p
     assert compose(p, q1 + q2) == compose(p, q1) + compose(p, q2)
+
+
+def test_identity_matrix_equals_its_scalar():
+    p = GradedDiffOp.scalar(2, 3)
+    q = GradedDiffOp.scalar(2, Mat([[1, 0], [0, 2]]))
+    assert (p + q) - q == p
+    assert hash((p + q) - q) == hash(p)
+    assert Mat([[Fraction(3), 0], [0, 3]]) == 3
+    assert hash(Mat([[3, 0], [0, 3]])) == hash(3)
+    assert Mat([[3, 0], [0, 2]]) != 3 and Mat([[0, 0], [0, 0]]) == 0
+    assert Mat([[1, 0], [2, 3]]) == ((1, 0), (2, 3))
+
+
+def test_backend_looks_inside_matrices():
+    exact = Mat([[Fraction(1), 0], [0, 1]])
+    assert GradedDiffOp.scalar(2, exact).backend() == "exact"
+    assert GradedDiffOp.scalar(2, Mat([[1.0, 0], [0, 1]])).backend() == "float"
+    assert GradedDiffOp.scalar(2, Mat([[1, 0], [0, 1]])).backend() is None
+    with pytest.raises(BackendMismatch):
+        GradedDiffOp(2, {((0, 0), 0, 0, (0, 0), 0): exact,
+                         ((1, 0), 0, 0, (0, 0), 0): 0.5}).backend()
