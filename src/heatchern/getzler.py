@@ -622,10 +622,6 @@ class VolterraSymbol(_SparseElement):
             for k, c in self.terms.items()})
 
 
-# (-i)^k for k mod 4: the phase of D_x^alpha = (-i)^|alpha| d_x^alpha
-_PHASE = (CFrac(1), CFrac(0, -1), CFrac(-1), CFrac(0, 1))
-
-
 def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
                      N: int | None = None) -> VolterraSymbol:
     """Truncated composition sum over multi-indices alpha with |alpha| <= N.
@@ -634,6 +630,7 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
     D_x = -i d/dx.  For polynomial symbols the sum terminates once
     |alpha| exceeds min(xi-degree of q1, x-degree of q2); passing a
     smaller N truncates below the exactness threshold and warns.
+    The sum runs on exact (re, im) parts; each CFrac is built once.
     """
     if q1.n != q2.n:
         raise ValueError("dimension mismatch")
@@ -645,15 +642,21 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
     if N < threshold:
         warnings.warn("composition truncated below the polynomial exactness "
                       "threshold; result is approximate", RuntimeWarning)
-    terms = {}
+    parts2 = [(key, c.parts()) for key, c in q2.terms.items()]
+    sums = {}
     for (x1, xi1, t1), c1 in q1.terms.items():
-        for (x2, xi2, t2), c2 in q2.terms.items():
-            c12 = c1 * c2
+        re1, im1 = c1.parts()
+        for (x2, xi2, t2), (re2, im2) in parts2:
+            re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
+            # c1*c2*(-i)^k for k mod 4
+            turns = ((re, im), (im, -re), (-re, -im), (-im, re))
             for coef, xrest, xirest, k in _leibniz(xi1, x2):
                 if k > N:
                     continue
                 key = (tuple(a + b for a, b in zip(x1, xrest)),
                        tuple(a + b for a, b in zip(xirest, xi2)), t1 + t2)
-                c = c12 * _PHASE[k % 4] * coef
-                terms[key] = terms[key] + c if key in terms else c
-    return VolterraSymbol(q1.n, terms)
+                r, i = turns[k & 3]
+                acc = sums.setdefault(key, [0, 0])
+                acc[0] += coef * r
+                acc[1] += coef * i
+    return VolterraSymbol(q1.n, {key: CFrac(*acc) for key, acc in sums.items()})

@@ -56,13 +56,25 @@ class CFrac:
 
     Used by the Volterra symbol calculus, where the D_x = -i d/dx
     convention puts factors of i into otherwise rational coefficients.
+    A part that is not an int or a Fraction (a float, say) raises
+    :class:`BackendMismatch`.  A CFrac with zero imaginary part equals
+    and hashes like its real part.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        for v in (re, im):
+            if not isinstance(v, (int, Fraction)):
+                raise BackendMismatch(f"CFrac part {v!r} is not an int or a Fraction")
         self.re = Fraction(re)
         self.im = Fraction(im)
+
+    def parts(self) -> tuple:
+        """(re, im), each an int when its denominator is 1, else a Fraction."""
+        re, im = self.re, self.im
+        return (re.numerator if re.denominator == 1 else re,
+                im.numerator if im.denominator == 1 else im)
 
     @staticmethod
     def _coerce(other) -> "CFrac":
@@ -111,7 +123,7 @@ class CFrac:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

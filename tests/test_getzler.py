@@ -215,6 +215,8 @@ def test_volterra_symbol_on_sparse_element():
         VolterraSymbol(2, {((1,), (0, 0), 0): 1})
     with pytest.raises(ValueError, match="non-negative"):
         VolterraSymbol(2, {((0, 0), (0, -1), 0): 1})
+    with pytest.raises(BackendMismatch):
+        VolterraSymbol(2, {((0, 0), (1, 0), 0): 0.5})
 
 
 def test_volterra_identity_symbol():
@@ -310,24 +312,39 @@ def _oracle_compose(q1, q2, N):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_volterra_truncation_matches_oracle(rng, n):
+    def rand_coef():
+        kind = rng.choice(["gaussian", "integer", "imaginary"])
+        if kind == "integer":
+            return rng.choice([-3, -2, -1, 1, 2, 4])
+        if kind == "imaginary":
+            return CFrac(0, rng.choice([-3, -1, 1, 2]))
+        return CFrac(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                     Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+
     def rand_symbol():
         terms = {}
         for _ in range(rng.randint(1, 4)):
             key = (tuple(rng.randint(0, 3) for _ in range(n)),
                    tuple(rng.randint(0, 3) for _ in range(n)), rng.randint(0, 1))
-            terms[key] = CFrac(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                               Fraction(rng.choice([-3, -1, 1, 2]),
-                                        rng.randint(1, 3)))
+            terms[key] = rand_coef()
         return VolterraSymbol(n, terms)
 
-    for _ in range(6):
-        q1, q2 = rand_symbol(), rand_symbol()
+    # (xi_1 + i) o (x_1 + 1): the constant terms -i and i cancel exactly
+    e1 = (1,) + z(n - 1)
+    cancel = (VolterraSymbol(n, {(z(n), e1, 0): 1, (z(n), z(n), 0): I}),
+              VolterraSymbol(n, {(e1, z(n), 0): 1, (z(n), z(n), 0): 1}))
+    composed = volterra_compose(*cancel)
+    assert (z(n), z(n), 0) not in composed.terms and len(composed.terms) == 3
+
+    for q1, q2 in [cancel] + [(rand_symbol(), rand_symbol()) for _ in range(6)]:
         threshold = min(max(sum(xi) for (_, xi, _) in q1.terms), q2.x_degree())
         for N in range(threshold + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 got = volterra_compose(q1, q2, N)
-            assert got == _oracle_compose(q1, q2, N)
+            want = _oracle_compose(q1, q2, N)
+            assert got == want
+            assert got.to_text() == want.to_text()
         assert volterra_compose(q1, q2) == _oracle_compose(q1, q2, threshold)
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -53,3 +54,29 @@ def test_cfrac_str():
     assert str(CFrac(Fraction(1, 2), -3)) == "(1/2-3i)"
     assert str(CFrac(-1)) == "(-1+0i)"
     assert str(I) == "(0+1i)"
+
+
+def test_cfrac_parts():
+    assert CFrac(3, -2).parts() == (3, -2)
+    assert [type(v) for v in CFrac(3, -2).parts()] == [int, int]
+    assert CFrac(Fraction(1, 2), 4).parts() == (Fraction(1, 2), 4)
+    assert type(CFrac(Fraction(4, 2)).parts()[0]) is int
+
+
+def test_equal_values_hash_alike():
+    values = [0, 3, -2, Fraction(0), Fraction(3), Fraction(1, 2),
+              Fraction(-2), CFrac(0), CFrac(3), CFrac(Fraction(1, 2)),
+              CFrac(-2, 0), CFrac(3, 1), CFrac(0, 1), I]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert len({CFrac(3), 3, Fraction(3)}) == 1
+
+
+def test_cfrac_refuses_non_rational_parts():
+    for bad in (0.1, 1.0, 1j, Decimal("0.5"), "1/2"):
+        with pytest.raises(BackendMismatch):
+            CFrac(bad)
+        with pytest.raises(BackendMismatch):
+            CFrac(1, bad)
