@@ -30,8 +30,7 @@ from .duhamel import (FiniteOperator, SimplexQuadrature, iterated_commutator,
 from .spectral import (SpectralModel, IsometryAction, FiniteComplex,
                        TailBoundExceeded, build_model, heat_supertrace,
                        tail_bound, lefschetz_number, fixed_point_prediction,
-                       variation_supertrace, finite_torsion,
-                       torsion_variation)
+                       finite_torsion, torsion_variation)
 from .scenario import ScenarioConfig, ScenarioError, parse_scenario
 from .report import CheckRecord, Report, emit
 from .suites import run_suite

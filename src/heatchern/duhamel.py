@@ -26,7 +26,8 @@ from .getzler import SigmaExtendedOp
 
 __all__ = [
     "FiniteOperator", "SimplexQuadrature",
-    "iterated_commutator", "commutator_expansion", "remainder_operator",
+    "commutator", "iterated_commutator", "commutator_expansion",
+    "adaptive_simplex_integral", "remainder_operator",
     "duhamel_series", "direct_supertrace", "sigma_supertrace",
 ]
 

@@ -33,8 +33,9 @@ from .multivector import (
 
 __all__ = [
     "IsometryNormalForm", "CurvatureTensor", "BundleVariationData",
-    "phi_tilde", "sigma_phi_top", "equivariant_supertrace",
-    "exterior_pushforward", "curvature_bivector", "mehler_kernel",
+    "phi_tilde", "sigma_phi_top", "exterior_pushforward",
+    "lambda_pushforward_oracle", "equivariant_supertrace",
+    "supertrace_decomposition", "curvature_bivector", "mehler_kernel",
     "mehler_heat_residual", "fiber_integral", "curvature_form_matrix",
     "pfaffian", "euler_form", "local_index_density", "transgression",
     "hodge_variation_operator", "theta_form",
@@ -302,6 +303,11 @@ def curvature_bivector(R: CurvatureTensor) -> Multivector:
     return Multivector(R.n, terms)
 
 
+def _mehler_body(R: CurvatureTensor, t: float) -> Multivector:
+    """exp(t Rdot / 2), the form part of the Mehler kernel."""
+    return exp_even(curvature_bivector(R).scale(0.5 * t))
+
+
 def mehler_kernel(R: CurvatureTensor, t: float, x, y) -> Multivector:
     """Model heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2/4t) exp(t Rdot / 2)."""
     if t <= 0:
@@ -310,10 +316,7 @@ def mehler_kernel(R: CurvatureTensor, t: float, x, y) -> Multivector:
     y = np.asarray(y, dtype=float)
     pref = (4.0 * math.pi * t) ** (-R.n / 2.0)
     pref *= math.exp(-float(np.dot(x - y, x - y)) / (4.0 * t))
-    rdot = curvature_bivector(R)
-    body = exp_even(rdot.scale(0.5 * t)) if not rdot.is_zero() \
-        else Multivector.scalar(R.n, 1.0)
-    return body.scale(pref)
+    return _mehler_body(R, t).scale(pref)
 
 
 def mehler_heat_residual(R: CurvatureTensor, t: float, x, y, dt=1e-5):
@@ -350,9 +353,7 @@ def fiber_integral(R: CurvatureTensor, iso: IsometryNormalForm, t: float,
     if t <= 0:
         raise ValueError("t must be positive")
     det = iso.det_one_minus_normal()
-    rdot = curvature_bivector(R)
-    body = exp_even(rdot.scale(0.5 * t)) if not rdot.is_zero() \
-        else Multivector.scalar(R.n, 1.0)
+    body = _mehler_body(R, t)
     if mode == "closed-form":
         pref = (4.0 * math.pi * t) ** (-iso.a / 2.0) / det
         return body.scale(pref)

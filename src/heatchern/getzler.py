@@ -36,7 +36,7 @@ from math import comb, factorial
 from .clifford import CliffordElement
 from .equivariant import BundleVariationData, CurvatureTensor
 from .multivector import _SparseElement, _mask_indices, _popcount, _product
-from .scalars import CFrac
+from .scalars import BackendMismatch, CFrac
 
 __all__ = [
     "GradedDiffOp", "Mat", "SigmaExtendedOp", "VolterraSymbol",
@@ -614,8 +614,11 @@ class VolterraSymbol(_SparseElement):
 
         Composition commutes with this rescaling; on symbols that are
         parabolically homogeneous of degree m (counting x as degree -1)
-        it multiplies by lam^m.
+        it multiplies by lam^m.  A lam that is not an int or a Fraction
+        (a float, say) raises :class:`BackendMismatch`.
         """
+        if not isinstance(lam, (int, Fraction)):
+            raise BackendMismatch(f"dilation {lam!r} is not an int or a Fraction")
         lam = Fraction(lam)
         return VolterraSymbol(self.n, {
             k: (lam ** (sum(k[1]) + 2 * k[2] - sum(k[0]))) * c

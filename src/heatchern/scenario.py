@@ -23,8 +23,8 @@ lines are ignored.  Keys:
                                  in [0, 2pi))
     t-grid <f> [<f> ...]
     cutoff <K>                   the spectral suite sums (2K+1)^2 torus
-                                 or K+1 sphere modes, len(t-grid) + 1
-                                 times; at most 1e7 terms in all
+                                 or K+1 sphere modes once per t-grid
+                                 entry; at most 1e7 terms in all
     tolerance <float>
     seed <int>
     out <path>
@@ -41,12 +41,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equivariant import CurvatureTensor, IsometryNormalForm
-from .spectral import IsometryAction
+from .spectral import IsometryAction, check_pair
 
 SUITES = ("algebra", "fixed-point", "getzler", "duhamel", "spectral",
           "torsion", "all")
 FORMATS = ("json", "csv", "text")
-# mode terms one spectral suite may sum; 1e6 of them take 0.1-0.2 s
+# mode terms the spectral suite may sum, one heat sum per t-grid entry;
+# 1e6 of them take 0.1-0.2 s
 MAX_MODE_TERMS = 10 ** 7
 # normal directions b = n - a of the fixed-point fiber quadrature, whose
 # refinement evaluates 8^b + 16^b points at about 0.2 us each
@@ -113,21 +114,18 @@ class ScenarioConfig:
                                     f"{MAX_NORMAL_DIM}")
         if self.suite in ("spectral", "all"):
             # the spectral suite has no stand-in for an input it cannot run
-            if self.geometry not in ("torus", "sphere"):
-                raise ScenarioError(f"unknown geometry {self.geometry!r}")
-            if self.geometry == "torus" and self.action_kind == "rotation":
-                raise ScenarioError("the torus takes action identity, "
-                                    "minus-id or translation, not rotation")
-            if self.geometry == "sphere" and self.action_kind != "rotation":
-                raise ScenarioError("the sphere takes only action rotation")
+            try:
+                check_pair(self.geometry, self.action_kind)
+            except ValueError as exc:
+                raise ScenarioError(f"geometry: {exc}") from None
             try:
                 IsometryAction(self.action_kind, self.action_params)
             except ValueError as exc:
                 raise ScenarioError(f"action: {exc}") from None
-            # one mode sum per t, plus the variation insertion
+            # one mode sum per t
             K = self.cutoff
             modes = (2 * K + 1) ** 2 if self.geometry == "torus" else K + 1
-            terms = modes * (len(self.t_grid) + 1)
+            terms = modes * len(self.t_grid)
             if terms > MAX_MODE_TERMS:
                 raise ScenarioError(f"cutoff {K} on the {self.geometry} needs "
                                     f"{terms} mode terms, more than "

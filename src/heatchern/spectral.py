@@ -28,14 +28,28 @@ from . import _kernels
 
 __all__ = [
     "SpectralModel", "IsometryAction", "FiniteComplex", "TailBoundExceeded",
-    "build_model", "heat_supertrace", "tail_bound", "lefschetz_number",
-    "fixed_point_prediction", "variation_supertrace",
-    "finite_torsion", "torsion_variation",
+    "TorsionVariation", "check_pair", "build_model", "heat_supertrace",
+    "tail_bound", "lefschetz_number", "fixed_point_prediction",
+    "log_finite_torsion", "finite_torsion", "torsion_variation",
 ]
 
 
 class TailBoundExceeded(RuntimeError):
     """Mode cutoff too small for the requested accuracy."""
+
+
+# the action kinds each model geometry takes
+_ACTION_KINDS = {"torus": ("translation", "minus-id"), "sphere": ("rotation",)}
+
+
+def check_pair(geometry: str, kind: str):
+    """Raise ValueError unless the geometry is a model and takes this action
+    kind: the torus takes translations and minus-id, the sphere rotations."""
+    if geometry not in _ACTION_KINDS:
+        raise ValueError(f"unknown geometry {geometry!r}")
+    if kind not in _ACTION_KINDS[geometry]:
+        raise ValueError(f"the {geometry} takes action "
+                         f"{' or '.join(_ACTION_KINDS[geometry])}, not {kind}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +63,7 @@ class SpectralModel:
     cutoff: int
 
     def __post_init__(self):
-        if self.geometry not in ("torus", "sphere"):
+        if self.geometry not in _ACTION_KINDS:
             raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
@@ -117,13 +131,6 @@ def build_model(geometry: str, cutoff: int) -> SpectralModel:
     return SpectralModel(geometry, cutoff)
 
 
-def _check_pair(model: SpectralModel, action: IsometryAction):
-    if model.geometry == "torus" and action.kind == "rotation":
-        raise ValueError("rotation is a sphere action")
-    if model.geometry == "sphere" and action.kind != "rotation":
-        raise ValueError("sphere supports axis rotations only")
-
-
 # the tail sum gives up after this many terms, which settle the sum for
 # every t above about 5e-11 (measured at cutoff 40)
 _TAIL_TERMS = 10 ** 6
@@ -161,6 +168,17 @@ def tail_bound(model: SpectralModel, t: float) -> float:
                      model.cutoff + 1)
 
 
+def _mode_sum(cutoff: int, action: IsometryAction, t: float) -> float:
+    """Alternating-degree trace of the action times e^{-t Laplacian} over
+    the modes up to the cutoff; the pair is checked by the caller."""
+    if action.kind == "rotation":
+        return float(_kernels.sphere_supertrace(cutoff, action.params[0], t))
+    if action.kind == "minus-id":
+        return float(_kernels.torus_supertrace(cutoff, 0.0, 0.0, True, t))
+    vx, vy = action.params
+    return float(_kernels.torus_supertrace(cutoff, vx, vy, False, t))
+
+
 def heat_supertrace(model: SpectralModel, action: IsometryAction, t: float,
                     tol: float | None = None) -> float:
     """Alternating-degree heat trace weighted by the isometry action.
@@ -168,68 +186,38 @@ def heat_supertrace(model: SpectralModel, action: IsometryAction, t: float,
     Raises TailBoundExceeded when tol is given and the cutoff cannot
     certify that accuracy at this t.
     """
-    _check_pair(model, action)
+    check_pair(model.geometry, action.kind)
     if t <= 0:
         raise ValueError("t must be positive")
-    if tol is not None and tail_bound(model, t) > tol:
-        raise TailBoundExceeded(
-            f"tail bound {tail_bound(model, t):.3e} exceeds {tol:.3e}")
-    if model.geometry == "torus":
-        if action.kind == "minus-id":
-            return float(_kernels.torus_supertrace(model.cutoff, 0.0, 0.0,
-                                                   True, t))
-        vx, vy = action.params
-        return float(_kernels.torus_supertrace(model.cutoff, vx, vy,
-                                               False, t))
-    return float(_kernels.sphere_supertrace(model.cutoff, action.params[0], t))
+    if tol is not None:
+        bound = tail_bound(model, t)
+        if bound > tol:
+            raise TailBoundExceeded(f"tail bound {bound:.3e} exceeds {tol:.3e}")
+    return _mode_sum(model.cutoff, action, t)
 
 
 def lefschetz_number(model: SpectralModel, action: IsometryAction) -> float:
-    """Alternating trace of the action on the harmonic (eigenvalue-0) modes."""
-    _check_pair(model, action)
-    if model.geometry == "sphere":
-        # constants and the volume form, both preserved by rotations
-        return 2.0
-    if action.kind == "minus-id":
-        # H^0, H^2 fixed; dx, dy both flipped
-        return 1.0 - (-2.0) + 1.0
-    # translations act trivially on all four harmonic forms
-    return 1.0 - 2.0 + 1.0
+    """Alternating trace of the action on the harmonic (eigenvalue-0) modes.
+
+    These are the modes the sum keeps at cutoff 0, where every heat factor
+    is exp(-t * 0) = 1 whatever t is.
+    """
+    check_pair(model.geometry, action.kind)
+    return _mode_sum(0, action, 1.0)
 
 
 def fixed_point_prediction(geometry: str, action: IsometryAction) -> float:
-    """Closed-form fixed-point-set contribution for the model pairs."""
-    if geometry == "sphere":
-        if action.kind != "rotation":
-            raise ValueError("sphere supports axis rotations only")
-        theta = action.params[0]
-        if theta == 0.0:
-            return 2.0          # identity: Euler characteristic
-        return 2.0              # two isolated fixed points, density 1 each
-    if geometry == "torus":
-        if action.kind == "minus-id":
-            return 4.0          # four fixed points of v -> -v
-        if action.kind == "translation":
-            if action.params == (0.0, 0.0):
-                return 0.0      # identity: flat Euler form integrates to 0
-            return 0.0          # free translation: empty fixed set
-        raise ValueError("torus supports translations and minus-id")
-    raise ValueError(f"unknown geometry {geometry!r}")
+    """Closed-form fixed-point-set contribution for the model pairs.
 
-
-def variation_supertrace(model: SpectralModel, action: IsometryAction,
-                         v, t: float, tol: float | None = None) -> float:
-    """Heat supertrace with a constant multiple of the identity inserted.
-
-    Only V = v * Id is supported at desk scale; the insertion factors
-    out of every mode.
+    Sphere: 2 for every rotation (the Euler characteristic at the identity,
+    two isolated fixed points of density 1 otherwise).  Torus: 4 for the
+    four fixed points of minus-id, 0 for a translation (the flat Euler form
+    integrates to 0, and a nonzero translation has no fixed point).
     """
-    if not isinstance(v, (int, float)):
-        raise ValueError("unsupported insertion class; need a scalar multiple "
-                         "of the identity")
-    if v == 0:
-        return 0.0
-    return float(v) * heat_supertrace(model, action, t, tol)
+    check_pair(geometry, action.kind)
+    if geometry == "sphere":
+        return 2.0
+    return 4.0 if action.kind == "minus-id" else 0.0
 
 
 # -- finite chain complexes and torsion ----------------------------------

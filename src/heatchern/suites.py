@@ -310,13 +310,6 @@ def _suite_spectral(cfg: ScenarioConfig, rng: random.Random, report: Report):
         return 0.0, spread, 1e-9, spread < 1e-9
     _record(report, "spectral/t-constancy", inputs, constancy)
 
-    def variation():
-        v = 2.0
-        t = cfg.t_grid[0]
-        val = spectral.variation_supertrace(model, action, v, t)
-        return v * want, val, cfg.tolerance, abs(val - v * want) < cfg.tolerance
-    _record(report, "spectral/variation-insertion", inputs + " v=2", variation)
-
 
 # -- torsion --------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from heatchern.spectral import (FiniteComplex, IsometryAction, build_model,
                                 finite_torsion, fixed_point_prediction,
                                 heat_supertrace, lefschetz_number,
                                 log_finite_torsion, tail_bound,
-                                torsion_variation, variation_supertrace)
+                                torsion_variation)
 
 from conftest import random_curvature
 
@@ -214,17 +214,6 @@ def test_criterion_09_equivariant_index_desk_scale():
     _line(9, worst < 1e-8 and spread < 1e-9 and tails_ok and elapsed < 60,
           f"7 model pairs: max error {worst:.2e}, t-spread {spread:.2e}, "
           f"{elapsed:.1f}s")
-
-
-def test_criterion_10_variation_specialization():
-    v = 3.5
-    worst = 0.0
-    for geometry, action, want in CASES_9:
-        model = build_model(geometry, 40)
-        got = variation_supertrace(model, action, v, 0.3)
-        worst = max(worst, abs(got - v * want))
-    _line(10, worst < 1e-8,
-          f"scalar insertion scales all 7 values, max error {worst:.2e}")
 
 
 def _rand_volterra(n, max_deg=4):

@@ -9,6 +9,7 @@ import pytest
 from heatchern.cli import main
 from heatchern.report import CheckRecord, Report, emit
 from heatchern.scenario import ScenarioError, _parse_angle, parse_scenario
+from heatchern.spectral import IsometryAction, build_model, heat_supertrace
 from heatchern.suites import run_suite
 
 
@@ -239,6 +240,30 @@ def test_action_checked_when_spectral_runs(tmp_path, capsys):
         assert message in err and len(err.splitlines()) == 1
 
 
+def test_one_geometry_action_rule(tmp_path, capsys):
+    # validate() accepts exactly the pairs that heat_supertrace runs
+    accepted = set()
+    for geometry in ("torus", "sphere", "klein"):
+        for action in ("identity", "minus-id", "translation 1 0.5",
+                       "rotation 0.7"):
+            scn = write_scn(tmp_path, f"suite spectral\ngeometry {geometry}\n"
+                                      f"action {action}\ncutoff 2\n")
+            cfg = parse_scenario(scn)
+            try:
+                heat_supertrace(build_model(geometry, 2), IsometryAction(
+                    cfg.action_kind, cfg.action_params), 1.0)
+            except ValueError:
+                assert main(["--config", scn]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: geometry: ") \
+                    and len(err.splitlines()) == 1
+            else:
+                cfg.validate()
+                accepted.add((geometry, action.split()[0]))
+    assert accepted == {("torus", "identity"), ("torus", "minus-id"),
+                        ("torus", "translation"), ("sphere", "rotation")}
+
+
 def test_isometry_checked_when_fixed_point_runs(tmp_path, capsys):
     for body, message in [("n 5\na 1\n", "even"),
                           ("angles 0\n", "degenerate rotation angle")]:
@@ -252,18 +277,18 @@ def test_isometry_checked_when_fixed_point_runs(tmp_path, capsys):
 
 
 def test_mode_term_cap(tmp_path, capsys):
-    # (2K+1)^2 torus or K+1 sphere modes per sum, len(t-grid) + 1 sums
+    # (2K+1)^2 torus or K+1 sphere modes per sum, one sum per t-grid entry
     for body in ("geometry torus\naction minus-id\ncutoff 300\n"
                  "t-grid 0.01 0.1 0.5 1\n",
                  "cutoff 100000\nt-grid 0.001 0.1 0.5 1\n",
-                 "cutoff 4999999\nt-grid 1\n"):
+                 "cutoff 9999999\nt-grid 1\n"):
         parse_scenario(write_scn(tmp_path, "suite spectral\n" + body)).validate()
-    scn = write_scn(tmp_path, "suite torsion\ncutoff 5000000\nt-grid 1\n")
+    scn = write_scn(tmp_path, "suite torsion\ncutoff 10000000\nt-grid 1\n")
     assert main(["--config", scn]) == 0
     capsys.readouterr()
     assert main(["--config", scn, "--suite", "spectral"]) == 2
     err = capsys.readouterr().err
-    assert "10000002 mode terms" in err and len(err.splitlines()) == 1
+    assert "10000001 mode terms" in err and len(err.splitlines()) == 1
 
 
 def test_validated_after_overrides(tmp_path, capsys):

@@ -264,6 +264,14 @@ def test_volterra_dilation(rng):
     assert h.dilate(lam) == h.scale(lam ** 2)
 
 
+def test_volterra_dilation_refuses_float():
+    # Fraction(0.1) would dilate by 3602879701896397/36028797018963968
+    sym = VolterraSymbol.xi(2, 1)
+    with pytest.raises(BackendMismatch, match="0.1"):
+        sym.dilate(0.1)
+    assert sym.dilate(2) == sym.dilate(Fraction(2))
+
+
 def test_volterra_truncation_flagged():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

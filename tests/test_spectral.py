@@ -7,8 +7,7 @@ from heatchern.spectral import (FiniteComplex, IsometryAction, SpectralModel,
                                 TailBoundExceeded, build_model, finite_torsion,
                                 fixed_point_prediction, heat_supertrace,
                                 lefschetz_number, log_finite_torsion,
-                                tail_bound, torsion_variation,
-                                variation_supertrace)
+                                tail_bound, torsion_variation)
 
 CUTOFF = 40
 
@@ -151,15 +150,21 @@ def test_fixed_point_prediction_validation():
         fixed_point_prediction("cylinder", IsometryAction.rotation(0.1))
 
 
-def test_variation_supertrace_scalar_insertion():
-    model = build_model("torus", CUTOFF)
-    action = IsometryAction.minus_id()
-    base = heat_supertrace(model, action, 0.4)
-    assert variation_supertrace(model, action, 2.0, 0.4) \
-        == pytest.approx(2.0 * base, abs=1e-12)
-    assert variation_supertrace(model, action, 0, 0.4) == 0.0
+def test_lefschetz_number_from_harmonic_modes():
+    # the cutoff-0 mode sum gives the fixed-point values exactly, at any
+    # cutoff of the model it is handed
+    pairs = [("sphere", IsometryAction.rotation(theta))
+             for theta in (0.0, 1e-15, 0.3, 0.7, math.pi / 2, math.pi, 2.8)]
+    pairs += [("torus", IsometryAction.translation(vx, vy))
+              for vx, vy in ((0.0, 0.0), (1.1, 0.2), (math.pi, 0.5))]
+    pairs += [("torus", IsometryAction.minus_id())]
+    for geometry, action in pairs:
+        want = fixed_point_prediction(geometry, action)
+        for cutoff in (1, CUTOFF):
+            assert lefschetz_number(build_model(geometry, cutoff), action) \
+                == want
     with pytest.raises(ValueError):
-        variation_supertrace(model, action, np.eye(2), 0.4)
+        lefschetz_number(build_model("torus", 1), IsometryAction.rotation(0.1))
 
 
 # -- finite complexes ----------------------------------------------------
