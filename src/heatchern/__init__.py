@@ -7,10 +7,10 @@ models, driven by a batch CLI.
 """
 
 from .scalars import EXACT, FLOAT, BackendMismatch, CFrac, I
-from .multivector import (Multivector, BigradeSplit, basis_e, basis_ehat,
-                          volume, wedge, grade_component, berezin, exp_even)
-from .clifford import (CliffordElement, gen_c, gen_chat, clifford_multiply,
-                       represent, apply_to_basis, symbol_map, supertrace)
+from .multivector import (Multivector, BigradeSplit, wedge, grade_component,
+                          berezin, exp_even)
+from .clifford import (CliffordElement, clifford_multiply, represent,
+                       apply_to_basis, symbol_map, supertrace)
 from .equivariant import (IsometryNormalForm, CurvatureTensor,
                           BundleVariationData, phi_tilde,
                           exterior_pushforward, lambda_pushforward_oracle,
@@ -23,12 +23,12 @@ from .equivariant import (IsometryNormalForm, CurvatureTensor,
 from .getzler import (GradedDiffOp, SigmaExtendedOp, VolterraSymbol,
                       getzler_order, model_operator, top_order_part,
                       weitzenbock, compose, lichnerowicz_split,
-                      volterra_compose, commutator_order_bound)
+                      volterra_compose)
 from .duhamel import (FiniteOperator, SimplexQuadrature, iterated_commutator,
                       commutator_expansion, remainder_operator,
                       duhamel_series, direct_supertrace, sigma_supertrace)
 from .spectral import (SpectralModel, IsometryAction, FiniteComplex,
-                       TailBoundExceeded, build_model, heat_supertrace,
+                       TailBoundExceeded, heat_supertrace,
                        tail_bound, lefschetz_number, fixed_point_prediction,
                        finite_torsion, torsion_variation)
 from .scenario import ScenarioConfig, ScenarioError, parse_scenario

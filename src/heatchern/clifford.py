@@ -16,7 +16,7 @@ from .multivector import (Multivector, _SparseElement, _mask_indices,
                           _popcount, _product, berezin)
 
 __all__ = [
-    "CliffordElement", "gen_c", "gen_chat", "clifford_multiply",
+    "CliffordElement", "clifford_multiply",
     "represent", "apply_to_basis", "symbol_map", "supertrace",
 ]
 
@@ -39,18 +39,6 @@ class CliffordElement(_SparseElement):
         factors = [f"c{i}" for i in _mask_indices(cm)]
         factors += [f"ch{i}" for i in _mask_indices(hm)]
         return " ".join(factors) if factors else "1"
-
-
-def gen_c(n: int, i: int) -> CliffordElement:
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range")
-    return CliffordElement(n, {(1 << (i - 1), 0): 1})
-
-
-def gen_chat(n: int, i: int) -> CliffordElement:
-    if not 1 <= i <= n:
-        raise ValueError(f"index {i} out of range")
-    return CliffordElement(n, {(0, 1 << (i - 1)): 1})
 
 
 def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:

@@ -53,10 +53,6 @@ class FiniteOperator:
     def zero(cls, d: int) -> "FiniteOperator":
         return cls(np.zeros((d, d)))
 
-    @classmethod
-    def identity(cls, d: int) -> "FiniteOperator":
-        return cls(np.eye(d))
-
     def _check(self, other: "FiniteOperator"):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -147,9 +143,6 @@ class SimplexQuadrature:
             total = total + float(w) * f(node)
         return total
 
-    def weight_sum(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
 
 def _compositions(total: int, parts: int):
     """All tuples of ``parts`` non-negative ints summing to ``total``."""
@@ -163,11 +156,14 @@ def _compositions(total: int, parts: int):
 
 def adaptive_simplex_integral(k: int, f, tol: float = 1e-9,
                               max_index: int = 12):
-    """Raise the rule index until two successive results agree to tol."""
+    """Raise the rule index until two successive results agree to tol.
+
+    f may return a scalar or an array; arrays must agree entrywise.
+    """
     prev = None
     for s in range(1, max_index + 1):
         val = SimplexQuadrature(k, s).integrate(f)
-        if prev is not None and abs(val - prev) < tol:
+        if prev is not None and np.max(np.abs(val - prev)) < tol:
             return val
         prev = val
     raise RuntimeError("simplex quadrature did not converge to tolerance")
@@ -207,23 +203,13 @@ def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
     """
     bN = iterated_commutator(h, b, N)
 
-    def integrand_mat(u1: float) -> np.ndarray:
-        left = expm(-u1 * s * h.mat)
-        right = expm(-(1.0 - u1) * s * h.mat)
-        return left @ bN.mat @ right
+    # simplex coordinates (t_0,...,t_N) with u_1 = t_0
+    def integrand(node) -> np.ndarray:
+        u1 = float(node[0])
+        return expm(-u1 * s * h.mat) @ bN.mat @ expm(-(1.0 - u1) * s * h.mat)
 
-    # integrate entrywise; simplex coordinates (t_0,...,t_N) with u_1 = t_0
-    prev = None
-    for idx in range(2, 14):
-        quad = SimplexQuadrature(N, idx)
-        total = np.zeros((h.dim, h.dim), dtype=complex)
-        for node, w in zip(quad.nodes, quad.weights):
-            total += float(w) * integrand_mat(float(node[0]))
-        if prev is not None and np.max(np.abs(total - prev)) < tol:
-            scaled = ((-1) ** N) * (s ** N) * total
-            return FiniteOperator(scaled)
-        prev = total
-    raise RuntimeError("remainder quadrature did not converge")
+    total = adaptive_simplex_integral(N, integrand, tol=tol, max_index=13)
+    return FiniteOperator(((-1) ** N) * (s ** N) * total)
 
 
 # -- perturbative heat series --------------------------------------------

@@ -33,7 +33,7 @@ from .multivector import (
 
 __all__ = [
     "IsometryNormalForm", "CurvatureTensor", "BundleVariationData",
-    "phi_tilde", "sigma_phi_top", "exterior_pushforward",
+    "phi_tilde", "exterior_pushforward",
     "lambda_pushforward_oracle", "equivariant_supertrace",
     "supertrace_decomposition", "curvature_bivector", "mehler_kernel",
     "mehler_heat_residual", "fiber_integral", "curvature_form_matrix",
@@ -155,8 +155,7 @@ class BundleVariationData:
 
     omega[j-1] is the End(F) matrix omega(F,h^F)(e_j); nabla_omega[(i,j)]
     the derivative of omega(e_j) in direction e_i; gdot the symmetric
-    matrix (g^TM)^{-1} gdot^TM; V the matrix (h^F)^{-1} hdot^F; sdot a
-    map (i,j) -> 1-form sample, antisymmetric in (i,j).
+    matrix (g^TM)^{-1} gdot^TM.
     """
 
     n: int
@@ -164,8 +163,6 @@ class BundleVariationData:
     nabla_omega: dict = field(default_factory=dict)
     phiF: np.ndarray | None = None
     gdot: np.ndarray | None = None
-    V: np.ndarray | None = None
-    sdot: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.gdot is not None:
@@ -234,15 +231,6 @@ def lambda_pushforward_oracle(iso: IsometryNormalForm) -> np.ndarray:
     transpose.
     """
     return exterior_pushforward(iso.full_matrix().T)
-
-
-def sigma_phi_top(iso: IsometryNormalForm, trig=None) -> Multivector:
-    """Top normal bigrade of sigma(phi_tilde) in closed form."""
-    quarter = Fraction(-1, 4) if trig is not None else -0.25
-    coeff = (quarter ** (iso.b // 2)) * iso.det_one_minus_normal(trig)
-    split = iso.split()
-    mask = split.normal_mask
-    return Multivector(iso.n, {(mask, mask): coeff})
 
 
 def equivariant_supertrace(iso: IsometryNormalForm, A: CliffordElement,

@@ -42,7 +42,7 @@ __all__ = [
     "GradedDiffOp", "Mat", "SigmaExtendedOp", "VolterraSymbol",
     "getzler_order", "model_operator", "top_order_part", "weitzenbock",
     "compose", "lichnerowicz_split", "LichnerowiczSplit",
-    "volterra_compose", "commutator_order_bound",
+    "volterra_compose",
 ]
 
 
@@ -401,24 +401,6 @@ def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
                 for (cm, hm), s in words.items():
                     add((xexp, cm, hm, dexp, t1 + t2), lc * s * coef)
     return p._like(terms)
-
-
-def commutator_order_bound(k: int, lambdas) -> Fraction:
-    """Grading bound of C L^{[l1]} ... L^[lk]] with O(C)=O(L)=1, O(H)=2.
-
-    Each bracket with H raises the bound by 2; the product of k+1
-    order-ish factors gives k + 1 + 2 sum(lambdas).  Computed through
-    opaque composition rather than asserted.
-    """
-    lambdas = list(lambdas)
-    if len(lambdas) != k:
-        raise ValueError("need one bracket count per factor")
-    n = 1
-    acc = GradedDiffOp.opaque_term(n, "C", 1)
-    for i, lam in enumerate(lambdas):
-        factor = GradedDiffOp.opaque_term(n, f"L{i+1}", 1 + 2 * lam)
-        acc = compose(acc, factor)
-    return getzler_order(acc)
 
 
 # -- Lichnerowicz-type assembly ------------------------------------------

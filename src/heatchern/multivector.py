@@ -25,8 +25,8 @@ from math import factorial
 from .scalars import backend_of, join_backend
 
 __all__ = [
-    "Multivector", "BigradeSplit", "basis_e", "basis_ehat", "volume",
-    "wedge", "grade_component", "berezin", "exp_even",
+    "Multivector", "BigradeSplit", "wedge", "grade_component", "berezin",
+    "exp_even",
 ]
 
 
@@ -228,43 +228,6 @@ class BigradeSplit:
     @property
     def normal_mask(self) -> int:
         return ((1 << self.n) - 1) ^ self.tangent_mask
-
-    def selectors(self):
-        """All bigrade selectors ((k1,l1),(k2,l2))."""
-        for k1 in range(self.a + 1):
-            for l1 in range(self.b + 1):
-                for k2 in range(self.a + 1):
-                    for l2 in range(self.b + 1):
-                        yield ((k1, l1), (k2, l2))
-
-
-def basis_e(n: int, *indices: int) -> Multivector:
-    """e^{i_1} ^ ... with strictly increasing indices, 1-based."""
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range")
-        mask |= 1 << (i - 1)
-    if _popcount(mask) != len(indices):
-        return Multivector.zero(n)
-    return Multivector(n, {(mask, 0): 1})
-
-
-def basis_ehat(n: int, *indices: int) -> Multivector:
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range")
-        mask |= 1 << (i - 1)
-    if _popcount(mask) != len(indices):
-        return Multivector.zero(n)
-    return Multivector(n, {(0, mask): 1})
-
-
-def volume(n: int) -> Multivector:
-    """omega = e^1 ^ ... ^ e^n ^ ehat^1 ^ ... ^ ehat^n."""
-    full = (1 << n) - 1
-    return Multivector(n, {(full, full): 1})
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:

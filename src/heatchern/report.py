@@ -2,8 +2,6 @@
 
 Records are sorted by check name; floats are rendered with 17
 significant digits so identical inputs always produce identical bytes.
-Wall-clock runtimes are kept on the in-memory records for interactive
-use but excluded from the serialized forms, which must be reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ class CheckRecord:
     observed: object
     tolerance: object
     passed: bool
-    runtime: float = 0.0
 
     def row(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Plain-text scenario files.
 
-One `key value...` statement per line; `#` starts a comment; blank
-lines are ignored.  Keys:
+A scenario file is UTF-8 text with one `key value...` statement per
+line; `#` starts a comment; blank lines are ignored.  Keys:
 
     suite <name>                 algebra | fixed-point | getzler |
                                  duhamel | spectral | torsion | all
@@ -13,7 +13,8 @@ lines are ignored.  Keys:
     angles <f> [<f> ...]         rotation angles of the normal action,
                                  none a multiple of 2pi
     R <i> <j> <k> <l> <value>    curvature component (value rational,
-                                 e.g. 3 or -5/2; indices in 1..n, lines
+                                 e.g. 3, -5/2 or 1.5e2, the exponent at
+                                 most 4 digits; indices in 1..n, lines
                                  consistent under the symmetries of R)
     curvature <path>             include n/a/angles/R lines from a file
     geometry torus | sphere
@@ -26,7 +27,7 @@ lines are ignored.  Keys:
                                  or K+1 sphere modes once per t-grid
                                  entry; at most 1e7 terms in all
     tolerance <float>
-    seed <int>
+    seed <int>                   a non-negative integer
     out <path>
     format json | csv | text
 
@@ -83,6 +84,8 @@ class ScenarioConfig:
             raise ScenarioError(f"unknown suite {self.suite!r}")
         if self.format not in FORMATS:
             raise ScenarioError(f"unknown format {self.format!r}")
+        if self.seed < 0:
+            raise ScenarioError("seed must be a non-negative integer")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ScenarioError("tolerance must be positive and finite")
         if self.cutoff < 1:
@@ -142,6 +145,11 @@ class ScenarioConfig:
 
 
 def _parse_fraction(tok: str) -> Fraction:
+    # Fraction("1e<exp>") builds 10^exp exactly, which takes seconds from
+    # about exp = 10^7 on
+    digits = tok.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if digits.isdecimal() and len(digits.lstrip("0")) > 4:
+        raise ScenarioError(f"bad rational value {tok!r}: exponent over 4 digits")
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
@@ -254,6 +262,10 @@ def parse_scenario(path: str) -> ScenarioConfig:
     if not os.path.isfile(path):
         raise ScenarioError(f"scenario file not found: {path}")
     cfg = ScenarioConfig()
-    with open(path, encoding="utf-8") as fh:
-        _parse_lines(fh.read(), cfg, os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc}") from None
+    _parse_lines(text, cfg, os.path.dirname(os.path.abspath(path)))
     return cfg

@@ -28,7 +28,7 @@ from . import _kernels
 
 __all__ = [
     "SpectralModel", "IsometryAction", "FiniteComplex", "TailBoundExceeded",
-    "TorsionVariation", "check_pair", "build_model", "heat_supertrace",
+    "TorsionVariation", "check_pair", "heat_supertrace",
     "tail_bound", "lefschetz_number", "fixed_point_prediction",
     "log_finite_torsion", "finite_torsion", "torsion_variation",
 ]
@@ -68,18 +68,6 @@ class SpectralModel:
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
 
-    def mode_count(self, degree: int) -> int:
-        """Number of modes carrying the given form degree."""
-        if self.geometry == "torus":
-            lattice = (2 * self.cutoff + 1) ** 2
-            return {0: lattice, 1: 2 * lattice, 2: lattice}.get(degree, 0)
-        towers = {0: self.cutoff + 1, 2: self.cutoff + 1, 1: 2 * self.cutoff}
-        if degree not in towers:
-            return 0
-        if degree == 1:
-            return sum(2 * l + 1 for l in range(1, self.cutoff + 1)) * 2
-        return sum(2 * l + 1 for l in range(self.cutoff + 1))
-
 
 @dataclass(frozen=True)
 class IsometryAction:
@@ -115,20 +103,8 @@ class IsometryAction:
         return cls("translation", (vx, vy))
 
     @classmethod
-    def identity_torus(cls) -> "IsometryAction":
-        return cls("translation", (0.0, 0.0))
-
-    @classmethod
-    def minus_id(cls) -> "IsometryAction":
-        return cls("minus-id")
-
-    @classmethod
     def rotation(cls, theta: float) -> "IsometryAction":
         return cls("rotation", (theta,))
-
-
-def build_model(geometry: str, cutoff: int) -> SpectralModel:
-    return SpectralModel(geometry, cutoff)
 
 
 # the tail sum gives up after this many terms, which settle the sum for
@@ -305,14 +281,23 @@ def _laplacians(cx: FiniteComplex, h) -> list:
     return laps
 
 
-def log_finite_torsion(cx: FiniteComplex, h=None, zero_tol: float = 1e-10,
+# Laplacian eigenvalues at or below this count as zero modes
+_ZERO_TOL = 1e-10
+
+
+def log_finite_torsion(cx: FiniteComplex, h=None,
                        require_acyclic: bool = True) -> float:
     """log tau = (1/2) sum_q (-1)^q q sum_{lam > 0} tr(phi P_lam) log lam.
 
     The Laplacians are symmetrized through the Cholesky factor of each
     metric so the spectral projectors are orthogonal.
     """
-    h = _check_metrics(cx, h)
+    return _log_torsion(cx, _check_metrics(cx, h), require_acyclic)
+
+
+def _log_torsion(cx: FiniteComplex, h: list,
+                 require_acyclic: bool = True) -> float:
+    """log_finite_torsion on metrics that ``_check_metrics`` returned."""
     laps = _laplacians(cx, h)
     total = 0.0
     for q, lap in enumerate(laps):
@@ -324,12 +309,12 @@ def log_finite_torsion(cx: FiniteComplex, h=None, zero_tol: float = 1e-10,
         sym = (sym + sym.T) / 2.0
         evals, evecs = np.linalg.eigh(sym)
         phi_sym = chol.T @ cx.action(q) @ np.linalg.inv(chol.T)
-        zero_modes = int(np.sum(evals <= zero_tol))
+        zero_modes = int(np.sum(evals <= _ZERO_TOL))
         if require_acyclic and zero_modes:
             raise ValueError(f"complex is not acyclic at level {q}; "
                              "fix cohomology data or pass require_acyclic=False")
         for lam, vec in zip(evals, evecs.T):
-            if lam > zero_tol:
+            if lam > _ZERO_TOL:
                 total += 0.5 * ((-1) ** q) * q * float(vec @ phi_sym @ vec) \
                     * math.log(lam)
     return total
@@ -359,14 +344,11 @@ def torsion_variation(cx: FiniteComplex, h_path, eps: float,
     agreement is an observed identity of the model, reported through the
     residual rather than asserted here.
     """
-    if step <= 0 or step < 1e-12:
+    if step < 1e-12:
         raise ValueError("step size underflow")
-    lo = log_finite_torsion(cx, h_path(eps - step))
-    hi = log_finite_torsion(cx, h_path(eps + step))
-    fd = (hi - lo) / (2.0 * step)
-    h0 = _check_metrics(cx, h_path(eps))
-    hlo = _check_metrics(cx, h_path(eps - step))
-    hhi = _check_metrics(cx, h_path(eps + step))
+    hlo, h0, hhi = (_check_metrics(cx, h_path(e))
+                    for e in (eps - step, eps, eps + step))
+    fd = (_log_torsion(cx, hhi) - _log_torsion(cx, hlo)) / (2.0 * step)
     trace_val = 0.0
     for q in range(cx.levels):
         if not cx.dims[q]:

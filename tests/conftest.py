@@ -2,7 +2,24 @@ import random
 
 import pytest
 
+from heatchern.clifford import CliffordElement
+from heatchern.multivector import Multivector
 from heatchern.suites import _random_curvature as random_curvature  # noqa: F401
+
+
+def basis_e(n, *indices):
+    """e^{i_1} ^ ... ^ e^{i_k}, indices distinct and increasing, 1-based."""
+    return Multivector(n, {(sum(1 << (i - 1) for i in indices), 0): 1})
+
+
+def gen_c(n, i):
+    """The Clifford generator c(e_i), 1-based."""
+    return CliffordElement(n, {(1 << (i - 1), 0): 1})
+
+
+def gen_chat(n, i):
+    """The Clifford generator chat(e_i), 1-based."""
+    return CliffordElement(n, {(0, 1 << (i - 1)): 1})
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import pytest
 from heatchern.cli import main
 from heatchern.report import CheckRecord, Report, emit
 from heatchern.scenario import ScenarioError, _parse_angle, parse_scenario
-from heatchern.spectral import IsometryAction, build_model, heat_supertrace
+from heatchern.spectral import IsometryAction, SpectralModel, heat_supertrace
 from heatchern.suites import run_suite
 
 
@@ -131,14 +131,24 @@ def test_missing_scenario_file():
         parse_scenario("/nonexistent/nowhere.scn")
 
 
+def test_huge_exponent_rejected_at_once(tmp_path):
+    # Fraction("1e99999999") would build 10^99999999 exactly
+    for value in ("1e99999999", "-2.5E-1_0000"):
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match="exponent over 4 digits"):
+            parse_scenario(write_scn(tmp_path, f"R 1 2 1 2 {value}\n"))
+        assert time.perf_counter() - start < 1
+    cfg = parse_scenario(write_scn(tmp_path, "R 1 2 1 2 -1.5e0003\n"))
+    assert cfg.curvature[(1, 2, 1, 2)] == -1500
+
+
 # -- report serialization ------------------------------------------------
 
 def sample_report():
     rep = Report(suite="demo", seed=3)
-    rep.add(CheckRecord("b-check", "n=2", 1.0, 1.0 + 1e-18, 1e-8, True,
-                        runtime=0.5))
+    rep.add(CheckRecord("b-check", "n=2", 1.0, 1.0 + 1e-18, 1e-8, True))
     rep.add(CheckRecord("a-check", "x, \"quoted\"", Fraction(1, 3), "err",
-                        None, False, runtime=0.1))
+                        None, False))
     return rep
 
 
@@ -167,14 +177,9 @@ def test_csv_quoting():
     assert len(lines) == 3
 
 
-def test_runtime_excluded_from_bytes():
-    a, b = sample_report(), sample_report()
-    for rec in b.records:
-        rec.runtime = 99.0
-    for fmt in ("json", "csv", "text"):
-        assert emit(a, fmt) == emit(b, fmt)
+def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        emit(a, "xml")
+        emit(sample_report(), "xml")
 
 
 def test_float_17_digit_round_trip():
@@ -208,6 +213,27 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert main(["--config", scn]) == 2
     assert main(["--config", str(tmp_path / "missing.scn")]) == 2
     assert capsys.readouterr().err
+
+
+def test_cli_negative_seed_exit_2(tmp_path, capsys):
+    # numpy's default_rng refuses a negative seed, as a check that ran
+    # would: the scenario is refused before any check runs
+    for body, argv in [("suite all\n", ["--seed", "-5"]),
+                       ("suite torsion\nseed -3\n", [])]:
+        assert main(["--config", write_scn(tmp_path, body)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer\n"
+
+
+def test_cli_non_utf8_scenario_exit_2(tmp_path, capsys):
+    binary = b"suite torsion\n\xff\xfe\x00\x81\n"
+    (tmp_path / "binary.scn").write_bytes(binary)
+    (tmp_path / "binary.inc").write_bytes(binary)
+    included = write_scn(tmp_path, "suite torsion\ncurvature binary.inc\n")
+    for scn in (str(tmp_path / "binary.scn"), included):
+        assert main(["--config", scn]) == 2
+        err = capsys.readouterr().err
+        assert "utf-8" in err.lower() and len(err.splitlines()) == 1
 
 
 def test_cli_nan_t_grid_exit_2(tmp_path, capsys):
@@ -250,7 +276,7 @@ def test_one_geometry_action_rule(tmp_path, capsys):
                                       f"action {action}\ncutoff 2\n")
             cfg = parse_scenario(scn)
             try:
-                heat_supertrace(build_model(geometry, 2), IsometryAction(
+                heat_supertrace(SpectralModel(geometry, 2), IsometryAction(
                     cfg.action_kind, cfg.action_params), 1.0)
             except ValueError:
                 assert main(["--config", scn]) == 2

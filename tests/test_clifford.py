@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern.clifford import (CliffordElement, apply_to_basis, gen_c,
-                                gen_chat, represent, supertrace, symbol_map)
-from heatchern.multivector import Multivector, berezin
+from heatchern.clifford import (CliffordElement, apply_to_basis, represent,
+                                supertrace, symbol_map)
+from heatchern.multivector import Multivector
+
+from conftest import gen_c, gen_chat
 
 N = 4
 

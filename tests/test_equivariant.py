@@ -15,8 +15,8 @@ from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    lambda_pushforward_oracle,
                                    local_index_density, mehler_heat_residual,
                                    mehler_kernel, pfaffian, phi_tilde,
-                                   sigma_phi_top, supertrace_decomposition,
-                                   theta_form, transgression)
+                                   supertrace_decomposition, theta_form,
+                                   transgression)
 from heatchern.multivector import (Multivector, berezin, exp_even,
                                    grade_component)
 
@@ -78,14 +78,13 @@ def test_pushforward_oracle_matches_representation():
 
 def test_sigma_phi_top_leading_term():
     iso = IsometryNormalForm(4, 2, (1.0,))
-    top = sigma_phi_top(iso, trig=[PYTH[1]])
     c, _ = PYTH[1]
     split = iso.split()
     sig = symbol_map(phi_tilde(iso, trig=[PYTH[1]]))
     comp = grade_component(sig, split, ((0, 2), (0, 2)))
-    assert comp == top
-    assert top.coefficient(split.normal_mask, split.normal_mask) \
-        == Fraction(-1, 4) * (2 - 2 * c)
+    # (-1/4)^{b/2} det(1 - phi^N) on the top normal word
+    mask = split.normal_mask
+    assert comp == Multivector(4, {(mask, mask): Fraction(-1, 4) * (2 - 2 * c)})
 
 
 def test_supertrace_paths_exact():

@@ -3,7 +3,6 @@ import warnings
 from fractions import Fraction
 from math import comb, factorial
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    curvature_bivector)
 from heatchern.getzler import (GradedDiffOp, Mat, SigmaExtendedOp, VolterraSymbol,
-                               commutator_order_bound, compose, getzler_order,
+                               compose, getzler_order,
                                lichnerowicz_split, model_operator,
                                top_order_part, volterra_compose, weitzenbock)
 from heatchern.multivector import _SparseElement
@@ -112,10 +111,12 @@ def test_compose_subadditive(rng):
 
 
 def test_commutator_order_arithmetic():
-    for k, lams in [(1, (0,)), (1, (2,)), (2, (1, 0)), (3, (1, 2, 0))]:
-        assert commutator_order_bound(k, lams) == k + 1 + 2 * sum(lams)
-    with pytest.raises(ValueError):
-        commutator_order_bound(2, (1,))
+    # C L^[l1] ... L^[lk] with O(C) = O(L) = 1, each bracket with H adding 2
+    for lams in [(0,), (2,), (1, 0), (1, 2, 0)]:
+        acc = GradedDiffOp.opaque_term(1, "C", 1)
+        for i, lam in enumerate(lams):
+            acc = compose(acc, GradedDiffOp.opaque_term(1, f"L{i+1}", 1 + 2 * lam))
+        assert getzler_order(acc) == len(lams) + 1 + 2 * sum(lams)
 
 
 def test_kind_mixing_rejected():

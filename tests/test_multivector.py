@@ -1,13 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern.multivector import (BigradeSplit, Multivector, basis_e,
-                                   basis_ehat, berezin, exp_even,
-                                   grade_component, volume, wedge)
+from heatchern.multivector import (BigradeSplit, Multivector, berezin,
+                                   exp_even, grade_component, wedge)
 from heatchern.scalars import BackendMismatch
+
+from conftest import basis_e
 
 N = 4
 
@@ -31,13 +33,6 @@ def test_mask_range_checked():
         Multivector(2, {(4, 0): 1})
 
 
-def test_basis_and_volume():
-    assert basis_e(3, 1, 3).coefficient(0b101, 0) == 1
-    assert basis_e(3, 1, 1).is_zero()
-    assert basis_ehat(3, 2).coefficient(0, 0b10) == 1
-    assert volume(2).coefficient(3, 3) == 1
-
-
 def test_wedge_sign_example():
     # e2 ^ e1 = -e1 ^ e2
     assert wedge(basis_e(2, 2), basis_e(2, 1)) == basis_e(2, 1, 2).scale(-1)
@@ -45,7 +40,7 @@ def test_wedge_sign_example():
 
 def test_graded_tensor_sign():
     # ehat factors anticommute with e factors across the product
-    x = basis_ehat(2, 1)
+    x = Multivector(2, {(0, 0b1): 1})   # ehat^1
     y = basis_e(2, 1)
     assert wedge(x, y) == wedge(y, x).scale(-1)
 
@@ -62,14 +57,16 @@ def test_wedge_associative_distributive(x, y, z):
 def test_grade_components_reconstruct(x):
     split = BigradeSplit(N, 2)
     total = Multivector.zero(N)
-    for sel in split.selectors():
-        total = total + grade_component(x, split, sel)
+    for k1, l1, k2, l2 in itertools.product(range(split.a + 1),
+                                            range(split.b + 1), repeat=2):
+        total = total + grade_component(x, split, ((k1, l1), (k2, l2)))
     assert total == x
 
 
 def test_berezin_modes():
     split = BigradeSplit(4, 2)
-    x = volume(4) + Multivector(4, {(3, 3): Fraction(7)})
+    # the volume word plus 7 e{1,2} ^ ehat{1,2}
+    x = Multivector(4, {(15, 15): 1, (3, 3): Fraction(7)})
     assert berezin(x) == 1
     assert berezin(x, split, mode="tangent") == 7
     with pytest.raises(ValueError):

@@ -3,14 +3,23 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "heatchern"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "heatchern"
 
 
 def _unused_imports(path):
-    """Top-level imported names that the module never reads."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    """Top-level imported names that the module never reads.
+
+    An import marked ``# noqa: F401`` is a deliberate re-export.
+    """
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
     imported = []
     for node in tree.body:
+        if any("noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
         if isinstance(node, ast.Import):
             imported += [(a.asname or a.name).split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -23,4 +32,10 @@ def _unused_imports(path):
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"tests/{p.name}")
+def test_no_unused_imports_in_tests(path):
     assert _unused_imports(path) == []
