@@ -15,7 +15,7 @@ from .equivariant import (IsometryNormalForm, CurvatureTensor,
                           BundleVariationData, phi_tilde,
                           exterior_pushforward, lambda_pushforward_oracle,
                           equivariant_supertrace, supertrace_decomposition,
-                          curvature_bivector, mehler_kernel,
+                          curvature_bivector, mehler_body, mehler_kernel,
                           mehler_heat_residual, fiber_integral,
                           euler_form, local_index_density, transgression,
                           pfaffian, curvature_form_matrix,

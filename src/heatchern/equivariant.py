@@ -27,7 +27,7 @@ import numpy as np
 
 from .clifford import CliffordElement, clifford_multiply, supertrace, symbol_map
 from .multivector import (
-    BigradeSplit, Multivector, _product, _reorder_sign, berezin, exp_even,
+    BigradeSplit, Multivector, _popcount, _suffix_parity, berezin, exp_even,
     grade_component, wedge,
 )
 
@@ -35,10 +35,11 @@ __all__ = [
     "IsometryNormalForm", "CurvatureTensor", "BundleVariationData",
     "phi_tilde", "exterior_pushforward",
     "lambda_pushforward_oracle", "equivariant_supertrace",
-    "supertrace_decomposition", "curvature_bivector", "mehler_kernel",
-    "mehler_heat_residual", "fiber_integral", "curvature_form_matrix",
-    "pfaffian", "euler_form", "local_index_density", "transgression",
-    "hodge_variation_operator", "theta_form",
+    "supertrace_decomposition", "curvature_bivector", "mehler_body",
+    "mehler_kernel", "mehler_heat_residual", "fiber_integral",
+    "curvature_form_matrix", "pfaffian", "euler_form",
+    "local_index_density", "transgression", "hodge_variation_operator",
+    "theta_form",
 ]
 
 
@@ -291,7 +292,7 @@ def curvature_bivector(R: CurvatureTensor) -> Multivector:
     return Multivector(R.n, terms)
 
 
-def _mehler_body(R: CurvatureTensor, t: float) -> Multivector:
+def mehler_body(R: CurvatureTensor, t: float) -> Multivector:
     """exp(t Rdot / 2), the form part of the Mehler kernel."""
     return exp_even(curvature_bivector(R).scale(0.5 * t))
 
@@ -304,7 +305,7 @@ def mehler_kernel(R: CurvatureTensor, t: float, x, y) -> Multivector:
     y = np.asarray(y, dtype=float)
     pref = (4.0 * math.pi * t) ** (-R.n / 2.0)
     pref *= math.exp(-float(np.dot(x - y, x - y)) / (4.0 * t))
-    return _mehler_body(R, t).scale(pref)
+    return mehler_body(R, t).scale(pref)
 
 
 def mehler_heat_residual(R: CurvatureTensor, t: float, x, y, dt=1e-5):
@@ -330,28 +331,28 @@ def mehler_heat_residual(R: CurvatureTensor, t: float, x, y, dt=1e-5):
     return max((abs(c) for c in resid.terms.values()), default=0.0)
 
 
-def fiber_integral(R: CurvatureTensor, iso: IsometryNormalForm, t: float,
-                   mode: str = "closed-form") -> Multivector:
-    """Integral of the Mehler kernel over the normal fiber at a fixed point.
+def fiber_integral(iso: IsometryNormalForm, t: float,
+                   mode: str = "closed-form") -> float:
+    """Integral of the Mehler kernel's Gaussian factor over the normal fiber.
 
-    closed-form: (4 pi t)^{-a/2} det^{-1}(1 - phi^N) exp(t Rdot / 2).
+    The kernel at (y, phi y) is (4 pi t)^{-n/2} exp(-|(1 - phi^N) y|^2/4t)
+    times ``mehler_body(R, t)``, which does not depend on y; so the fiber
+    integral of the kernel is that body scaled by the number returned here.
+    closed-form: (4 pi t)^{-a/2} det^{-1}(1 - phi^N).
     quadrature: tensor Gauss-Hermite evaluation of the Gaussian factor,
     refined until successive orders differ by < 1e-8.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    det = iso.det_one_minus_normal()
-    body = _mehler_body(R, t)
     if mode == "closed-form":
-        pref = (4.0 * math.pi * t) ** (-iso.a / 2.0) / det
-        return body.scale(pref)
+        det = iso.det_one_minus_normal()
+        return (4.0 * math.pi * t) ** (-iso.a / 2.0) / det
     if mode == "quadrature":
         from ._kernels import gauss_hermite_gaussian_integral
         one_minus = np.eye(iso.b) - iso.normal_rotation()
         M = one_minus.T @ one_minus
         integral = gauss_hermite_gaussian_integral(M, 4.0 * t)
-        pref = (4.0 * math.pi * t) ** (-iso.n / 2.0) * integral
-        return body.scale(pref)
+        return (4.0 * math.pi * t) ** (-iso.n / 2.0) * integral
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -461,34 +462,47 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
     reaches it is computed.  The wedge product never removes a generator,
     so a word of Rdot with a normal index cannot contribute: those words
     are dropped.  Every remaining word has bidegree (2, 2), so only the
-    power m = a/2 reaches (tan, tan), with weight 1/m!.  That power is
-    taken on integer numerators (denominators cleared by their lcm D),
-    and its top coefficient is read by pairing x^ceil(m/2) with
-    x^floor(m/2) on complementary words.
+    power m = a/2 reaches (tan, tan), with weight 1/m!.  Words of even
+    degree commute, so the m! orderings of m words give one product and
+    the m! cancels: the top coefficient is the sum, over the sets of m
+    words whose e-parts split {e^1..e^a} and whose ehat-parts split
+    {ehat^1..ehat^a}, of the product of their coefficients and the sign
+    of their product.  ``top(S, T)`` sums those sets on the remaining
+    masks S, T.  It always places the word holding the lowest index of S,
+    so each set is counted once, and a placed word (s, t) moves in front
+    of the rest (S ^ s, T ^ t) with the sign of its two merges (|t| = 2,
+    so no cross-family sign).  It runs on integer numerators
+    (denominators cleared by their lcm D) and divides by (2D)^m once.
     """
     n, a, b = iso.n, iso.a, iso.b
     tan = (1 << a) - 1
     rdot = {(s, t): Fraction(c)
             for (s, t), c in curvature_bivector(R).terms.items()
             if not (s | t) & ~tan}
-    m = a // 2
-    coeff = Fraction(1) if m == 0 else Fraction(0)
-    if m and rdot:
-        D = math.lcm(*(c.denominator for c in rdot.values()))
-        nums = {w: int(c * D) for w, c in rdot.items()}
-        low = {(0, 0): 1}
-        for _ in range(m // 2):
-            low = _product(low, nums, 0, 0)
-        high = _product(low, nums, 0, 0) if m % 2 else low
-        # a word of high has an even number of hatted generators, so
-        # moving its complement in front costs only the in-family signs
-        top = 0
-        for (s, t), c in high.items():
-            c2 = low.get((tan ^ s, tan ^ t))
-            if c2:
-                sign = _reorder_sign(s, tan ^ s) * _reorder_sign(t, tan ^ t)
-                top += sign * c * c2
-        coeff = Fraction(top, math.factorial(m) * (2 * D) ** m)
+    D = math.lcm(*(c.denominator for c in rdot.values()))
+    # words by their lowest e-index, with the suffix parities of their
+    # two parts, which give the merge signs
+    by_low = {}
+    for (s, t), c in rdot.items():
+        by_low.setdefault(s & -s, []).append(
+            (s, t, int(c * D), _suffix_parity(s), _suffix_parity(t)))
+
+    @functools.cache
+    def top(S, T):
+        if not S:
+            return 1
+        total = 0
+        for s, t, c, ps, pt in by_low.get(S & -S, ()):
+            if s & S != s or t & T != t:
+                continue
+            rest_s, rest_t = S ^ s, T ^ t
+            sub = top(rest_s, rest_t)
+            if (_popcount(ps & rest_s) + _popcount(pt & rest_t)) & 1:
+                sub = -sub
+            total += c * sub
+        return total
+
+    coeff = Fraction(top(tan, tan), (2 * D) ** (a // 2))
     pref = Fraction((-1) ** (n // 2) * (1 << n))
     pref *= Fraction(-1, 4) ** (b // 2)
     pref *= Fraction(1, 4) ** (a // 2)

@@ -33,18 +33,19 @@ __all__ = [
 _popcount = int.bit_count
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of increasing words a, b.
+def _suffix_parity(m: int) -> int:
+    """Mask whose bit j is the parity of the bits of m above bit j.
 
-    Counts the pairs i in a, j in b with i > j; a generator in both
-    words is left for :func:`_product` to contract.
+    A prefix-xor scan from the top: after the shifts 1, 2, 4, ... bit j
+    holds the xor of the bits j+1 .. j+2^k of m, and the scan stops once
+    2^k reaches the width of m.
     """
-    swaps = 0
-    a >>= 1
-    while a:
-        swaps += _popcount(a & b)
-        a >>= 1
-    return -1 if swaps & 1 else 1
+    m >>= 1
+    shift = 1
+    while shift < m.bit_length():
+        m ^= m >> shift
+        shift <<= 1
+    return m
 
 
 def _product(x_terms: dict, y_terms: dict, q_c: int, q_h: int) -> dict:
@@ -53,24 +54,34 @@ def _product(x_terms: dict, y_terms: dict, q_c: int, q_h: int) -> dict:
     Generators of the first family square to q_c, those of the second to
     q_h, each in {0, -1, +1}; distinct generators anticommute, also
     across the two families.
+
+    The sign of a pair of words is the parity of the swaps that sort
+    (s1, t1, s2, t2) and of the contractions to -1.  Each generator j of
+    s2 passes the generators of s1 above j and all of t1; each one of t2
+    passes the generators of t1 above j.  So with ms the suffix parity
+    of s1, complemented when |t1| is odd and xor-ed with s1 when q_c is
+    -1 (a shared generator contracts to -1 once), and mt the same for t1
+    without the complement, the sign is the parity of
+    popcount(ms & s2) + popcount(mt & t2): two masks per left word, two
+    popcounts per pair.
     """
     terms = {}
     for (s1, t1), c1 in x_terms.items():
-        d1 = _popcount(t1)
+        # generators whose square is 0 kill a pair that shares them
+        zero_s = 0 if q_c else s1
+        zero_t = 0 if q_h else t1
+        ms = _suffix_parity(s1)
+        if _popcount(t1) & 1:
+            ms = ~ms
+        if q_c < 0:
+            ms ^= s1
+        mt = _suffix_parity(t1)
+        if q_h < 0:
+            mt ^= t1
         for (s2, t2), c2 in y_terms.items():
-            both_s, both_t = s1 & s2, t1 & t2
-            if (both_s and not q_c) or (both_t and not q_h):
+            if s2 & zero_s or t2 & zero_t:
                 continue
-            # move the second word of x past the first word of y, then
-            # contract each generator the two words share to its square
-            parity = d1 * _popcount(s2)
-            if q_c < 0:
-                parity += _popcount(both_s)
-            if q_h < 0:
-                parity += _popcount(both_t)
-            sign = _reorder_sign(s1, s2) * _reorder_sign(t1, t2)
-            if parity & 1:
-                sign = -sign
+            sign = -1 if (_popcount(ms & s2) + _popcount(mt & t2)) & 1 else 1
             key = (s1 ^ s2, t1 ^ t2)
             terms[key] = terms.get(key, 0) + sign * c1 * c2
     return terms

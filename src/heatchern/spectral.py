@@ -285,18 +285,16 @@ def _laplacians(cx: FiniteComplex, h) -> list:
 _ZERO_TOL = 1e-10
 
 
-def log_finite_torsion(cx: FiniteComplex, h=None,
-                       require_acyclic: bool = True) -> float:
+def log_finite_torsion(cx: FiniteComplex, h=None) -> float:
     """log tau = (1/2) sum_q (-1)^q q sum_{lam > 0} tr(phi P_lam) log lam.
 
     The Laplacians are symmetrized through the Cholesky factor of each
     metric so the spectral projectors are orthogonal.
     """
-    return _log_torsion(cx, _check_metrics(cx, h), require_acyclic)
+    return _log_torsion(cx, _check_metrics(cx, h))
 
 
-def _log_torsion(cx: FiniteComplex, h: list,
-                 require_acyclic: bool = True) -> float:
+def _log_torsion(cx: FiniteComplex, h: list) -> float:
     """log_finite_torsion on metrics that ``_check_metrics`` returned."""
     laps = _laplacians(cx, h)
     total = 0.0
@@ -309,19 +307,16 @@ def _log_torsion(cx: FiniteComplex, h: list,
         sym = (sym + sym.T) / 2.0
         evals, evecs = np.linalg.eigh(sym)
         phi_sym = chol.T @ cx.action(q) @ np.linalg.inv(chol.T)
-        zero_modes = int(np.sum(evals <= _ZERO_TOL))
-        if require_acyclic and zero_modes:
-            raise ValueError(f"complex is not acyclic at level {q}; "
-                             "fix cohomology data or pass require_acyclic=False")
+        if np.any(evals <= _ZERO_TOL):
+            raise ValueError(f"complex is not acyclic at level {q}")
         for lam, vec in zip(evals, evecs.T):
-            if lam > _ZERO_TOL:
-                total += 0.5 * ((-1) ** q) * q * float(vec @ phi_sym @ vec) \
-                    * math.log(lam)
+            total += 0.5 * ((-1) ** q) * q * float(vec @ phi_sym @ vec) \
+                * math.log(lam)
     return total
 
 
-def finite_torsion(cx: FiniteComplex, h=None, **kw) -> float:
-    return math.exp(log_finite_torsion(cx, h, **kw))
+def finite_torsion(cx: FiniteComplex, h=None) -> float:
+    return math.exp(log_finite_torsion(cx, h))
 
 
 @dataclass(frozen=True)

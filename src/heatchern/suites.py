@@ -128,8 +128,9 @@ def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random, report: Report):
         if iso.b == 0:
             return 0.0, 0.0, 1e-6, True
         t = cfg.t_grid[0]
-        cf = equivariant.fiber_integral(Rf, iso, t, "closed-form")
-        qd = equivariant.fiber_integral(Rf, iso, t, "quadrature")
+        body = equivariant.mehler_body(Rf, t)
+        cf = body.scale(equivariant.fiber_integral(iso, t, "closed-form"))
+        qd = body.scale(equivariant.fiber_integral(iso, t, "quadrature"))
         keys = set(cf.terms) | set(qd.terms)
         err = max((abs(cf.coefficient(*k) - qd.coefficient(*k))
                    for k in keys), default=0.0)

@@ -13,12 +13,13 @@ from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    exterior_pushforward,
                                    fiber_integral, hodge_variation_operator,
                                    lambda_pushforward_oracle,
-                                   local_index_density, mehler_heat_residual,
-                                   mehler_kernel, pfaffian, phi_tilde,
+                                   local_index_density, mehler_body,
+                                   mehler_heat_residual, mehler_kernel,
+                                   pfaffian, phi_tilde,
                                    supertrace_decomposition, theta_form,
                                    transgression)
-from heatchern.multivector import (Multivector, berezin, exp_even,
-                                   grade_component)
+from heatchern.multivector import (Multivector, _product, berezin,
+                                   exp_even, grade_component)
 
 from conftest import random_curvature
 
@@ -139,8 +140,9 @@ def test_fiber_integral_modes(rng):
     R = CurvatureTensor(4, {k: float(v) for k, v in R.components.items()})
     iso = IsometryNormalForm(4, 2, (0.8,))
     for t in (0.1, 1.0):
-        cf = fiber_integral(R, iso, t, "closed-form")
-        qd = fiber_integral(R, iso, t, "quadrature")
+        body = mehler_body(R, t)
+        cf = body.scale(fiber_integral(iso, t, "closed-form"))
+        qd = body.scale(fiber_integral(iso, t, "quadrature"))
         keys = set(cf.terms) | set(qd.terms)
         err = max(abs(cf.coefficient(*k) - qd.coefficient(*k)) for k in keys)
         assert err < 1e-6
@@ -204,6 +206,56 @@ def test_index_density_matches_full_exponential(n, rng):
             got = local_index_density(R, iso)
             assert type(got) is Fraction
             assert got == _density_by_full_exp(R, iso)
+
+
+def _reorder_sign(a, b):
+    """Sign of sorting the concatenation of increasing words a, b."""
+    swaps = 0
+    a >>= 1
+    while a:
+        swaps += (a & b).bit_count()
+        a >>= 1
+    return -1 if swaps & 1 else 1
+
+
+def _density_by_pairing(R, iso):
+    """The index density as computed before the subset recursion: the
+    power m = a/2 of the tangent words of Rdot on integer numerators,
+    its top coefficient read by pairing x^ceil(m/2) with x^floor(m/2) on
+    complementary words, divided by m! (2D)^m."""
+    tan = (1 << iso.a) - 1
+    rdot = {(s, t): Fraction(c)
+            for (s, t), c in curvature_bivector(R).terms.items()
+            if not (s | t) & ~tan}
+    m = iso.a // 2
+    coeff = Fraction(1) if m == 0 else Fraction(0)
+    if m and rdot:
+        D = math.lcm(*(c.denominator for c in rdot.values()))
+        nums = {w: int(c * D) for w, c in rdot.items()}
+        low = {(0, 0): 1}
+        for _ in range(m // 2):
+            low = _product(low, nums, 0, 0)
+        high = _product(low, nums, 0, 0) if m % 2 else low
+        top = 0
+        for (s, t), c in high.items():
+            c2 = low.get((tan ^ s, tan ^ t))
+            if c2:
+                sign = _reorder_sign(s, tan ^ s) * _reorder_sign(t, tan ^ t)
+                top += sign * c * c2
+        coeff = Fraction(top, math.factorial(m) * (2 * D) ** m)
+    pref = Fraction((-1) ** (iso.n // 2) * (1 << iso.n))
+    pref *= Fraction(-1, 4) ** (iso.b // 2) * Fraction(1, 4) ** (iso.a // 2)
+    return pref * coeff
+
+
+@pytest.mark.parametrize("n,a", [(4, 4), (6, 6), (6, 4), (8, 8), (8, 6)])
+def test_index_density_recursion_matches_pairing(n, a, rng):
+    iso = IsometryNormalForm(n, a, tuple(0.4 + 0.5 * i
+                                         for i in range((n - a) // 2)))
+    for R in (random_curvature(n, rng), _sparse_curvature(n, rng)):
+        got = local_index_density(R, iso)
+        assert type(got) is Fraction
+        assert got == _density_by_pairing(R, iso)
 
 
 def _pushforward_by_minors(mat):

@@ -224,7 +224,6 @@ def test_torsion_requires_acyclic():
     cx = FiniteComplex(dims=(1, 1), d=[[[0.0]]])
     with pytest.raises(ValueError):
         log_finite_torsion(cx)
-    assert log_finite_torsion(cx, require_acyclic=False) == 0.0
 
 
 def test_variation_linear_path_exact():
