@@ -28,9 +28,9 @@ from .duhamel import (FiniteOperator, SimplexQuadrature, iterated_commutator,
                       commutator_expansion, remainder_operator,
                       duhamel_series, direct_supertrace, sigma_supertrace)
 from .spectral import (SpectralModel, IsometryAction, FiniteComplex,
-                       TailBoundExceeded, heat_supertrace,
-                       tail_bound, lefschetz_number, fixed_point_prediction,
-                       finite_torsion, torsion_variation)
+                       heat_supertrace, tail_bound, lefschetz_number,
+                       fixed_point_prediction, finite_torsion,
+                       torsion_variation)
 from .scenario import ScenarioConfig, ScenarioError, parse_scenario
 from .report import CheckRecord, Report, emit
 from .suites import run_suite

@@ -194,7 +194,7 @@ def commutator_expansion(h: FiniteOperator, b: FiniteOperator, s: float,
 
 
 def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
-                       N: int, tol: float = 1e-11) -> FiniteOperator:
+                       N: int) -> FiniteOperator:
     """The exact N-th remainder (-1)^N s^N B^[N](s) by simplex quadrature.
 
     B^[N](s) integrates exp(-u_1 s H) B^[N] exp(-(1-u_1) s H) over the
@@ -208,7 +208,7 @@ def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
         u1 = float(node[0])
         return expm(-u1 * s * h.mat) @ bN.mat @ expm(-(1.0 - u1) * s * h.mat)
 
-    total = adaptive_simplex_integral(N, integrand, tol=tol, max_index=13)
+    total = adaptive_simplex_integral(N, integrand, tol=1e-11, max_index=13)
     return FiniteOperator(((-1) ** N) * (s ** N) * total)
 
 
@@ -235,8 +235,7 @@ def direct_supertrace(h: FiniteOperator, L: FiniteOperator,
 
 
 def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
-                   phi: FiniteOperator, t: float, K: int, grading,
-                   tol: float = 1e-9) -> float:
+                   phi: FiniteOperator, t: float, K: int, grading) -> float:
     """Truncated interleaved-heat-factor series for the supertrace.
 
     sum_{k<=K} (-t)^k int over the k-simplex of
@@ -263,7 +262,7 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
                 mat = mat @ L.mat @ heat(round(float(node[i]), 15))
             return _supertrace(mat, g)
 
-        term = adaptive_simplex_integral(k, integrand, tol=tol)
+        term = adaptive_simplex_integral(k, integrand)
         total += ((-t) ** k) * term
     return total
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 __all__ = ["CheckRecord", "Report", "emit"]
 
@@ -20,8 +19,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, (int, Fraction)):
-        return str(value)
+    if hasattr(value, "to_text"):   # the canonical form of an algebra element
+        return value.to_text()
     return str(value)
 
 

@@ -27,15 +27,11 @@ import numpy as np
 from . import _kernels
 
 __all__ = [
-    "SpectralModel", "IsometryAction", "FiniteComplex", "TailBoundExceeded",
-    "TorsionVariation", "check_pair", "heat_supertrace",
+    "SpectralModel", "IsometryAction", "FiniteComplex", "TorsionVariation",
+    "check_pair", "heat_supertrace",
     "tail_bound", "lefschetz_number", "fixed_point_prediction",
     "log_finite_torsion", "finite_torsion", "torsion_variation",
 ]
-
-
-class TailBoundExceeded(RuntimeError):
-    """Mode cutoff too small for the requested accuracy."""
 
 
 # the action kinds each model geometry takes
@@ -155,20 +151,13 @@ def _mode_sum(cutoff: int, action: IsometryAction, t: float) -> float:
     return float(_kernels.torus_supertrace(cutoff, vx, vy, False, t))
 
 
-def heat_supertrace(model: SpectralModel, action: IsometryAction, t: float,
-                    tol: float | None = None) -> float:
-    """Alternating-degree heat trace weighted by the isometry action.
-
-    Raises TailBoundExceeded when tol is given and the cutoff cannot
-    certify that accuracy at this t.
-    """
+def heat_supertrace(model: SpectralModel, action: IsometryAction,
+                    t: float) -> float:
+    """Alternating-degree heat trace weighted by the isometry action, over
+    the modes up to the cutoff; ``tail_bound`` bounds what it drops."""
     check_pair(model.geometry, action.kind)
     if t <= 0:
         raise ValueError("t must be positive")
-    if tol is not None:
-        bound = tail_bound(model, t)
-        if bound > tol:
-            raise TailBoundExceeded(f"tail bound {bound:.3e} exceeds {tol:.3e}")
     return _mode_sum(model.cutoff, action, t)
 
 

@@ -1,15 +1,21 @@
 """Named verification suites for the batch driver.
 
-Each check returns (expected, observed, tolerance, passed) and is
-wrapped so that an exception becomes a failing record instead of a
-crash.  All randomness flows from the config seed.
+Each suite yields its checks as data, in report order: a ``two-route``
+check computes one quantity along two independent routes, a
+``closed-form`` one compares one route with a literal, and a ``bound``
+one holds one route to a limit.  ``_run`` turns each check into a record,
+an exception into a failing one.  A suite draws a check's inputs only
+after the previous check has run; all randomness flows from the seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -20,132 +26,158 @@ from .report import CheckRecord, Report
 from .scalars import I
 from .scenario import ScenarioConfig
 
-__all__ = ["run_suite", "SUITE_RUNNERS"]
+__all__ = ["Check", "KINDS", "run_suite", "SUITE_RUNNERS"]
+
+KINDS = ("two-route", "closed-form", "bound")
 
 
-def _record(report: Report, name: str, inputs: str, fn):
+@dataclass(frozen=True)
+class Check:
+    """One verification: ``compare(*values)`` of the routes' values gives the
+    record's (expected, observed, tolerance, passed)."""
+
+    name: str
+    inputs: str
+    kind: str
+    routes: tuple
+    compare: Callable
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown check kind {self.kind!r}")
+        if len(self.routes) != (2 if self.kind == "two-route" else 1):
+            raise ValueError(f"a {self.kind} check has the wrong route count")
+
+
+def _run(check: Check) -> CheckRecord:
     try:
-        expected, observed, tol, passed = fn()
+        expected, observed, tol, passed = check.compare(
+            *(route() for route in check.routes))
     except Exception as exc:   # noqa: BLE001 - panics become failing records
         expected, observed, tol, passed = "", f"error: {exc}", "", False
-    report.add(CheckRecord(name, inputs, expected, observed, tol, bool(passed)))
+    return CheckRecord(check.name, check.inputs, expected, observed, tol,
+                       bool(passed))
 
 
-def _random_curvature(n: int, rng: random.Random, lo=-5, hi=5):
+# -- comparators ----------------------------------------------------------
+
+def _exact(expected, observed):
+    return expected, observed, 0, expected == observed
+
+
+def _near(tol):
+    """observed within tol of expected"""
+    def compare(expected, observed):
+        return expected, observed, tol, abs(observed - expected) < tol
+    return compare
+
+
+def _gap(first, second) -> float:
+    """Largest absolute difference of two numbers, arrays or elements."""
+    if isinstance(first, Multivector):
+        return max((abs(first.coefficient(*k) - second.coefficient(*k))
+                    for k in set(first.terms) | set(second.terms)), default=0.0)
+    if isinstance(first, np.ndarray):
+        return float(np.max(np.abs(first - second)))
+    return abs(first - second)
+
+
+def _small(tol):
+    """the one route's value, or the gap between two routes, below tol"""
+    def compare(*values):
+        err = values[0] if len(values) == 1 else _gap(*values)
+        return 0.0, err, tol, err < tol
+    return compare
+
+
+def _random_curvature(n: int, rng: random.Random):
     comps = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(1, n + 1):
                 for l in range(k + 1, n + 1):
                     if (i, j) <= (k, l):
-                        comps[(i, j, k, l)] = Fraction(rng.randint(lo, hi))
+                        comps[(i, j, k, l)] = Fraction(rng.randint(-5, 5))
     return equivariant.CurvatureTensor(n, comps)
-
-
-def _config_curvature(cfg: ScenarioConfig, rng: random.Random, n: int):
-    if cfg.curvature:
-        return equivariant.CurvatureTensor(cfg.n, dict(cfg.curvature))
-    return _random_curvature(n, rng)
 
 
 # -- algebra --------------------------------------------------------------
 
-def _suite_algebra(cfg: ScenarioConfig, rng: random.Random, report: Report):
-    def table(n):
-        def fn():
-            expect_val = ((-1) ** (n // 2)) * (1 << n)
-            full = (1 << n) - 1
-            bad = 0
-            for cm in range(1 << n):
-                for hm in range(1 << n):
-                    word = CliffordElement(n, {(cm, hm): 1})
-                    want = expect_val if (cm == full and hm == full) else 0
-                    if supertrace(word, "matrix") != want:
-                        bad += 1
-                    if supertrace(word, "berezin") != want:
-                        bad += 1
-            return 0, bad, 0, bad == 0
-        return fn
+def _suite_algebra(cfg: ScenarioConfig, rng: random.Random):
+    for n in (2, 4):
+        words = [CliffordElement(n, {(cm, hm): 1})
+                 for cm in range(1 << n) for hm in range(1 << n)]
+        # the one nonzero supertrace, of the top word, is (-1)^{n/2} 2^n
+        want = [0] * (len(words) - 1) + [(-1) ** (n // 2) * (1 << n)]
+        yield Check(f"algebra/supertrace-table-n{n}", f"n={n}", "two-route",
+                    (lambda words=words: [supertrace(w, "matrix") for w in words],
+                     lambda words=words: [supertrace(w, "berezin") for w in words]),
+                    lambda *tables, want=want: _exact(0, sum(
+                        got != w for table in tables
+                        for got, w in zip(table, want))))
 
-    _record(report, "algebra/supertrace-table-n2", "n=2", table(2))
-    _record(report, "algebra/supertrace-table-n4", "n=4", table(4))
+    pairs = [(rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(25)]
 
-    def word_sign():
-        n = 4
-        ok = True
-        for _ in range(25):
-            i, j = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
-            x = Multivector(n, {(1 << (i - 1), 0): 1})
-            y = Multivector(n, {(1 << (j - 1), 0): 1})
-            if not (wedge(x, y) + wedge(y, x)).is_zero():
-                ok = False
-        return "0", "0" if ok else "nonzero", 0, ok
-    _record(report, "algebra/wedge-anticommutativity", "n=4 seeded pairs",
-            word_sign)
+    def anticommute():
+        gen = [Multivector(4, {(1 << i, 0): 1}) for i in range(4)]
+        ok = all((wedge(gen[i - 1], gen[j - 1])
+                  + wedge(gen[j - 1], gen[i - 1])).is_zero() for i, j in pairs)
+        return "0" if ok else "nonzero"
+    yield Check("algebra/wedge-anticommutativity", "n=4 seeded pairs",
+                "closed-form", (anticommute,), partial(_exact, "0"))
 
-    def density():
-        R = _random_curvature(4, rng)
-        iso = equivariant.IsometryNormalForm(4, 4, ())
-        lhs = equivariant.local_index_density(R, iso)
-        rhs = equivariant.euler_form(R, 4)
-        return str(rhs), str(lhs), 0, lhs == rhs
-    _record(report, "algebra/index-density-identity", "n=4 a=4 seeded R",
-            density)
+    R = _random_curvature(4, rng)
+    iso = equivariant.IsometryNormalForm(4, 4, ())
+    yield Check("algebra/index-density-identity", "n=4 a=4 seeded R",
+                "two-route", (lambda: equivariant.euler_form(R, 4),
+                              lambda: equivariant.local_index_density(R, iso)),
+                _exact)
 
 
 # -- fixed-point ----------------------------------------------------------
 
-def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random, report: Report):
+def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random):
     iso = cfg.isometry()   # cfg.validate() has checked that it builds
-    R = _config_curvature(cfg, rng, iso.n)
-    Rf = equivariant.CurvatureTensor(
-        R.n, {k: float(v) for k, v in R.components.items()})
+    R = (equivariant.CurvatureTensor(cfg.n, dict(cfg.curvature))
+         if cfg.curvature else _random_curvature(iso.n, rng))
     inputs = f"n={iso.n} a={iso.a} angles={list(iso.angles)}"
 
-    def paths():
-        A = CliffordElement(iso.n, {
-            ((1 << iso.n) - 1, (1 << iso.n) - 1): 1.0, (0, 0): 0.5})
-        s1 = equivariant.equivariant_supertrace(iso, A, "matrix")
-        s2 = equivariant.equivariant_supertrace(iso, A, "decomposition")
-        err = abs(s1 - s2)
-        return 0.0, err, cfg.tolerance, err < cfg.tolerance
-    _record(report, "fixed-point/supertrace-paths", inputs, paths)
+    A = CliffordElement(iso.n, {
+        ((1 << iso.n) - 1, (1 << iso.n) - 1): 1.0, (0, 0): 0.5})
+    yield Check("fixed-point/supertrace-paths", inputs, "two-route", (
+        lambda: equivariant.equivariant_supertrace(iso, A, "matrix"),
+        lambda: equivariant.equivariant_supertrace(iso, A, "decomposition")),
+        _small(cfg.tolerance))
+    yield Check("fixed-point/pushforward-oracle", inputs, "two-route", (
+        lambda: represent(equivariant.phi_tilde(iso)).astype(float),
+        lambda: equivariant.lambda_pushforward_oracle(iso)), _small(1e-12))
+    yield Check("fixed-point/index-density", inputs, "two-route", (
+        lambda: equivariant.euler_form(R.tangent_block(iso.a), iso.a),
+        lambda: equivariant.local_index_density(R, iso)), _exact)
 
-    def oracle():
-        mat = represent(equivariant.phi_tilde(iso)).astype(float)
-        want = equivariant.lambda_pushforward_oracle(iso)
-        err = float(np.max(np.abs(mat - want)))
-        return 0.0, err, 1e-12, err < 1e-12
-    _record(report, "fixed-point/pushforward-oracle", inputs, oracle)
+    if iso.b == 0:
+        yield Check("fixed-point/fiber-integral", inputs, "bound",
+                    (lambda: 0.0,), _small(1e-6))
+        return
+    t = cfg.t_grid[0]
 
-    def density():
-        lhs = equivariant.local_index_density(R, iso)
-        rhs = equivariant.euler_form(R.tangent_block(iso.a), iso.a)
-        return str(rhs), str(lhs), 0, lhs == rhs
-    _record(report, "fixed-point/index-density", inputs, density)
-
-    def fiber():
-        if iso.b == 0:
-            return 0.0, 0.0, 1e-6, True
-        t = cfg.t_grid[0]
-        body = equivariant.mehler_body(Rf, t)
-        cf = body.scale(equivariant.fiber_integral(iso, t, "closed-form"))
-        qd = body.scale(equivariant.fiber_integral(iso, t, "quadrature"))
-        keys = set(cf.terms) | set(qd.terms)
-        err = max((abs(cf.coefficient(*k) - qd.coefficient(*k))
-                   for k in keys), default=0.0)
-        return 0.0, err, 1e-6, err < 1e-6
-    _record(report, "fixed-point/fiber-integral", inputs, fiber)
+    def kernels(closed, quadrature):
+        # both Gaussian integrals scale the one Mehler body exp(t Rdot / 2)
+        body = equivariant.mehler_body(equivariant.CurvatureTensor(
+            R.n, {k: float(v) for k, v in R.components.items()}), t)
+        return _small(1e-6)(body.scale(closed), body.scale(quadrature))
+    yield Check("fixed-point/fiber-integral", inputs, "two-route", (
+        lambda: equivariant.fiber_integral(iso, t, "closed-form"),
+        lambda: equivariant.fiber_integral(iso, t, "quadrature")), kernels)
 
 
 # -- getzler --------------------------------------------------------------
 
-def _suite_getzler(cfg: ScenarioConfig, rng: random.Random, report: Report):
-    def model():
-        n = 4
-        R = _random_curvature(n, rng)
-        mo = getzler.model_operator(getzler.GradedDiffOp.d_t(n)
-                                    + getzler.weitzenbock(R))
+def _suite_getzler(cfg: ScenarioConfig, rng: random.Random):
+    n = 4
+    R = _random_curvature(n, rng)
+
+    def model_by_hand():
         z = (0,) * n
         terms = {(z, 0, 0, z, 1): 1}
         for j in range(n):
@@ -153,204 +185,177 @@ def _suite_getzler(cfg: ScenarioConfig, rng: random.Random, report: Report):
             terms[(z, 0, 0, d, 0)] = -1
         for (s, t), v in equivariant.curvature_bivector(R).terms.items():
             terms[(z, s, t, z, 0)] = Fraction(-v, 2)
-        want = getzler.GradedDiffOp(n, terms, kind="exterior")
-        return want.to_text(), mo.to_text(), 0, mo == want
-    _record(report, "getzler/model-operator", "n=4 seeded R", model)
+        return getzler.GradedDiffOp(n, terms, kind="exterior")
+    yield Check("getzler/model-operator", "n=4 seeded R", "two-route",
+                (model_by_hand,
+                 lambda: getzler.model_operator(getzler.GradedDiffOp.d_t(n)
+                                                + getzler.weitzenbock(R))),
+                _exact)
 
-    def orders():
-        n = 4
-        checks = [
-            (getzler.getzler_order(getzler.GradedDiffOp.d_x(n, 1)), 1),
-            (getzler.getzler_order(getzler.GradedDiffOp.word(n, 3, 12)), 2),
-            (getzler.getzler_order(getzler.GradedDiffOp.x_coord(n, 1)
-                                   * getzler.GradedDiffOp.d_t(n)), 1),
-        ]
-        ok = all(got == want for got, want in checks)
-        return "[1, 2, 1]", "[" + ", ".join(str(g) for g, _ in checks) + "]", 0, ok
-    _record(report, "getzler/order-examples", "n=4", orders)
+    op = getzler.GradedDiffOp
+    ops = (op.d_x(n, 1), op.word(n, 3, 12), op.x_coord(n, 1) * op.d_t(n))
+    yield Check("getzler/order-examples", "n=4", "closed-form",
+                (lambda: "[" + ", ".join(str(getzler.getzler_order(o))
+                                         for o in ops) + "]",),
+                partial(_exact, "[1, 2, 1]"))
 
-    def volterra():
-        q1 = getzler.VolterraSymbol.xi(2, 1)
-        q2 = getzler.VolterraSymbol.x(2, 1)
-        got = getzler.volterra_compose(q1, q2)
-        want = getzler.VolterraSymbol(2, {
-            ((1, 0), (1, 0), 0): 1,
-            ((0, 0), (0, 0), 0): -I})
-        return want.to_text(), got.to_text(), 0, got == want
-    _record(report, "getzler/volterra-example", "xi_1 o x_1", volterra)
+    yield Check("getzler/volterra-example", "xi_1 o x_1", "closed-form",
+                (lambda: getzler.volterra_compose(getzler.VolterraSymbol.xi(2, 1),
+                                                  getzler.VolterraSymbol.x(2, 1)),),
+                partial(_exact, getzler.VolterraSymbol(2, {
+                    ((1, 0), (1, 0), 0): 1, ((0, 0), (0, 0), 0): -I})))
 
-    def assoc():
-        def rand_sym():
-            terms = {}
-            for _ in range(4):
-                x = tuple(rng.randint(0, 1) for _ in range(2))
-                xi = tuple(rng.randint(0, 2) for _ in range(2))
-                terms[(x, xi, rng.randint(0, 1))] = rng.randint(-3, 3)
-            return getzler.VolterraSymbol(2, terms)
-        bad = 0
-        for _ in range(10):
-            a, b, c = rand_sym(), rand_sym(), rand_sym()
-            lhs = getzler.volterra_compose(getzler.volterra_compose(a, b), c)
-            rhs = getzler.volterra_compose(a, getzler.volterra_compose(b, c))
-            if lhs != rhs:
-                bad += 1
-        return 0, bad, 0, bad == 0
-    _record(report, "getzler/volterra-associativity", "seeded degree<=4", assoc)
+    def rand_sym():
+        terms = {}
+        for _ in range(4):
+            x = tuple(rng.randint(0, 1) for _ in range(2))
+            xi = tuple(rng.randint(0, 2) for _ in range(2))
+            terms[(x, xi, rng.randint(0, 1))] = rng.randint(-3, 3)
+        return getzler.VolterraSymbol(2, terms)
+    triples = [(rand_sym(), rand_sym(), rand_sym()) for _ in range(10)]
 
-    def lichnerowicz():
-        n, r = 4, 2
-        R = _random_curvature(n, rng)
-        def rmat():
-            return [[Fraction(rng.randint(-3, 3)) for _ in range(r)]
-                    for _ in range(r)]
-        data = equivariant.BundleVariationData(
-            n=n, omega=[rmat() for _ in range(n)],
-            nabla_omega={(i, j): rmat() for i in range(1, n + 1)
-                         for j in range(1, n + 1)})
-        split = getzler.lichnerowicz_split(R, data)
-        ok = all(split.identities.values())
-        return "all identities", str(split.identities), 0, ok
-    _record(report, "getzler/lichnerowicz-identities", "n=4 seeded data",
-            lichnerowicz)
+    def non_associative():
+        compose = getzler.volterra_compose
+        return sum(compose(compose(a, b), c) != compose(a, compose(b, c))
+                   for a, b, c in triples)
+    yield Check("getzler/volterra-associativity", "seeded degree<=4",
+                "closed-form", (non_associative,), partial(_exact, 0))
+
+    R_split = _random_curvature(n, rng)
+
+    def rmat():   # a seeded 2 x 2 End(F) matrix
+        return [[Fraction(rng.randint(-3, 3)) for _ in range(2)]
+                for _ in range(2)]
+    data = equivariant.BundleVariationData(
+        n=n, omega=[rmat() for _ in range(n)],
+        nabla_omega={(i, j): rmat() for i in range(1, n + 1)
+                     for j in range(1, n + 1)})
+    yield Check("getzler/lichnerowicz-identities", "n=4 seeded data",
+                "closed-form",
+                (lambda: getzler.lichnerowicz_split(R_split, data).identities,),
+                lambda ids: ("all identities", str(ids), 0,
+                             all(ids.values())))
 
 
 # -- duhamel --------------------------------------------------------------
 
-def _suite_duhamel(cfg: ScenarioConfig, rng: random.Random, report: Report):
+def _suite_duhamel(cfg: ScenarioConfig, rng: random.Random):
     nprng = np.random.default_rng(cfg.seed + 1)
 
     def brackets():
         H = duhamel.FiniteOperator(np.diag([0.0, 1.0]))
         B = duhamel.FiniteOperator([[0.0, 1.0], [1.0, 0.0]])
-        b1 = duhamel.iterated_commutator(H, B, 1)
-        b2 = duhamel.iterated_commutator(H, B, 2)
-        ok = (np.allclose(b1.mat, [[0, -1], [1, 0]])
-              and np.allclose(b2.mat, [[0, 1], [1, 0]]))
-        return "2x2 table", "match" if ok else "mismatch", 0, ok
-    _record(report, "duhamel/iterated-commutator", "2x2", brackets)
+        return "match" if all(np.allclose(
+            duhamel.iterated_commutator(H, B, k).mat, want) for k, want in
+            ((1, [[0, -1], [1, 0]]), (2, [[0, 1], [1, 0]]))) else "mismatch"
+    yield Check("duhamel/iterated-commutator", "2x2", "closed-form",
+                (brackets,), lambda got: ("2x2 table", got, 0, got == "match"))
+
+    N = 2
+    m6, b6 = nprng.standard_normal((6, 6)), nprng.standard_normal((6, 6))
 
     def slope():
-        N = 2
-        m = nprng.standard_normal((6, 6))
-        H = duhamel.FiniteOperator((m + m.T) / 2, hermitian=True)
-        B = duhamel.FiniteOperator(nprng.standard_normal((6, 6)))
+        H = duhamel.FiniteOperator((m6 + m6.T) / 2, hermitian=True)
+        B = duhamel.FiniteOperator(b6)
         ss = [2.0 ** (-e) for e in range(3, 11)]
         errs = [duhamel.commutator_expansion(H, B, s, N)[1] for s in ss]
-        fit = float(np.polyfit(np.log(ss), np.log(errs), 1)[0])
-        return float(N), fit, 0.1, abs(fit - N) < 0.1
-    _record(report, "duhamel/expansion-slope", "N=2 seeded 6x6", slope)
+        return float(np.polyfit(np.log(ss), np.log(errs), 1)[0])
+    yield Check("duhamel/expansion-slope", "N=2 seeded 6x6", "closed-form",
+                (slope,), partial(_near(0.1), float(N)))
 
-    def series():
-        d = 4
-        m = nprng.standard_normal((d, d))
-        H = duhamel.FiniteOperator((m + m.T) / 2 + 2 * np.eye(d),
-                                   hermitian=True)
-        L = duhamel.FiniteOperator(0.5 * nprng.standard_normal((d, d)))
-        C = duhamel.FiniteOperator(nprng.standard_normal((d, d)))
-        Phi = duhamel.FiniteOperator(nprng.standard_normal((d, d)))
-        grading = np.array([1.0, 1.0, -1.0, -1.0])
-        t, K = 0.1, 3
-        approx = duhamel.duhamel_series(H, L, C, Phi, t, K, grading)
-        direct = duhamel.direct_supertrace(H, L, C, Phi, t, grading)
-        bound = 1e-4 * L.norm() ** (K + 1)
-        err = abs(approx - direct)
-        return 0.0, err, bound, err < bound
-    _record(report, "duhamel/series-vs-direct", "K=3 t=0.1 seeded 4x4", series)
+    d, t, K = 4, 0.1, 3
+    m4 = nprng.standard_normal((d, d))
+    H = duhamel.FiniteOperator((m4 + m4.T) / 2 + 2 * np.eye(d), hermitian=True)
+    L = duhamel.FiniteOperator(0.5 * nprng.standard_normal((d, d)))
+    C = duhamel.FiniteOperator(nprng.standard_normal((d, d)))
+    Phi = duhamel.FiniteOperator(nprng.standard_normal((d, d)))
+    g4 = np.array([1.0, 1.0, -1.0, -1.0])
+    yield Check("duhamel/series-vs-direct", "K=3 t=0.1 seeded 4x4", "two-route",
+                (lambda: duhamel.duhamel_series(H, L, C, Phi, t, K, g4),
+                 lambda: duhamel.direct_supertrace(H, L, C, Phi, t, g4)),
+                _small(1e-4 * L.norm() ** (K + 1)))
+
+    g3 = np.array([1.0, -1.0, 1.0])
+    even, odd = (duhamel.FiniteOperator(nprng.standard_normal((3, 3)))
+                 for _ in range(2))
+    want = float(np.real(np.sum(g3 * np.diag(odd.mat))))
 
     def sigma():
-        d = 3
-        grading = np.array([1.0, -1.0, 1.0])
-        A = duhamel.FiniteOperator(nprng.standard_normal((d, d)))
-        B = duhamel.FiniteOperator(nprng.standard_normal((d, d)))
-        z = duhamel.FiniteOperator.zero(d)
-        v0 = duhamel.sigma_supertrace(getzler.SigmaExtendedOp(A, z), grading)
-        vb = duhamel.sigma_supertrace(getzler.SigmaExtendedOp(z, B), grading)
-        want = float(np.real(np.sum(grading * np.diag(B.mat))))
-        prod = getzler.SigmaExtendedOp(z, B) * getzler.SigmaExtendedOp(z, A)
-        vp = duhamel.sigma_supertrace(prod, grading)
-        ok = v0 == 0.0 and abs(vb - want) < 1e-12 and vp == 0.0
-        return "(0, Str[B], 0)", f"({v0}, {vb}, {vp})", 1e-12, ok
-    _record(report, "duhamel/sigma-supertrace", "seeded 3x3", sigma)
+        z, pair = duhamel.FiniteOperator.zero(3), getzler.SigmaExtendedOp
+        return [duhamel.sigma_supertrace(p, g3) for p in (
+            pair(even, z), pair(z, odd), pair(z, odd) * pair(z, even))]
+    yield Check("duhamel/sigma-supertrace", "seeded 3x3", "closed-form",
+                (sigma,), lambda v: (
+                    "(0, Str[B], 0)", f"({v[0]}, {v[1]}, {v[2]})", 1e-12,
+                    v[0] == 0.0 and abs(v[1] - want) < 1e-12 and v[2] == 0.0))
 
 
 # -- spectral -------------------------------------------------------------
 
-def _suite_spectral(cfg: ScenarioConfig, rng: random.Random, report: Report):
+def _suite_spectral(cfg: ScenarioConfig, rng: random.Random):
     # cfg.validate() has checked that both build
     model = spectral.SpectralModel(cfg.geometry, cfg.cutoff)
     action = spectral.IsometryAction(cfg.action_kind, cfg.action_params)
     inputs = f"{cfg.geometry} {action.kind}{list(action.params)} cutoff={cfg.cutoff}"
-    want = spectral.fixed_point_prediction(cfg.geometry, action)
+    near_want = partial(_near(cfg.tolerance),
+                        spectral.fixed_point_prediction(cfg.geometry, action))
 
-    values = []
+    values = []   # one mode sum per t, read again by t-constancy
+
+    def heat(t):
+        values.append(spectral.heat_supertrace(model, action, t))
+        return values[-1]
     for t in cfg.t_grid:
-        def one(t=t):
-            val = spectral.heat_supertrace(model, action, t)
-            values.append(val)
-            err = abs(val - want)
-            return want, val, cfg.tolerance, err < cfg.tolerance
-        _record(report, f"spectral/supertrace/t={t:.6g}", inputs, one)
+        yield Check(f"spectral/supertrace/t={t:.6g}", inputs, "closed-form",
+                    (partial(heat, t),), near_want)
+        yield Check(f"spectral/tail-bound/t={t:.6g}", inputs, "bound",
+                    (partial(spectral.tail_bound, model, t),), _small(1e-12))
 
-        def tail(t=t):
-            bound = spectral.tail_bound(model, t)
-            return 0.0, bound, 1e-12, bound < 1e-12
-        _record(report, f"spectral/tail-bound/t={t:.6g}", inputs, tail)
-
-    def lefschetz():
-        val = spectral.lefschetz_number(model, action)
-        return want, val, cfg.tolerance, abs(val - want) < cfg.tolerance
-    _record(report, "spectral/lefschetz", inputs, lefschetz)
-
-    def constancy():
-        if not values:
-            return 0.0, float("nan"), 1e-9, False
-        spread = max(values) - min(values)
-        return 0.0, spread, 1e-9, spread < 1e-9
-    _record(report, "spectral/t-constancy", inputs, constancy)
+    yield Check("spectral/lefschetz", inputs, "closed-form",
+                (partial(spectral.lefschetz_number, model, action),), near_want)
+    yield Check("spectral/t-constancy", inputs, "bound",
+                (lambda: max(values) - min(values) if values else float("nan"),),
+                _small(1e-9))
 
 
 # -- torsion --------------------------------------------------------------
 
-def _suite_torsion(cfg: ScenarioConfig, rng: random.Random, report: Report):
+def _suite_torsion(cfg: ScenarioConfig, rng: random.Random):
     nprng = np.random.default_rng(cfg.seed + 2)
+    yield Check("torsion/closed-form", "d=diag(2)", "closed-form",
+                (lambda: spectral.finite_torsion(spectral.FiniteComplex(
+                    (1, 1), [np.array([[2.0]])])),),
+                partial(_near(1e-14), 0.5))
 
-    def closed_form():
-        cx = spectral.FiniteComplex((1, 1), [np.array([[2.0]])])
-        tau = spectral.finite_torsion(cx)
-        return 0.5, tau, 1e-14, abs(tau - 0.5) < 1e-14
-    _record(report, "torsion/closed-form", "d=diag(2)", closed_form)
+    dims = (2, 4, 2)
+    d0 = nprng.standard_normal((4, 2))
+    q, _ = np.linalg.qr(np.hstack([d0, nprng.standard_normal((4, 2))]))
+    proj = np.eye(4) - q[:, :2] @ q[:, :2].T
+    d1 = (q[:, 2:].T + 0.3 * nprng.standard_normal((2, 4))) @ proj
+    Us = [[np.linalg.qr(nprng.standard_normal((dim, dim)))[0] for dim in dims]
+          for _ in range(4)]
+    # log torsion sums logs of Laplacian eigenvalues, whose rounding error
+    # grows with the Laplacians' condition number: the square of the
+    # differentials' singular-value ratio
+    sv = np.concatenate([np.linalg.svd(d, compute_uv=False) for d in (d0, d1)])
+    sv = sv[sv > sv.max() * len(sv) * np.finfo(float).eps]
+    tol = max(1e-12, 64 * np.finfo(float).eps * (sv.max() / sv.min()) ** 2)
 
-    def invariance():
-        d0 = nprng.standard_normal((4, 2))
-        q, _ = np.linalg.qr(np.hstack([d0, nprng.standard_normal((4, 2))]))
-        proj = np.eye(4) - q[:, :2] @ q[:, :2].T
-        d1 = (q[:, 2:].T + 0.3 * nprng.standard_normal((2, 4))) @ proj
-        cx = spectral.FiniteComplex((2, 4, 2), [d0, d1])
-        # log torsion sums logs of Laplacian eigenvalues, whose rounding
-        # error grows with the Laplacians' condition number: the square of
-        # the differentials' singular-value ratio
-        sv = np.concatenate([np.linalg.svd(d, compute_uv=False) for d in cx.d])
-        sv = sv[sv > sv.max() * len(sv) * np.finfo(float).eps]
-        tol = max(1e-12, 64 * np.finfo(float).eps * (sv.max() / sv.min()) ** 2)
-        base = spectral.log_finite_torsion(cx)
-        worst = 0.0
-        for _ in range(4):
-            Us = [np.linalg.qr(nprng.standard_normal((dim, dim)))[0]
-                  for dim in cx.dims]
-            cx2 = spectral.FiniteComplex(
-                cx.dims, [Us[i + 1] @ cx.d[i] @ Us[i].T for i in range(2)])
-            worst = max(worst, abs(spectral.log_finite_torsion(cx2) - base))
-        return 0.0, worst, tol, worst < tol
-    _record(report, "torsion/unitary-invariance", "seeded (2,4,2) complex",
-            invariance)
+    def worst_change():
+        base = spectral.log_finite_torsion(spectral.FiniteComplex(dims, [d0, d1]))
+        return max(0.0, *(abs(spectral.log_finite_torsion(spectral.FiniteComplex(
+            dims, [U[1] @ d0 @ U[0].T, U[2] @ d1 @ U[1].T])) - base) for U in Us))
+    yield Check("torsion/unitary-invariance", "seeded (2,4,2) complex", "bound",
+                (worst_change,), _small(tol))
 
     def variation():
         cx = spectral.FiniteComplex((1, 1), [np.array([[2.0]])])
-        def path(e):
-            return [np.array([[math.exp(2 * e)]]), np.eye(1)]
-        tv = spectral.torsion_variation(cx, path, 0.3)
-        return tv.trace_formula, tv.finite_difference, 1e-7, tv.residual < 1e-7
-    _record(report, "torsion/variation-residual", "exp metric path", variation)
+        return spectral.torsion_variation(
+            cx, lambda e: [np.array([[math.exp(2 * e)]]), np.eye(1)], 0.3)
+    # both sides come from the one torsion_variation call
+    yield Check("torsion/variation-residual", "exp metric path", "bound",
+                (variation,),
+                lambda tv: _near(1e-7)(tv.trace_formula, tv.finite_difference))
 
 
 SUITE_RUNNERS = {
@@ -363,14 +368,16 @@ SUITE_RUNNERS = {
 }
 
 
+def _checks(cfg: ScenarioConfig):
+    """The checks of a validated config, in report order."""
+    rng = random.Random(cfg.seed)
+    for name in SUITE_RUNNERS if cfg.suite == "all" else (cfg.suite,):
+        yield from SUITE_RUNNERS[name](cfg, rng)
+
+
 def run_suite(cfg: ScenarioConfig) -> Report:
     cfg.validate()
     report = Report(cfg.suite, cfg.seed)
-    rng = random.Random(cfg.seed)
-    if cfg.suite == "all":
-        for name in ("algebra", "fixed-point", "getzler", "duhamel",
-                     "spectral", "torsion"):
-            SUITE_RUNNERS[name](cfg, rng, report)
-    else:
-        SUITE_RUNNERS[cfg.suite](cfg, rng, report)
+    for check in _checks(cfg):
+        report.add(_run(check))
     return report

@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -25,3 +27,19 @@ def gen_chat(n, i):
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@contextmanager
+def profiled():
+    """The code objects of the Python functions entered inside the block."""
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        yield reached
+    finally:
+        sys.setprofile(None)

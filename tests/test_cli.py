@@ -142,6 +142,15 @@ def test_huge_exponent_rejected_at_once(tmp_path):
     assert cfg.curvature[(1, 2, 1, 2)] == -1500
 
 
+def test_curvature_past_float_range_fails_one_record(tmp_path):
+    # exact routes take 10^999; the fiber integral's float body cannot
+    report = run_suite(parse_scenario(write_scn(
+        tmp_path, "suite fixed-point\nn 4\na 2\nR 1 2 1 2 1e999\n")))
+    failed = {r.name: r.observed for r in report.records if not r.passed}
+    assert list(failed) == ["fixed-point/fiber-integral"]
+    assert failed["fixed-point/fiber-integral"].startswith("error: ")
+
+
 # -- report serialization ------------------------------------------------
 
 def sample_report():

@@ -13,11 +13,12 @@ starts to reach while it is still listed.
 import importlib
 import inspect
 import pkgutil
-import sys
 from pathlib import Path
 
 import heatchern
 from heatchern import cli
+
+from conftest import profiled
 
 SCENARIOS = sorted(
     (Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
@@ -65,18 +66,11 @@ def public_functions() -> dict:
 
 def _reached_codes(tmp_path) -> set:
     reached = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            reached.add(frame.f_code)
-
     for scenario in SCENARIOS:
-        sys.setprofile(profile)
-        try:
+        with profiled() as codes:
             cli.main(["verify", "--config", str(scenario), "--seed", "0",
                       "--out", str(tmp_path / f"{scenario.stem}.txt")])
-        finally:
-            sys.setprofile(None)
+        reached |= codes
     return reached
 
 
