@@ -27,9 +27,10 @@ import numpy as np
 
 from .clifford import CliffordElement, clifford_multiply, supertrace, symbol_map
 from .multivector import (
-    BigradeSplit, Multivector, _popcount, _suffix_parity, berezin, exp_even,
-    grade_component, wedge,
+    BigradeSplit, Multivector, _popcount, _product, _suffix_parity, berezin,
+    exp_even, grade_component, wedge,
 )
+from .scalars import BackendMismatch
 
 __all__ = [
     "IsometryNormalForm", "CurvatureTensor", "BundleVariationData",
@@ -378,14 +379,6 @@ def curvature_form_matrix(R: CurvatureTensor, a: int):
     return out
 
 
-def _entry(matrix: dict, i: int, j: int, a: int, zero: Multivector):
-    if i == j:
-        return zero
-    if i < j:
-        return matrix.get((i, j), zero)
-    return -matrix.get((j, i), zero)
-
-
 def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
     """Expansion of a Pfaffian of commuting even forms along its first row.
 
@@ -395,38 +388,64 @@ def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
     (i,j), i<j, to entries; antisymmetry below the diagonal is implied.
     A minor (remaining indices, marked entry used or not) is reached along
     several paths of the expansion and is computed once.
+
+    It runs on integer numerators: every entry is scaled by D, the lcm of
+    the denominators of all coefficients of base and marked, to an int
+    word dict.  Each term of the expansion is a product of exactly a/2
+    entries, so the integer result is D^(a/2) times the Pfaffian, and one
+    division by D^(a/2) at the end is exact.  Coefficients must be ints or
+    Fractions; a float raises ``BackendMismatch``.
     """
-    zero = Multivector.zero(a)
+    matrices = (base, marked or {})
+    for matrix in matrices:
+        for key, e in matrix.items():
+            if e.n != a:
+                raise ValueError(f"entry {key} has n={e.n}, not {a}")
+            for c in e.terms.values():
+                if not isinstance(c, (int, Fraction)):
+                    raise BackendMismatch(f"Pfaffian entry coefficient {c!r} "
+                                          "is not an int or a Fraction")
+    D = math.lcm(*(c.denominator for matrix in matrices
+                   for e in matrix.values() for c in e.terms.values()))
+    base_nums, marked_nums = (
+        {key: {w: c.numerator * (D // c.denominator) for w, c in e.terms.items()}
+         for key, e in matrix.items() if e.terms}
+        for matrix in matrices)
 
     @functools.cache
     def rec(indices, used_marked):
         if not indices:
-            return Multivector.scalar(a, Fraction(1)) if used_marked else zero
+            return {(0, 0): 1} if used_marked else {}
         i0 = indices[0]
         rest = indices[1:]
-        total = zero
+        # (entries, whether the minor has used the marked entry)
+        sources = (((base_nums, True),) if used_marked
+                   else ((marked_nums, True), (base_nums, False)))
+        total = {}
         for pos, j in enumerate(rest):
             sub_rest = tuple(x for x in rest if x != j)
             sign = -1 if pos & 1 else 1
-            if not used_marked:
-                m = _entry(marked, i0, j, a, zero)
-                if not m.is_zero():
-                    term = wedge(m, rec(sub_rest, True))
-                    total = total + (term if sign > 0 else -term)
-            e = _entry(base, i0, j, a, zero)
-            if not e.is_zero():
-                term = wedge(e, rec(sub_rest, used_marked))
-                total = total + (term if sign > 0 else -term)
-        return total
+            for nums, used in sources:
+                e = nums.get((i0, j))
+                if e:
+                    for w, c in _product(e, rec(sub_rest, used), 0, 0).items():
+                        total[w] = total.get(w, 0) + sign * c
+        return {w: c for w, c in total.items() if c}
 
-    return rec(tuple(range(1, a + 1)), marked is None)
+    top = rec(tuple(range(1, a + 1)), marked is None)
+    scale = D ** (a // 2)
+    return Multivector(a, {w: Fraction(c, scale) for w, c in top.items()})
 
 
 def pfaffian(matrix: dict, a: int) -> Multivector:
     """Pfaffian of an antisymmetric matrix of commuting even forms.
 
     matrix maps (i,j) with i<j to Multivector entries on a tangent
-    indices; implied antisymmetry below the diagonal.
+    indices, with int or Fraction coefficients; implied antisymmetry
+    below the diagonal.  The expansion runs on the entries times D, the
+    lcm of their denominators; the Pfaffian is homogeneous of degree a/2
+    in the entries, so it comes out D^(a/2) times too large, and one exact
+    division by D^(a/2) gives it back.
     """
     if a % 2:
         raise ValueError("Pfaffian needs even dimension")
@@ -437,7 +456,11 @@ def euler_form(R: CurvatureTensor, a: int | None = None):
     """Pf[-R / 2 pi] of the tangent block, in pi units.
 
     Returns the coefficient of the tangent volume form e^1..e^a, as the
-    exact coefficient of pi^{-a/2}.
+    exact coefficient of pi^{-a/2}.  The Pfaffian of the curvature forms
+    runs on integer numerators: the components are scaled by D, the lcm of
+    their denominators, each term is a product of a/2 entries, and one
+    division by D^(a/2) is exact.  R must be exact; a float component
+    raises ``BackendMismatch``.
     """
     if a is None:
         a = R.n
@@ -513,16 +536,14 @@ def transgression(R: CurvatureTensor, sdot: dict, a: int) -> Multivector:
     """Directional derivative of Pf[-(R + b Sdot)/2 pi] at b = 0, in pi units.
 
     sdot maps (i,j), i<j, to form-valued entries (antisymmetric implied);
-    computed by multilinear expansion, one marked entry per term.
+    computed by multilinear expansion, one marked entry per term, on the
+    integer numerators of R and Sdot together (see ``_pfaffian_expansion``).
     """
     if a % 2:
         raise ValueError("transgression needs even tangent dimension")
-    sdot_mv = {}
-    for (i, j), v in sdot.items():
-        if i >= j:
-            raise ValueError("sdot keys must have i < j")
-        sdot_mv[(i, j)] = v
-    dpf = _pfaffian_expansion(curvature_form_matrix(R, a), sdot_mv, a)
+    if any(i >= j for i, j in sdot):
+        raise ValueError("sdot keys must have i < j")
+    dpf = _pfaffian_expansion(curvature_form_matrix(R, a), sdot, a)
     return dpf.scale(Fraction(-1, 2) ** (a // 2))
 
 

@@ -80,6 +80,15 @@ def test_criterion_02_index_density_polynomial_identity():
     if local_index_density(R, IsometryNormalForm(10, 10)) != euler_form(R, 10):
         ok = False
     checked += 1
+    # and one on sparse curvature with denominators 2 and 3, on a third seed
+    sparse_rng = random.Random(11)
+    R = CurvatureTensor(10, {
+        k: v / sparse_rng.choice([2, 3])
+        for k, v in random_curvature(10, sparse_rng).components.items()
+        if sparse_rng.random() < 0.3})
+    if local_index_density(R, IsometryNormalForm(10, 10)) != euler_form(R, 10):
+        ok = False
+    checked += 1
     elapsed = time.time() - t0
     _line(2, ok and checked >= 100 and elapsed < 300,
           f"{checked} exact rational identities, {elapsed:.1f}s")

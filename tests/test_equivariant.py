@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    supertrace_decomposition, theta_form,
                                    transgression)
 from heatchern.multivector import (Multivector, _product, berezin,
-                                   exp_even, grade_component)
+                                   exp_even, grade_component, wedge)
+from heatchern.scalars import BackendMismatch
 
 from conftest import random_curvature
 
@@ -308,6 +310,66 @@ def test_transgression_surface_example():
     R = CurvatureTensor(2, {(1, 2, 1, 2): Fraction(9)})
     s = {(1, 2): Multivector(2, {(1, 0): Fraction(4)})}
     assert transgression(R, s, 2) == Multivector(2, {(1, 0): Fraction(-2)})
+
+
+def _pfaffian_by_rows(base, marked, a):
+    """The first-row Pfaffian expansion as computed before integer
+    numerators: whole ``Multivector`` minors with ``Fraction``
+    coefficients, summed by ``+``.  With marked None it is Pf(base),
+    otherwise the sum with exactly one entry taken from marked."""
+    zero = Multivector.zero(a)
+
+    @functools.cache
+    def rec(indices, used_marked):
+        if not indices:
+            return Multivector.scalar(a, Fraction(1)) if used_marked else zero
+        i0, rest = indices[0], indices[1:]
+        total = zero
+        for pos, j in enumerate(rest):
+            sub_rest = tuple(x for x in rest if x != j)
+            sign = -1 if pos & 1 else 1
+            if not used_marked and (i0, j) in marked:
+                total += wedge(marked[i0, j], rec(sub_rest, True)).scale(sign)
+            if (i0, j) in base:
+                total += wedge(base[i0, j], rec(sub_rest, used_marked)).scale(sign)
+        return total
+
+    return rec(tuple(range(1, a + 1)), marked is None)
+
+
+def _marked_entries(a, rng):
+    """Entry (1, 2) and about half of the others, on denominators 5 and 7."""
+    return {(i, j): Multivector(a, {(rng.randrange(1, 1 << a), 0):
+                                    Fraction(rng.randint(-9, 9),
+                                             rng.choice([5, 7]))})
+            for i in range(1, a + 1) for j in range(i + 1, a + 1)
+            if (i, j) == (1, 2) or rng.random() < 0.5}
+
+
+@pytest.mark.parametrize("a", [2, 4, 6, 8])
+def test_pfaffian_routes_match_row_oracle(a, rng):
+    top = (1 << a) - 1
+    for R in (random_curvature(a, rng), _sparse_curvature(a, rng)):
+        base = curvature_form_matrix(R, a)
+        pf = _pfaffian_by_rows(base, None, a)
+        assert pfaffian(base, a) == pf
+        assert euler_form(R, a) == Fraction(-1, 2) ** (a // 2) * pf.coefficient(top, 0)
+        sdot = _marked_entries(a, rng)
+        got = transgression(R, sdot, a)
+        assert got == _pfaffian_by_rows(base, sdot, a).scale(Fraction(-1, 2) ** (a // 2))
+        assert all(type(c) is Fraction for c in (*pf.terms.values(), *got.terms.values()))
+
+
+def test_pfaffian_routes_refuse_float_coefficients():
+    R = CurvatureTensor(2, {(1, 2, 1, 2): 0.5})
+    with pytest.raises(BackendMismatch, match="0.5"):
+        euler_form(R, 2)
+    with pytest.raises(BackendMismatch, match="0.25"):
+        pfaffian({(1, 2): Multivector(2, {(0, 0): 0.25})}, 2)
+    exact = CurvatureTensor(2, {(1, 2, 1, 2): Fraction(1, 2)})
+    with pytest.raises(BackendMismatch, match="0.1") as exc:
+        transgression(exact, {(1, 2): Multivector(2, {(3, 0): 0.1})}, 2)
+    assert "\n" not in str(exc.value)
 
 
 def test_hodge_variation_operator():

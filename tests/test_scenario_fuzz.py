@@ -1,10 +1,15 @@
 """Random scenario text: ``parse_scenario`` and ``validate()`` either accept
-it or raise ``ScenarioError``, and never take long doing so."""
+it or raise ``ScenarioError``, and never take long doing so; ``verify`` on
+it exits 0, 1 or 2 and never with a traceback."""
+
+import contextlib
+import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from heatchern.cli import main
 from heatchern.scenario import ScenarioError, parse_scenario
 
 KEYS = ("suite", "n", "a", "angles", "R", "curvature", "geometry", "action",
@@ -71,3 +76,56 @@ def test_random_bytes_raise_only_scenario_errors(scenario_dir, data):
     path = scenario_dir / "bytes.scn"
     path.write_bytes(data)
     _parse_and_validate(path)
+
+
+# scenarios that validate and run quickly: small n and a small mode cutoff
+SMALL_BASES = ("suite all\nn 2\na 0\nangles 1.0\ncutoff 4\nt-grid 0.5\n",
+               "suite fixed-point\nn 4\na 2\nangles 0.8\n",
+               "suite spectral\ngeometry torus\naction translation 0.3 0.2\n"
+               "cutoff 4\n",
+               "suite torsion\n", "suite getzler\n", "suite duhamel\n")
+# lines that often keep a scenario valid, so that most examples reach verify
+PLAUSIBLE = tuple(f"suite {name}" for name in ("all", "algebra", "fixed-point",
+                                              "getzler", "duhamel", "spectral",
+                                              "torsion"))
+PLAUSIBLE += ("geometry torus", "geometry sphere", "action minus-id",
+              "action rotation 3pi/4", "action translation 1e-300 pi",
+              "format json", "format csv")
+values = st.one_of(numbers, st.sampled_from(("pi", "-pi/2", "3pi/4", "1e-300",
+                                             "5/2", "nan", "inf")))
+plausible_lines = st.one_of(
+    st.tuples(st.sampled_from(("n", "a", "cutoff", "seed")),
+              st.integers(-1, 8)).map(lambda kv: f"{kv[0]} {kv[1]}"),
+    st.floats(1e-300, 1e3).map(lambda v: f"tolerance {v!r}"),
+    st.tuples(st.sampled_from(("angles", "t-grid")),
+              st.lists(values, min_size=1, max_size=3)).map(
+        lambda kv: " ".join((kv[0],) + tuple(kv[1]))),
+    st.sampled_from(PLAUSIBLE),
+    st.tuples(st.lists(st.integers(1, 4), min_size=4, max_size=4),
+              values).map(
+        lambda r: "R " + " ".join(map(str, r[0])) + f" {r[1]}"),
+)
+
+
+@settings(max_examples=60, deadline=2000)
+@given(base=st.sampled_from(SMALL_BASES),
+       body=st.lists(plausible_lines, max_size=4))
+def test_validated_scenarios_run_without_traceback(scenario_dir, base, body):
+    path = scenario_dir / "run.scn"
+    path.write_text(base + "\n".join(body) + "\n", encoding="utf-8")
+    try:
+        cfg = parse_scenario(str(path))
+        cfg.validate()
+    except ScenarioError:
+        reject()    # the two tests above cover what validate() refuses
+    # a random line may raise n or the cutoff past what fits in tier-1 time
+    assume(cfg.n <= 6 and cfg.cutoff <= 40)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--config", str(path),
+                     "--out", str(scenario_dir / "run.out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
