@@ -7,21 +7,23 @@ models, driven by a batch CLI.
 """
 
 from .scalars import EXACT, FLOAT, BackendMismatch, CFrac, I
-from .multivector import (Multivector, BigradeSplit, wedge, grade_component,
-                          berezin, exp_even)
+from .multivector import (Multivector, wedge, grade_component, berezin,
+                          exp_even)
 from .clifford import (CliffordElement, clifford_multiply, represent,
-                       apply_to_basis, symbol_map, supertrace)
+                       apply_to_basis, symbol_map, supertrace,
+                       berezin_supertrace)
 from .equivariant import (IsometryNormalForm, CurvatureTensor,
                           BundleVariationData, phi_tilde,
                           exterior_pushforward, lambda_pushforward_oracle,
                           equivariant_supertrace, supertrace_decomposition,
                           curvature_bivector, mehler_body, mehler_kernel,
                           mehler_heat_residual, fiber_integral,
+                          fiber_integral_quadrature,
                           euler_form, local_index_density, transgression,
                           pfaffian, curvature_form_matrix,
                           hodge_variation_operator, theta_form)
-from .getzler import (GradedDiffOp, SigmaExtendedOp, VolterraSymbol,
-                      getzler_order, model_operator, top_order_part,
+from .getzler import (GradedDiffOp, ExteriorDiffOp, SigmaExtendedOp,
+                      VolterraSymbol, getzler_order, model_operator, top_order_part,
                       weitzenbock, compose, lichnerowicz_split,
                       volterra_compose)
 from .duhamel import (FiniteOperator, SimplexQuadrature, iterated_commutator,

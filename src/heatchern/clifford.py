@@ -18,6 +18,7 @@ from .multivector import (Multivector, _SparseElement, _mask_indices,
 __all__ = [
     "CliffordElement", "clifford_multiply",
     "represent", "apply_to_basis", "symbol_map", "supertrace",
+    "berezin_supertrace",
 ]
 
 
@@ -42,6 +43,9 @@ class CliffordElement(_SparseElement):
 
 
 def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    if type(x) is not CliffordElement:
+        raise TypeError(
+            f"clifford_multiply takes CliffordElements, not {type(x).__name__}")
     x._check(y)
     return CliffordElement(x.n, _product(x.terms, y.terms, -1, +1))
 
@@ -104,28 +108,32 @@ def symbol_map(x: CliffordElement) -> Multivector:
     return Multivector(x.n, dict(x.terms))
 
 
-def supertrace(x: CliffordElement, method: str = "matrix"):
-    """Supertrace on C(V,q) (x) C(V,-q).
+def supertrace(x: CliffordElement):
+    """Supertrace on C(V,q) (x) C(V,-q), by the matrix route.
 
-    "matrix": sum over subsets S of (-1)^{|S|} <S| x |S> in the Lambda(V)
+    The sum over subsets S of (-1)^{|S|} <S| x |S> in the Lambda(V)
     representation.  c(e_j) and chat(e_j) each flip bit j of S, so the
     word (cm, hm) maps e^S to +-e^{S xor cm xor hm}: only the words with
-    cm == hm reach the diagonal, and only they are applied.
-    "berezin": (-1)^{n/2} 2^n T(sigma(x)), even n only.
+    cm == hm reach the diagonal, and only they are applied.  The
+    independent route is :func:`berezin_supertrace`.
     """
-    if method == "matrix":
-        words = [(cm, c) for (cm, hm), c in x.terms.items() if cm == hm]
-        total = 0
-        for subset in range(1 << x.n):
-            diag = 0
-            for cm, c in words:
-                diag += _apply_word(cm, cm, subset)[1] * c
-            if diag:
-                total += -diag if _popcount(subset) & 1 else diag
-        return total
-    if method == "berezin":
-        if x.n % 2:
-            raise ValueError("berezin supertrace path requires even n")
-        sign = -1 if (x.n // 2) & 1 else 1
-        return sign * (1 << x.n) * berezin(symbol_map(x), mode="full")
-    raise ValueError(f"unknown method {method!r}")
+    words = [(cm, c) for (cm, hm), c in x.terms.items() if cm == hm]
+    total = 0
+    for subset in range(1 << x.n):
+        diag = 0
+        for cm, c in words:
+            diag += _apply_word(cm, cm, subset)[1] * c
+        if diag:
+            total += -diag if _popcount(subset) & 1 else diag
+    return total
+
+
+def berezin_supertrace(x: CliffordElement):
+    """Supertrace by the Berezin route: (-1)^{n/2} 2^n T(sigma(x)), even n only.
+
+    The independent route is the matrix trace :func:`supertrace`.
+    """
+    if x.n % 2:
+        raise ValueError("berezin supertrace path requires even n")
+    sign = -1 if (x.n // 2) & 1 else 1
+    return sign * (1 << x.n) * berezin(symbol_map(x))

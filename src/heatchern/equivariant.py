@@ -27,8 +27,8 @@ import numpy as np
 
 from .clifford import CliffordElement, clifford_multiply, supertrace, symbol_map
 from .multivector import (
-    BigradeSplit, Multivector, _popcount, _product, _suffix_parity, berezin,
-    exp_even, grade_component, wedge,
+    Multivector, _popcount, _product, _suffix_parity, berezin, exp_even,
+    grade_component, wedge,
 )
 from .scalars import BackendMismatch
 
@@ -38,6 +38,7 @@ __all__ = [
     "lambda_pushforward_oracle", "equivariant_supertrace",
     "supertrace_decomposition", "curvature_bivector", "mehler_body",
     "mehler_kernel", "mehler_heat_residual", "fiber_integral",
+    "fiber_integral_quadrature",
     "curvature_form_matrix", "pfaffian", "euler_form",
     "local_index_density", "transgression", "hodge_variation_operator",
     "theta_form",
@@ -65,9 +66,6 @@ class IsometryNormalForm:
     @property
     def b(self) -> int:
         return self.n - self.a
-
-    def split(self) -> BigradeSplit:
-        return BigradeSplit(self.n, self.a)
 
     def normal_rotation(self) -> np.ndarray:
         """The b x b block rotation phi^N."""
@@ -240,7 +238,7 @@ def equivariant_supertrace(iso: IsometryNormalForm, A: CliffordElement,
     """Str[phi_tilde * A], by matrix representation or by the bigraded
     decomposition (leading det-term plus lower-normal-grade corrections)."""
     if method == "matrix":
-        return supertrace(clifford_multiply(phi_tilde(iso, trig), A), "matrix")
+        return supertrace(clifford_multiply(phi_tilde(iso, trig), A))
     if method == "decomposition":
         lead, corr = supertrace_decomposition(iso, A, trig)
         return lead + corr
@@ -256,23 +254,23 @@ def supertrace_decomposition(iso: IsometryNormalForm, A: CliffordElement,
     sigma(phi_tilde).
     """
     n, a, b = iso.n, iso.a, iso.b
-    split = iso.split()
+    tan = (1 << a) - 1
     pref = ((-1) ** (n // 2)) * (1 << n)
     sig_phi = symbol_map(phi_tilde(iso, trig))
     sig_a = symbol_map(A)
     quarter = Fraction(-1, 4) if trig is not None else -0.25
     lead = (pref * (quarter ** (b // 2)) * iso.det_one_minus_normal(trig)
-            * berezin(sig_a, split, "tangent"))
+            * sig_a.coefficient(tan, tan))
     corr = 0
     for l1 in range(b + 1):
         for l2 in range(b + 1):
             if l1 == b and l2 == b:
                 continue
-            p = grade_component(sig_phi, split, ((0, l1), (0, l2)))
-            q = grade_component(sig_a, split, ((a, b - l1), (a, b - l2)))
+            p = grade_component(sig_phi, a, ((0, l1), (0, l2)))
+            q = grade_component(sig_a, a, ((a, b - l1), (a, b - l2)))
             if p.is_zero() or q.is_zero():
                 continue
-            corr += pref * berezin(wedge(p, q), mode="full")
+            corr += pref * berezin(wedge(p, q))
     return lead, corr
 
 
@@ -332,29 +330,34 @@ def mehler_heat_residual(R: CurvatureTensor, t: float, x, y, dt=1e-5):
     return max((abs(c) for c in resid.terms.values()), default=0.0)
 
 
-def fiber_integral(iso: IsometryNormalForm, t: float,
-                   mode: str = "closed-form") -> float:
+def fiber_integral(iso: IsometryNormalForm, t: float) -> float:
     """Integral of the Mehler kernel's Gaussian factor over the normal fiber.
 
     The kernel at (y, phi y) is (4 pi t)^{-n/2} exp(-|(1 - phi^N) y|^2/4t)
     times ``mehler_body(R, t)``, which does not depend on y; so the fiber
     integral of the kernel is that body scaled by the number returned here.
-    closed-form: (4 pi t)^{-a/2} det^{-1}(1 - phi^N).
-    quadrature: tensor Gauss-Hermite evaluation of the Gaussian factor,
-    refined until successive orders differ by < 1e-8.
+    This is the closed form (4 pi t)^{-a/2} det^{-1}(1 - phi^N); the
+    independent route is :func:`fiber_integral_quadrature`.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if mode == "closed-form":
-        det = iso.det_one_minus_normal()
-        return (4.0 * math.pi * t) ** (-iso.a / 2.0) / det
-    if mode == "quadrature":
-        from ._kernels import gauss_hermite_gaussian_integral
-        one_minus = np.eye(iso.b) - iso.normal_rotation()
-        M = one_minus.T @ one_minus
-        integral = gauss_hermite_gaussian_integral(M, 4.0 * t)
-        return (4.0 * math.pi * t) ** (-iso.n / 2.0) * integral
-    raise ValueError(f"unknown mode {mode!r}")
+    det = iso.det_one_minus_normal()
+    return (4.0 * math.pi * t) ** (-iso.a / 2.0) / det
+
+
+def fiber_integral_quadrature(iso: IsometryNormalForm, t: float) -> float:
+    """The number of :func:`fiber_integral`, by quadrature.
+
+    A tensor Gauss-Hermite evaluation of the Gaussian factor over the
+    normal fiber, refined until successive orders differ by < 1e-8.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    from ._kernels import gauss_hermite_gaussian_integral
+    one_minus = np.eye(iso.b) - iso.normal_rotation()
+    M = one_minus.T @ one_minus
+    integral = gauss_hermite_gaussian_integral(M, 4.0 * t)
+    return (4.0 * math.pi * t) ** (-iso.n / 2.0) * integral
 
 
 # -- Pfaffians, Euler form, index density ------------------------------
@@ -452,7 +455,7 @@ def pfaffian(matrix: dict, a: int) -> Multivector:
     return _pfaffian_expansion(matrix, None, a)
 
 
-def euler_form(R: CurvatureTensor, a: int | None = None):
+def euler_form(R: CurvatureTensor, a: int):
     """Pf[-R / 2 pi] of the tangent block, in pi units.
 
     Returns the coefficient of the tangent volume form e^1..e^a, as the
@@ -462,8 +465,6 @@ def euler_form(R: CurvatureTensor, a: int | None = None):
     division by D^(a/2) is exact.  R must be exact; a float component
     raises ``BackendMismatch``.
     """
-    if a is None:
-        a = R.n
     if a % 2:
         raise ValueError("Euler form needs even dimension")
     if a == 0:

@@ -2,12 +2,14 @@
 
 A :class:`GradedDiffOp` is a finite sum of terms
 
-    coefficient * x^beta * (Clifford or exterior word) * d_x^alpha * d_t^p
+    coefficient * x^beta * (Clifford word) * d_x^alpha * d_t^p
 
 with the grading that assigns 1 to each spatial derivative, 2 to d_t,
 1/2 to each Clifford generator and -1 to each coordinate factor.  The
 top-graded part of the de Rham square is a flat Laplacian plus a
 curvature 4-form potential; that extraction drives the index density.
+Its result, the model operator, is an :class:`ExteriorDiffOp`: the same
+terms with exterior words in place of Clifford words.
 
 Connection terms, and the rough Laplacian of a twisted bundle, are not
 expanded from a metric: they are carried as opaque named summands with a
@@ -39,9 +41,9 @@ from .multivector import _SparseElement, _mask_indices, _popcount, _product
 from .scalars import BackendMismatch, CFrac
 
 __all__ = [
-    "GradedDiffOp", "Mat", "SigmaExtendedOp", "VolterraSymbol",
-    "getzler_order", "model_operator", "top_order_part", "weitzenbock",
-    "compose", "lichnerowicz_split", "LichnerowiczSplit",
+    "GradedDiffOp", "ExteriorDiffOp", "Mat", "SigmaExtendedOp",
+    "VolterraSymbol", "getzler_order", "model_operator", "top_order_part",
+    "weitzenbock", "compose", "lichnerowicz_split", "LichnerowiczSplit",
     "volterra_compose",
 ]
 
@@ -153,19 +155,17 @@ class GradedDiffOp(_SparseElement):
     """Sparse canonical sum of graded differential-operator terms.
 
     Concrete term keys are (x-exponents, c-mask, chat-mask, d-exponents,
-    d_t power); for kind="exterior" the two masks index wedge words
-    instead of Clifford words.  A summand tracked only through its
-    grading bound is opaque, keyed (name-tuple, order-bound).
-    Coefficients are scalars or :class:`Mat` endomorphisms.
+    d_t power), the masks indexing Clifford words.  A summand tracked
+    only through its grading bound is opaque, keyed (name-tuple,
+    order-bound).  Coefficients are scalars or :class:`Mat`
+    endomorphisms.
     """
 
-    __slots__ = ("kind",)
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None, kind: str = "clifford"):
-        if kind not in ("clifford", "exterior"):
-            raise ValueError(f"unknown kind {kind!r}")
-        self.kind = kind
-        super().__init__(n, terms)
+    # generator squares (q_c, q_h) of the word algebra, and its letters
+    _squares = (-1, +1)
+    _letters = ("c", "ch")
 
     @staticmethod
     def _clean(n: int, key, c):
@@ -184,66 +184,43 @@ class GradedDiffOp(_SparseElement):
             raise ValueError("word mask out of range")
         return (xexp, cmask, hmask, dexp, tpow), c
 
-    def _like(self, terms) -> "GradedDiffOp":
-        return GradedDiffOp(self.n, terms, self.kind)
-
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, kind: str = "clifford") -> "GradedDiffOp":
-        return cls(n, kind=kind)
-
-    @classmethod
-    def scalar(cls, n: int, value, kind: str = "clifford") -> "GradedDiffOp":
+    def scalar(cls, n: int, value) -> "GradedDiffOp":
         z = (0,) * n
-        return cls(n, {(z, 0, 0, z, 0): value}, kind=kind)
+        return cls(n, {(z, 0, 0, z, 0): value})
 
     @classmethod
-    def d_x(cls, n: int, j: int, kind: str = "clifford") -> "GradedDiffOp":
+    def d_x(cls, n: int, j: int) -> "GradedDiffOp":
         z = (0,) * n
         d = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return cls(n, {(z, 0, 0, d, 0): 1}, kind=kind)
+        return cls(n, {(z, 0, 0, d, 0): 1})
 
     @classmethod
-    def d_t(cls, n: int, kind: str = "clifford") -> "GradedDiffOp":
+    def d_t(cls, n: int) -> "GradedDiffOp":
         z = (0,) * n
-        return cls(n, {(z, 0, 0, z, 1): 1}, kind=kind)
+        return cls(n, {(z, 0, 0, z, 1): 1})
 
     @classmethod
-    def x_coord(cls, n: int, j: int, kind: str = "clifford") -> "GradedDiffOp":
+    def x_coord(cls, n: int, j: int) -> "GradedDiffOp":
         z = (0,) * n
         x = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return cls(n, {(x, 0, 0, z, 0): 1}, kind=kind)
+        return cls(n, {(x, 0, 0, z, 0): 1})
 
     @classmethod
-    def word(cls, n: int, cmask: int, hmask: int, coef=1,
-             kind: str = "clifford") -> "GradedDiffOp":
+    def word(cls, n: int, cmask: int, hmask: int, coef=1) -> "GradedDiffOp":
         z = (0,) * n
-        return cls(n, {(z, cmask, hmask, z, 0): coef}, kind=kind)
+        return cls(n, {(z, cmask, hmask, z, 0): coef})
 
     @classmethod
-    def opaque_term(cls, n: int, name: str, order, coef=1,
-                    kind: str = "clifford") -> "GradedDiffOp":
-        return cls(n, {((name,), order): coef}, kind=kind)
+    def opaque_term(cls, n: int, name: str, order, coef=1) -> "GradedDiffOp":
+        return cls(n, {((name,), order): coef})
 
     # -- structure -------------------------------------------------------
 
-    def _check(self, other: "GradedDiffOp"):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        if self.kind != other.kind:
-            raise ValueError("cannot mix clifford and exterior operators")
-
     def __mul__(self, other: "GradedDiffOp") -> "GradedDiffOp":
         return compose(self, other)
-
-    def __eq__(self, other):
-        if type(self) is type(other):
-            return self.kind == other.kind and super().__eq__(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, super().__hash__()))
 
     # -- serialization --------------------------------------------------
 
@@ -258,7 +235,7 @@ class GradedDiffOp(_SparseElement):
             names, order = key
             return f"[{' '.join(names)} | order<={order}]"
         xexp, cmask, hmask, dexp, tpow = key
-        c, h = ("c", "ch") if self.kind == "clifford" else ("e", "eh")
+        c, h = self._letters
         factors = _powers("x", xexp)
         factors += [f"{c}{i}" for i in _mask_indices(cmask)]
         factors += [f"{h}{i}" for i in _mask_indices(hmask)]
@@ -268,15 +245,18 @@ class GradedDiffOp(_SparseElement):
         return " ".join(factors) if factors else "1"
 
 
-def getzler_order(op) -> Fraction | None:
-    """Maximal grading over the terms of op; None for the zero operator.
+class ExteriorDiffOp(GradedDiffOp):
+    """A :class:`GradedDiffOp` whose two masks index exterior words e, ehat:
+    every generator squares to zero."""
 
-    Accepts a GradedDiffOp or a SigmaExtendedOp (maximum of both parts).
-    """
-    if isinstance(op, SigmaExtendedOp):
-        orders = [getzler_order(p) for p in (op.even, op.odd)]
-        orders = [o for o in orders if o is not None]
-        return max(orders) if orders else None
+    __slots__ = ()
+
+    _squares = (0, 0)
+    _letters = ("e", "eh")
+
+
+def getzler_order(op: GradedDiffOp) -> Fraction | None:
+    """Maximal grading over the terms of op; None for the zero operator."""
     return max(map(_term_order, op.terms), default=None)
 
 
@@ -286,7 +266,7 @@ def top_order_part(op: GradedDiffOp) -> GradedDiffOp:
     return op._like({k: c for k, c in op.terms.items() if _term_order(k) == top})
 
 
-def model_operator(op: GradedDiffOp) -> GradedDiffOp:
+def model_operator(op: GradedDiffOp) -> ExteriorDiffOp:
     """Top-graded part with Clifford words re-read as exterior words.
 
     Opaque summands whose bound reaches the top order cannot be
@@ -295,7 +275,7 @@ def model_operator(op: GradedDiffOp) -> GradedDiffOp:
     top = top_order_part(op)
     if any(map(_is_opaque, top.terms)):
         raise ValueError("opaque summand reaches the top grading; model unknown")
-    return GradedDiffOp(op.n, top.terms, kind="exterior")
+    return ExteriorDiffOp(op.n, top.terms)
 
 
 def _cw(i, j, kind_pair):
@@ -361,10 +341,6 @@ def _leibniz(d, x):
                tuple(a - k for a, k in zip(d, alpha)), sum(alpha))
 
 
-# generator squares (q_c, q_h) of the word algebra of each operator kind
-_SQUARES = {"clifford": (-1, +1), "exterior": (0, 0)}
-
-
 def _bound(key):
     """(names, order bound) of a term; a concrete one is named "term"."""
     return key if _is_opaque(key) else (("term",), _term_order(key))
@@ -377,7 +353,7 @@ def compose(p: GradedDiffOp, q: GradedDiffOp) -> GradedDiffOp:
     bounds (the bound of a concrete factor being its term order).
     """
     p._check(q)
-    q_c, q_h = _SQUARES[p.kind]
+    q_c, q_h = p._squares
     terms = {}
 
     def add(key, c):
@@ -419,10 +395,19 @@ class LichnerowiczSplit:
     identities: dict
 
 
-def _clifford_to_op(n: int, words: dict, coef) -> GradedDiffOp:
+def _clifford_to_op(n: int, summands) -> GradedDiffOp:
+    """The sum of coef * words over (Clifford word dict, coef) summands.
+
+    The summands go into one term dict and one operator: adding them one
+    operator at a time would re-check every term at each ``+``.
+    """
     z = (0,) * n
-    return GradedDiffOp(n, {(z, cm, hm, z, 0): s * coef
-                            for (cm, hm), s in words.items()})
+    terms = {}
+    for words, coef in summands:
+        for (cm, hm), s in words.items():
+            key = (z, cm, hm, z, 0)
+            terms[key] = terms[key] + s * coef if key in terms else s * coef
+    return GradedDiffOp(n, terms)
 
 
 def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> LichnerowiczSplit:
@@ -457,8 +442,10 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
                 raise ValueError("nabla_omega fiber dimension mismatch")
             nabla[(i, j)] = m
 
-    def w2(i, j):
-        return omega[i - 1] * omega[j - 1] + -(omega[j - 1] * omega[i - 1])
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    # the commutators [omega(e_i), omega(e_j)]
+    w2 = {(i, j): omega[i - 1] * omega[j - 1] + -(omega[j - 1] * omega[i - 1])
+          for i, j in pairs}
 
     lap = GradedDiffOp.opaque_term(n, "rough_laplacian", 2,
                                    coef=Mat.scalar(-1, r_fib))
@@ -469,24 +456,16 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
         (z, cm, hm, z, 0): Mat.scalar(c, r_fib)
         for (cm, hm), c in _curvature_quartic(R).terms.items()})
 
-    cc_w2 = zero
-    hh_w2 = zero
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            wij = w2(i, j)
-            if wij:
-                cc_w2 = cc_w2 + _clifford_to_op(
-                    n, _cw(i, j, ("c", "c")), Fraction(-1, 8) * wij)
-                hh_w2 = hh_w2 + _clifford_to_op(
-                    n, _cw(i, j, ("ch", "ch")), Fraction(1, 8) * wij)
-
-    mixed = zero
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            bracket = nabla[(i, j)] + Fraction(1, 2) * w2(i, j)
-            if bracket:
-                mixed = mixed + _clifford_to_op(
-                    n, _cw(i, j, ("c", "ch")), Fraction(-1, 2) * bracket)
+    cc_w2 = _clifford_to_op(n, (
+        (_cw(i, j, ("c", "c")), Fraction(-1, 8) * w2[i, j])
+        for i, j in pairs if w2[i, j]))
+    hh_w2 = _clifford_to_op(n, (
+        (_cw(i, j, ("ch", "ch")), Fraction(1, 8) * w2[i, j])
+        for i, j in pairs if w2[i, j]))
+    brackets = {p: nabla[p] + Fraction(1, 2) * w2[p] for p in pairs}
+    mixed = _clifford_to_op(n, (
+        (_cw(i, j, ("c", "ch")), Fraction(-1, 2) * brackets[i, j])
+        for i, j in pairs if brackets[i, j]))
 
     # a zero omega^2 drops out as a zero coefficient
     omega_sq_op = GradedDiffOp.scalar(n, Fraction(1, 4) * sum(w * w for w in omega))

@@ -18,15 +18,13 @@ The symbol map sigma is therefore the identity on words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .scalars import backend_of, join_backend
 
 __all__ = [
-    "Multivector", "BigradeSplit", "wedge", "grade_component", "berezin",
-    "exp_even",
+    "Multivector", "wedge", "grade_component", "berezin", "exp_even",
 ]
 
 
@@ -103,8 +101,7 @@ class _SparseElement:
     (first mask, second mask), and by ``getzler.VolterraSymbol`` and
     ``getzler.GradedDiffOp``.  A subclass supplies its product,
     ``_word(*key)`` for printing, and, unless its keys are mask pairs,
-    ``_clean``; one with state beyond ``n`` and the terms (the operator
-    kind) overrides ``_like``, which +, - and scale build results with.
+    ``_clean``.  Elements combine only with elements of their own type.
     """
 
     __slots__ = ("n", "terms")
@@ -154,12 +151,15 @@ class _SparseElement:
     # -- linear structure ----------------------------------------------
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
         join_backend(self.backend(), other.backend())
 
     def _like(self, terms):
-        """An element of the same kind as self with the given terms."""
+        """An element of the same type as self with the given terms."""
         return type(self)(self.n, terms)
 
     def __add__(self, other):
@@ -217,44 +217,26 @@ class Multivector(_SparseElement):
         return " ^ ".join(factors) if factors else "1"
 
 
-@dataclass(frozen=True)
-class BigradeSplit:
-    """Tangent/normal split: indices 1..a tangent, a+1..n normal."""
-
-    n: int
-    a: int
-
-    def __post_init__(self):
-        if not (0 <= self.a <= self.n):
-            raise ValueError(f"invalid split a={self.a} for n={self.n}")
-
-    @property
-    def b(self) -> int:
-        return self.n - self.a
-
-    @property
-    def tangent_mask(self) -> int:
-        return (1 << self.a) - 1
-
-    @property
-    def normal_mask(self) -> int:
-        return ((1 << self.n) - 1) ^ self.tangent_mask
-
-
 def wedge(x: Multivector, y: Multivector) -> Multivector:
+    if type(x) is not Multivector:
+        raise TypeError(f"wedge takes Multivectors, not {type(x).__name__}")
     x._check(y)
     return Multivector(x.n, _product(x.terms, y.terms, 0, 0))
 
 
-def grade_component(x: Multivector, split: BigradeSplit, selector) -> Multivector:
-    """Projection onto Lambda^{k1,l1} (x) Lambda^{k2,l2}."""
+def grade_component(x: Multivector, a: int, selector) -> Multivector:
+    """Projection onto Lambda^{k1,l1} (x) Lambda^{k2,l2}.
+
+    Indices 1..a are tangent, a+1..n normal; k counts tangent and l
+    normal generators, of the first family (k1, l1) and the second.
+    """
     (k1, l1), (k2, l2) = selector
-    if not (0 <= k1 <= split.a and 0 <= k2 <= split.a
-            and 0 <= l1 <= split.b and 0 <= l2 <= split.b):
-        raise ValueError(f"invalid selector {selector} for split {split}")
-    if split.n != x.n:
-        raise ValueError("split dimension mismatch")
-    tan, nor = split.tangent_mask, split.normal_mask
+    b = x.n - a
+    if not (0 <= k1 <= a and 0 <= k2 <= a
+            and 0 <= l1 <= b and 0 <= l2 <= b):
+        raise ValueError(f"invalid selector {selector} for a={a}, n={x.n}")
+    tan = (1 << a) - 1
+    nor = ((1 << x.n) - 1) ^ tan
     terms = {}
     for (s, t), c in x.terms.items():
         if (_popcount(s & tan) == k1 and _popcount(s & nor) == l1
@@ -263,22 +245,10 @@ def grade_component(x: Multivector, split: BigradeSplit, selector) -> Multivecto
     return Multivector(x.n, terms)
 
 
-def berezin(x: Multivector, split: BigradeSplit | None = None, mode: str = "full"):
-    """Berezin functionals.
-
-    mode="full": the coefficient of the volume element omega (Berezin trace T).
-    mode="tangent": the coefficient of e^1..e^a ^ ehat^1..ehat^a inside the
-    ((*,0),(*,0)) component, i.e. |x|^{((a,0),(a,0))}.
-    """
-    if mode == "full":
-        full = (1 << x.n) - 1
-        return x.coefficient(full, full)
-    if mode == "tangent":
-        if split is None:
-            raise ValueError("tangent-restricted Berezin integral needs a split")
-        tan = split.tangent_mask
-        return x.coefficient(tan, tan)
-    raise ValueError(f"unknown mode {mode!r}")
+def berezin(x: Multivector):
+    """Berezin integral T: the coefficient of the volume element omega."""
+    full = (1 << x.n) - 1
+    return x.coefficient(full, full)
 
 
 def exp_even(x: Multivector) -> Multivector:

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import duhamel, equivariant, getzler, spectral
-from .clifford import CliffordElement, represent, supertrace
+from .clifford import (CliffordElement, berezin_supertrace, represent,
+                       supertrace)
 from .multivector import Multivector, wedge
 from .report import CheckRecord, Report
 from .scalars import I
@@ -110,8 +111,8 @@ def _suite_algebra(cfg: ScenarioConfig, rng: random.Random):
         # the one nonzero supertrace, of the top word, is (-1)^{n/2} 2^n
         want = [0] * (len(words) - 1) + [(-1) ** (n // 2) * (1 << n)]
         yield Check(f"algebra/supertrace-table-n{n}", f"n={n}", "two-route",
-                    (lambda words=words: [supertrace(w, "matrix") for w in words],
-                     lambda words=words: [supertrace(w, "berezin") for w in words]),
+                    (lambda words=words: [supertrace(w) for w in words],
+                     lambda words=words: [berezin_supertrace(w) for w in words]),
                     lambda *tables, want=want: _exact(0, sum(
                         got != w for table in tables
                         for got, w in zip(table, want))))
@@ -167,8 +168,8 @@ def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random):
             R.n, {k: float(v) for k, v in R.components.items()}), t)
         return _small(1e-6)(body.scale(closed), body.scale(quadrature))
     yield Check("fixed-point/fiber-integral", inputs, "two-route", (
-        lambda: equivariant.fiber_integral(iso, t, "closed-form"),
-        lambda: equivariant.fiber_integral(iso, t, "quadrature")), kernels)
+        lambda: equivariant.fiber_integral(iso, t),
+        lambda: equivariant.fiber_integral_quadrature(iso, t)), kernels)
 
 
 # -- getzler --------------------------------------------------------------
@@ -185,7 +186,7 @@ def _suite_getzler(cfg: ScenarioConfig, rng: random.Random):
             terms[(z, 0, 0, d, 0)] = -1
         for (s, t), v in equivariant.curvature_bivector(R).terms.items():
             terms[(z, s, t, z, 0)] = Fraction(-v, 2)
-        return getzler.GradedDiffOp(n, terms, kind="exterior")
+        return getzler.ExteriorDiffOp(n, terms)
     yield Check("getzler/model-operator", "n=4 seeded R", "two-route",
                 (model_by_hand,
                  lambda: getzler.model_operator(getzler.GradedDiffOp.d_t(n)

@@ -11,15 +11,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from heatchern.clifford import CliffordElement, represent, supertrace
+from heatchern.clifford import (CliffordElement, berezin_supertrace,
+                                represent, supertrace)
 from heatchern.duhamel import (FiniteOperator, commutator_expansion,
                                direct_supertrace, duhamel_series)
 from heatchern.equivariant import (CurvatureTensor, IsometryNormalForm,
                                    curvature_bivector, euler_form,
-                                   fiber_integral, lambda_pushforward_oracle,
+                                   fiber_integral, fiber_integral_quadrature,
+                                   lambda_pushforward_oracle,
                                    local_index_density, mehler_body,
                                    phi_tilde)
-from heatchern.getzler import (BundleVariationData, GradedDiffOp,
+from heatchern.getzler import (BundleVariationData, ExteriorDiffOp,
+                               GradedDiffOp,
                                VolterraSymbol, lichnerowicz_split,
                                model_operator, volterra_compose, weitzenbock)
 from heatchern.scalars import CFrac
@@ -50,9 +53,9 @@ def test_criterion_01_supertrace_word_table():
             for hm in range(1 << n):
                 word = CliffordElement(n, {(cm, hm): Fraction(1)})
                 want = sign * (1 << n) if (cm == top and hm == top) else 0
-                if supertrace(word, "matrix") != want:
+                if supertrace(word) != want:
                     bad += 1
-                if supertrace(word, "berezin") != want:
+                if berezin_supertrace(word) != want:
                     bad += 1
     elapsed = time.time() - t0
     _line(1, bad == 0 and elapsed < 60,
@@ -116,8 +119,8 @@ def test_criterion_04_fiber_integral_consistency():
         R = CurvatureTensor(n, {k: float(v) for k, v in R.components.items()})
         for t in (0.1, 1.0):
             body = mehler_body(R, t)
-            cf = body.scale(fiber_integral(iso, t, "closed-form"))
-            qd = body.scale(fiber_integral(iso, t, "quadrature"))
+            cf = body.scale(fiber_integral(iso, t))
+            qd = body.scale(fiber_integral_quadrature(iso, t))
             keys = set(cf.terms) | set(qd.terms)
             err = max(abs(cf.coefficient(*k) - qd.coefficient(*k))
                       for k in keys)
@@ -137,7 +140,7 @@ def test_criterion_05_model_operator_extraction():
             terms[((0,) * n, 0, 0, d, 0)] = -1
         for (s, t), v in curvature_bivector(R).terms.items():
             terms[((0,) * n, s, t, (0,) * n, 0)] = Fraction(-v, 2)
-        if got != GradedDiffOp(n, terms, kind="exterior"):
+        if got != ExteriorDiffOp(n, terms):
             ok = False
     _line(5, ok, "model operator equals free Laplacian + curvature potential")
 

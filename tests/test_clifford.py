@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern.clifford import (CliffordElement, apply_to_basis, represent,
-                                supertrace, symbol_map)
+from heatchern.clifford import (CliffordElement, apply_to_basis,
+                                berezin_supertrace, represent, supertrace,
+                                symbol_map)
 from heatchern.multivector import Multivector
 
 from conftest import gen_c, gen_chat
@@ -69,8 +70,8 @@ def test_supertrace_word_table_n2():
         for hm in range(4):
             word = CliffordElement(n, {(cm, hm): 1})
             want = -4 if (cm == 3 and hm == 3) else 0
-            assert supertrace(word, "matrix") == want
-            assert supertrace(word, "berezin") == want
+            assert supertrace(word) == want
+            assert berezin_supertrace(word) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,13 +85,13 @@ def test_supertrace_kills_supercommutators(c1, h1, c2, h2):
     p1 = (bin(c1).count("1") + bin(h1).count("1")) & 1
     p2 = (bin(c2).count("1") + bin(h2).count("1")) & 1
     sign = -1 if p1 and p2 else 1
-    assert supertrace(u * v, "matrix") == sign * supertrace(v * u, "matrix")
+    assert supertrace(u * v) == sign * supertrace(v * u)
 
 
 @settings(max_examples=40, deadline=None)
 @given(ce_strategy())
 def test_supertrace_paths_agree(x):
-    assert supertrace(x, "matrix") == supertrace(x, "berezin")
+    assert supertrace(x) == berezin_supertrace(x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -111,12 +112,12 @@ def test_matrix_supertrace_is_diagonal_of_represent(n, exact):
         mat = represent(x)
         want = sum(-mat[S, S] if bin(S).count("1") & 1 else mat[S, S]
                    for S in range(1 << n))
-        assert supertrace(x, "matrix") == want
+        assert supertrace(x) == want
 
 
 def test_berezin_path_needs_even_dimension():
     with pytest.raises(ValueError):
-        supertrace(CliffordElement.one(3), "berezin")
+        berezin_supertrace(CliffordElement.one(3))
 
 
 def test_to_text_golden():

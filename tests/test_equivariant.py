@@ -12,15 +12,16 @@ from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    curvature_form_matrix,
                                    equivariant_supertrace, euler_form,
                                    exterior_pushforward,
-                                   fiber_integral, hodge_variation_operator,
+                                   fiber_integral, fiber_integral_quadrature,
+                                   hodge_variation_operator,
                                    lambda_pushforward_oracle,
                                    local_index_density, mehler_body,
                                    mehler_heat_residual, mehler_kernel,
                                    pfaffian, phi_tilde,
                                    supertrace_decomposition, theta_form,
                                    transgression)
-from heatchern.multivector import (Multivector, _product, berezin,
-                                   exp_even, grade_component, wedge)
+from heatchern.multivector import (Multivector, _product, exp_even,
+                                   grade_component, wedge)
 from heatchern.scalars import BackendMismatch
 
 from conftest import random_curvature
@@ -82,11 +83,10 @@ def test_pushforward_oracle_matches_representation():
 def test_sigma_phi_top_leading_term():
     iso = IsometryNormalForm(4, 2, (1.0,))
     c, _ = PYTH[1]
-    split = iso.split()
     sig = symbol_map(phi_tilde(iso, trig=[PYTH[1]]))
-    comp = grade_component(sig, split, ((0, 2), (0, 2)))
+    comp = grade_component(sig, 2, ((0, 2), (0, 2)))
     # (-1/4)^{b/2} det(1 - phi^N) on the top normal word
-    mask = split.normal_mask
+    mask = 0b1100
     assert comp == Multivector(4, {(mask, mask): Fraction(-1, 4) * (2 - 2 * c)})
 
 
@@ -137,14 +137,14 @@ def test_mehler_heat_residual(rng):
     assert res < 1e-8
 
 
-def test_fiber_integral_modes(rng):
+def test_fiber_integral_routes_agree(rng):
     R = random_curvature(4, rng)
     R = CurvatureTensor(4, {k: float(v) for k, v in R.components.items()})
     iso = IsometryNormalForm(4, 2, (0.8,))
     for t in (0.1, 1.0):
         body = mehler_body(R, t)
-        cf = body.scale(fiber_integral(iso, t, "closed-form"))
-        qd = body.scale(fiber_integral(iso, t, "quadrature"))
+        cf = body.scale(fiber_integral(iso, t))
+        qd = body.scale(fiber_integral_quadrature(iso, t))
         keys = set(cf.terms) | set(qd.terms)
         err = max(abs(cf.coefficient(*k) - qd.coefficient(*k)) for k in keys)
         assert err < 1e-6
@@ -184,7 +184,8 @@ def _density_by_full_exp(R, iso):
     rdot = curvature_bivector(R)
     body = exp_even(rdot.scale(Fraction(1, 2))) if not rdot.is_zero() \
         else Multivector.scalar(iso.n, Fraction(1))
-    coeff = berezin(body, iso.split(), "tangent")
+    tan = (1 << iso.a) - 1
+    coeff = body.coefficient(tan, tan)
     pref = Fraction((-1) ** (iso.n // 2) * (1 << iso.n))
     pref *= Fraction(-1, 4) ** (iso.b // 2) * Fraction(1, 4) ** (iso.a // 2)
     return pref * coeff

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    curvature_bivector)
-from heatchern.getzler import (GradedDiffOp, Mat, SigmaExtendedOp, VolterraSymbol,
+from heatchern.getzler import (ExteriorDiffOp, GradedDiffOp, Mat,
+                               SigmaExtendedOp, VolterraSymbol,
                                compose, getzler_order,
                                lichnerowicz_split, model_operator,
                                top_order_part, volterra_compose, weitzenbock)
@@ -42,16 +43,16 @@ def test_model_operator_weitzenbock(rng):
         terms[(z(n), 0, 0, d, 0)] = -1
     for (s, t), v in curvature_bivector(R).terms.items():
         terms[(z(n), s, t, z(n), 0)] = Fraction(-v, 2)
-    assert mo == GradedDiffOp(n, terms, kind="exterior")
+    assert mo == ExteriorDiffOp(n, terms)
 
 
 def test_model_operator_homogeneous_fixed_point():
     n = 2
     op = GradedDiffOp.d_t(n)
-    assert model_operator(op) == GradedDiffOp.d_t(n, kind="exterior")
+    assert model_operator(op) == ExteriorDiffOp.d_t(n)
     mixed = GradedDiffOp.x_coord(n, 1) * GradedDiffOp.d_x(n, 1) \
         + GradedDiffOp.d_t(n)
-    assert model_operator(mixed) == GradedDiffOp.d_t(n, kind="exterior")
+    assert model_operator(mixed) == ExteriorDiffOp.d_t(n)
 
 
 def test_weitzenbock_flat_case():
@@ -120,8 +121,10 @@ def test_commutator_order_arithmetic():
 
 
 def test_kind_mixing_rejected():
-    with pytest.raises(ValueError):
-        GradedDiffOp.d_t(2) + GradedDiffOp.d_t(2, kind="exterior")
+    with pytest.raises(TypeError, match="GradedDiffOp with ExteriorDiffOp"):
+        GradedDiffOp.d_t(2) + ExteriorDiffOp.d_t(2)
+    with pytest.raises(TypeError, match="ExteriorDiffOp with GradedDiffOp"):
+        compose(ExteriorDiffOp.d_t(2), GradedDiffOp.d_t(2))
 
 
 def test_model_operator_rejects_top_opaque():
@@ -147,7 +150,8 @@ def test_lichnerowicz_identities(rng):
     split = lichnerowicz_split(R, _rand_data(rng, n, 2))
     assert all(split.identities.values())
     assert getzler_order(split.D0_squared) == 2
-    assert getzler_order(split.L_omega_sigma) == 1
+    assert getzler_order(split.L_omega_sigma.even) == 1
+    assert getzler_order(split.L_omega_sigma.odd) == 1
     assert split.D2_even + split.D2_odd == split.triangle_F
 
 
@@ -367,16 +371,17 @@ def test_graded_op_on_sparse_element():
     # the linear structure, the zero test and the coefficient lookup come
     # from the shared sparse element; opaque summands are ordinary terms
     assert issubclass(GradedDiffOp, _SparseElement)
-    for name in ("__add__", "__sub__", "__neg__", "scale", "is_zero",
+    for name in ("__init__", "__add__", "__sub__", "__neg__", "__eq__",
+                 "__hash__", "_check", "_like", "zero", "scale", "is_zero",
                  "coefficient"):
         assert name not in vars(GradedDiffOp), name
-    p = GradedDiffOp.d_t(2, kind="exterior") \
-        + GradedDiffOp.opaque_term(2, "A", 1, coef=Mat([[1, 0], [2, 3]]),
-                                   kind="exterior")
+    assert not hasattr(GradedDiffOp.d_t(2), "kind")
+    p = ExteriorDiffOp.d_t(2) \
+        + ExteriorDiffOp.opaque_term(2, "A", 1, coef=Mat([[1, 0], [2, 3]]))
     assert not hasattr(p, "opaque")
     assert p.coefficient(("A",), 1) == ((1, 0), (2, 3))
     for q in (p + p, p - p, -p, p.scale(2), top_order_part(p)):
-        assert q.kind == "exterior"
+        assert type(q) is ExteriorDiffOp
     assert p.to_text() == "1 * dt + ((1, 0), (2, 3)) * [A | order<=1]"
 
 
@@ -404,9 +409,9 @@ def test_lichnerowicz_to_text_golden():
 
 @st.composite
 def op_triples(draw):
-    """Three operators of one kind; each coefficient a scalar or a 2x2
-    matrix, drawn independently (a scalar equals its identity matrix)."""
-    kind = draw(st.sampled_from(["clifford", "exterior"]))
+    """Three operators of one word algebra; each coefficient a scalar or a
+    2x2 matrix, drawn independently (a scalar equals its identity matrix)."""
+    cls = draw(st.sampled_from([GradedDiffOp, ExteriorDiffOp]))
     small = st.fractions(-3, 3, max_denominator=3)
     row = st.tuples(small, small)
     coef = st.one_of(small, st.tuples(row, row).map(Mat))
@@ -418,7 +423,7 @@ def op_triples(draw):
     # one key pool, so the three operators share terms
     keys = draw(st.lists(st.one_of(concrete, opaque), min_size=1, max_size=5))
     terms = st.dictionaries(st.sampled_from(keys), coef, max_size=4)
-    return tuple(GradedDiffOp(2, draw(terms), kind=kind) for _ in range(3))
+    return tuple(cls(2, draw(terms)) for _ in range(3))
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern.multivector import (BigradeSplit, Multivector, berezin,
+from heatchern.clifford import CliffordElement, clifford_multiply
+from heatchern.getzler import ExteriorDiffOp, GradedDiffOp, VolterraSymbol
+from heatchern.multivector import (Multivector, _SparseElement, berezin,
                                    exp_even, grade_component, wedge)
 from heatchern.scalars import BackendMismatch
 
@@ -55,24 +57,63 @@ def test_wedge_associative_distributive(x, y, z):
 @settings(max_examples=60, deadline=None)
 @given(mv_strategy())
 def test_grade_components_reconstruct(x):
-    split = BigradeSplit(N, 2)
+    a = 2
     total = Multivector.zero(N)
-    for k1, l1, k2, l2 in itertools.product(range(split.a + 1),
-                                            range(split.b + 1), repeat=2):
-        total = total + grade_component(x, split, ((k1, l1), (k2, l2)))
+    for k1, l1, k2, l2 in itertools.product(range(a + 1), range(N - a + 1),
+                                            repeat=2):
+        total = total + grade_component(x, a, ((k1, l1), (k2, l2)))
     assert total == x
 
 
-def test_berezin_modes():
-    split = BigradeSplit(4, 2)
+def test_berezin_reads_the_volume_coefficient():
     # the volume word plus 7 e{1,2} ^ ehat{1,2}
     x = Multivector(4, {(15, 15): 1, (3, 3): Fraction(7)})
     assert berezin(x) == 1
-    assert berezin(x, split, mode="tangent") == 7
-    with pytest.raises(ValueError):
-        berezin(x, None, mode="tangent")
-    with pytest.raises(ValueError):
-        berezin(x, split, mode="sideways")
+    assert berezin(Multivector(4, {(3, 3): Fraction(7)})) == 0
+
+
+# one element of each algebra type, all at n = 2
+ELEMENTS = {
+    Multivector: Multivector(2, {(1, 0): 1}),
+    CliffordElement: CliffordElement(2, {(1, 0): 1}),
+    VolterraSymbol: VolterraSymbol.x(2, 1),
+    GradedDiffOp: GradedDiffOp.d_t(2),
+    ExteriorDiffOp: ExteriorDiffOp.d_t(2),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_element_type_has_a_sample():
+    assert set(_subclasses(_SparseElement)) == set(ELEMENTS)
+
+
+@pytest.mark.parametrize("left,right", [
+    (x, y) for x in ELEMENTS for y in ELEMENTS if x is not y],
+    ids=lambda cls: cls.__name__)
+def test_elements_of_different_types_do_not_mix(left, right):
+    x, y = ELEMENTS[left], ELEMENTS[right]
+    message = f"cannot combine {left.__name__} with {right.__name__}"
+    with pytest.raises(TypeError, match=message):
+        x + y
+    with pytest.raises(TypeError, match=message):
+        x - y
+
+
+def test_each_product_takes_its_own_algebra():
+    m, c = ELEMENTS[Multivector], ELEMENTS[CliffordElement]
+    with pytest.raises(TypeError, match="wedge takes Multivectors"):
+        wedge(c, c)
+    with pytest.raises(TypeError, match="Multivector with CliffordElement"):
+        wedge(m, c)
+    with pytest.raises(TypeError, match="clifford_multiply takes"):
+        clifford_multiply(m, m)
+    with pytest.raises(TypeError, match="CliffordElement with Multivector"):
+        clifford_multiply(c, m)
 
 
 def test_exp_even_inverse():
