@@ -28,7 +28,7 @@ from .getzler import (GradedDiffOp, ExteriorDiffOp, SigmaExtendedOp,
                       volterra_compose)
 from .duhamel import (FiniteOperator, SimplexQuadrature, iterated_commutator,
                       commutator_expansion, remainder_operator,
-                      duhamel_series, direct_supertrace, sigma_supertrace)
+                      duhamel_series, direct_supertrace)
 from .spectral import (SpectralModel, IsometryAction, FiniteComplex,
                        heat_supertrace, tail_bound, lefschetz_number,
                        fixed_point_prediction, finite_torsion,

@@ -22,13 +22,11 @@ from math import factorial
 import numpy as np
 from scipy.linalg import expm
 
-from .getzler import SigmaExtendedOp
-
 __all__ = [
     "FiniteOperator", "SimplexQuadrature",
     "commutator", "iterated_commutator", "commutator_expansion",
     "adaptive_simplex_integral", "remainder_operator",
-    "duhamel_series", "direct_supertrace", "sigma_supertrace",
+    "duhamel_series", "direct_supertrace",
 ]
 
 
@@ -265,10 +263,3 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
         term = adaptive_simplex_integral(k, integrand)
         total += ((-t) ** k) * term
     return total
-
-
-def sigma_supertrace(pair: SigmaExtendedOp, grading) -> float:
-    """Supertrace of the odd component of an (even, odd) pair."""
-    odd = pair.odd
-    g = _check_grading(grading, odd.dim)
-    return _supertrace(odd.mat, g)

@@ -88,9 +88,14 @@ class IsometryNormalForm:
     def det_one_minus_normal(self, trig=None):
         """det(1 - phi^N) = prod (2 - 2 cos theta_j); always positive.
 
-        Exact when exact (cos, sin) pairs are passed as ``trig``.
+        Each float factor is 4 sin^2(theta_j / 2), which keeps its digits
+        at small angles.  Exact when exact (cos, sin) pairs are passed as
+        ``trig``.
         """
-        out = 1 if trig is not None else 1.0
+        if trig is None:
+            return math.prod((4 * math.sin(t / 2) ** 2 for t in self.angles),
+                             start=1.0)
+        out = 1
         for c, _ in _trig_pairs(self, trig):
             out *= 2 - 2 * c
         return out

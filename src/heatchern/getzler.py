@@ -495,21 +495,11 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
 
 @dataclass(frozen=True)
 class SigmaExtendedOp:
-    """Formal pair (A, B) standing for A + sigma B with sigma^2 = 1.
-
-    Works over any value type supporting +, * and ==, so it serves both
-    the operator assembly here and matrix surrogates elsewhere.
-    """
+    """Formal pair (A, B) standing for A + sigma B with sigma^2 = 1; two
+    pairs are equal when both parts are."""
 
     even: object
     odd: object
-
-    def __add__(self, other: "SigmaExtendedOp") -> "SigmaExtendedOp":
-        return SigmaExtendedOp(self.even + other.even, self.odd + other.odd)
-
-    def __mul__(self, other: "SigmaExtendedOp") -> "SigmaExtendedOp":
-        return SigmaExtendedOp(self.even * other.even + self.odd * other.odd,
-                               self.even * other.odd + self.odd * other.even)
 
 
 # -- truncated parabolic symbol composition ------------------------------

@@ -2,6 +2,8 @@
 
 Records are sorted by check name; floats are rendered with 17
 significant digits so identical inputs always produce identical bytes.
+Each record carries its check's kind, and the text summary counts the
+records by kind.
 """
 
 from __future__ import annotations
@@ -9,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["CheckRecord", "Report", "emit"]
+__all__ = ["KINDS", "CheckRecord", "Report", "emit"]
+
+KINDS = ("two-route", "closed-form", "bound")
 
 
 def _fmt(value) -> str:
@@ -28,6 +32,7 @@ def _fmt(value) -> str:
 class CheckRecord:
     name: str
     inputs: str
+    kind: str
     expected: object
     observed: object
     tolerance: object
@@ -37,6 +42,7 @@ class CheckRecord:
         return {
             "name": self.name,
             "inputs": self.inputs,
+            "kind": self.kind,
             "expected": _fmt(self.expected),
             "observed": _fmt(self.observed),
             "tolerance": _fmt(self.tolerance),
@@ -60,10 +66,6 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def counts(self):
-        ok = sum(1 for r in self.records if r.passed)
-        return ok, len(self.records) - ok
-
 
 def emit(report: Report, fmt: str) -> str:
     """Serialized report; identical reports give identical strings."""
@@ -76,12 +78,12 @@ def emit(report: Report, fmt: str) -> str:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = ["name,inputs,expected,observed,tolerance,passed"]
+        columns = ("name", "inputs", "kind", "expected", "observed",
+                   "tolerance", "passed")
+        lines = [",".join(columns)]
         for r in report.sorted_records():
             row = r.row()
-            lines.append(",".join(_csv_cell(row[k]) for k in
-                                  ("name", "inputs", "expected", "observed",
-                                   "tolerance", "passed")))
+            lines.append(",".join(_csv_cell(row[k]) for k in columns))
         return "\n".join(lines) + "\n"
     if fmt == "text":
         lines = [f"suite: {report.suite} (seed {report.seed})"]
@@ -90,9 +92,13 @@ def emit(report: Report, fmt: str) -> str:
             lines.append(f"[{status}] {r.name}: expected {_fmt(r.expected)}, "
                          f"observed {_fmt(r.observed)} "
                          f"(tol {_fmt(r.tolerance)}) [{r.inputs}]")
-        ok, bad = report.counts()
+        records = report.records
+        ok = sum(r.passed for r in records)
+        kinds = ", ".join(f"{sum(r.kind == k for r in records)} {k}"
+                          for k in KINDS)
         verdict = "PASS" if report.passed else "FAIL"
-        lines.append(f"summary: {verdict} ({ok} passed, {bad} failed)")
+        lines.append(f"summary: {verdict} ({ok} passed, "
+                     f"{len(records) - ok} failed: {kinds})")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 

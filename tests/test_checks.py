@@ -9,16 +9,23 @@ share nothing but what ``SHARED`` lists, each entry with its reason, and
 each route must reach something beyond that core.  ``SHARED`` must equal
 what the audit finds: a check that starts to share a function fails here,
 and so does an entry that no longer holds.
+
+The report's summary counts the kinds the checks declare, and the
+fiber-integral record passes on every input that ``validate()`` accepts.
 """
 
 import importlib
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from heatchern import _kernels, equivariant, scenario, suites
+from heatchern import _kernels, equivariant, multivector, scenario, suites
 from heatchern.multivector import _SparseElement
-from heatchern.scenario import ScenarioConfig, parse_scenario
+from heatchern.report import emit
+from heatchern.scenario import ScenarioConfig, ScenarioError, parse_scenario
 
 from conftest import profiled
 
@@ -160,12 +167,66 @@ def test_spectral_suite_sums_each_t_once(monkeypatch, geometry, kind, params,
     assert len(calls) == len(cfg.t_grid) + 1
 
 
-def test_fixed_point_suite_builds_one_mehler_body(monkeypatch):
-    calls = []
-    original = equivariant.mehler_body
-    monkeypatch.setattr(equivariant, "mehler_body",
-                        lambda *a: calls.append(a) or original(*a))
-    cfg = ScenarioConfig(suite="fixed-point", n=6, a=2)
-    assert cfg.isometry().b > 0
-    assert suites.run_suite(cfg).passed
-    assert len(calls) == 1
+def test_fixed_point_suite_never_calls_exp_even(monkeypatch):
+    """The fiber integral compares two numbers; no Mehler body is built,
+    not even at dense n = 10, a = 6."""
+    calls, original = [], multivector.exp_even
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+    for module in (multivector, equivariant):
+        monkeypatch.setattr(module, "exp_even", counted)
+    for n, a in ((6, 2), (10, 6)):
+        cfg = ScenarioConfig(suite="fixed-point", n=n, a=a)
+        assert suites.run_suite(cfg).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_summary_counts_the_declared_kinds(path):
+    cfg = _scenario(path)
+    kinds = [check.kind for check in suites._checks(cfg)]
+    summary = emit(suites.run_suite(cfg), "text").splitlines()[-1]
+    counts = summary.partition(": ")[2].partition(": ")[2].rstrip(")")
+    assert counts == ", ".join(f"{kinds.count(k)} {k}" for k in suites.KINDS)
+    assert summary.startswith(f"summary: PASS ({len(kinds)} passed, 0 failed")
+
+
+def _fiber_integral(cfg: ScenarioConfig):
+    return next(check for check in suites._checks(cfg)
+                if check.name == "fixed-point/fiber-integral")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 0), (4, 2), (4, 0), (8, 6), (10, 6), (6, 2),
+                        (6, 6)]),
+       st.lists(st.floats(-20, math.log(math.pi)), min_size=2, max_size=2),
+       st.lists(st.sampled_from([1, -1, 2]), min_size=2, max_size=2),
+       st.floats(-40, 40))
+def test_fiber_integral_passes_where_accepted(na, log_angles, signs, log_t):
+    """Every input that ``validate()`` accepts passes the fiber-integral
+    record: angles from e^-20 to 2 pi, either sign, t from e^-40 to e^40."""
+    n, a = na
+    angles = tuple(s * math.exp(x) for s, x in
+                   zip(signs, log_angles))[:(n - a) // 2]
+    cfg = ScenarioConfig(suite="fixed-point", n=n, a=a, angles=angles,
+                         t_grid=(math.exp(log_t),))
+    try:
+        cfg.validate()
+    except ScenarioError:
+        assume(False)
+    record = suites._run(_fiber_integral(cfg))
+    assert record.passed, record
+
+
+@pytest.mark.parametrize("body", [
+    # 1e-6 absolute missed on a value near 8e8
+    dict(n=8, a=6, angles=(0.8,), t_grid=(1e-4,)),
+    # 2 - 2 cos theta lost digits at a small angle
+    dict(n=4, a=2, angles=(1e-3,), t_grid=(0.1,)),
+])
+def test_fiber_integral_cases(body):
+    cfg = ScenarioConfig(suite="fixed-point", **body)
+    cfg.validate()
+    assert suites._run(_fiber_integral(cfg)).passed

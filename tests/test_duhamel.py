@@ -7,9 +7,7 @@ import pytest
 from heatchern.duhamel import (FiniteOperator, SimplexQuadrature,
                                adaptive_simplex_integral, commutator_expansion,
                                direct_supertrace, duhamel_series,
-                               iterated_commutator, remainder_operator,
-                               sigma_supertrace)
-from heatchern.getzler import SigmaExtendedOp
+                               iterated_commutator, remainder_operator)
 
 NPRNG = np.random.default_rng(424242)
 
@@ -152,39 +150,30 @@ def test_term_bound_pattern():
         prev = cur
 
 
-def test_sigma_supertrace_rules():
-    d = 3
-    g = np.array([1.0, -1.0, 1.0])
-    a, b = rand_op(d), rand_op(d)
-    zero = FiniteOperator.zero(d)
-    assert sigma_supertrace(SigmaExtendedOp(a, zero), g) == 0.0
-    want = float(np.real(np.sum(g * np.diag(b.mat))))
-    assert sigma_supertrace(SigmaExtendedOp(zero, b), g) == pytest.approx(want)
-    # odd * odd lands in the even slot
-    prod = SigmaExtendedOp(zero, a) * SigmaExtendedOp(zero, b)
-    assert sigma_supertrace(prod, g) == 0.0
-
-
 def test_sigma_extraction_first_order():
     # Str-sigma of the sigma-extended heat operator starts at the
-    # first-order odd insertion of the series
+    # first-order odd insertion of the series; the odd part is odd in the
+    # insertion B, so what the first order misses is O(B^3), and halving B
+    # divides it by 8 (a wrong first-order term would leave O(B))
     d = 4
     h = rand_hermitian(d, shift=2.0)
     b_odd = rand_op(d, 0.1)
     c, phi = rand_op(d), FiniteOperator(np.eye(d))
     g = np.array([1.0, 1.0, -1.0, -1.0])
     t = 0.1
-    # direct sigma-extended exponential by series in the pair algebra:
-    # exp(-t(A + sigma B)) with A+sigma B nilpotent-free; evaluate by
-    # 2x2 block trick [[A, B], [B, A]]
-    big = np.block([[h.mat, b_odd.mat], [b_odd.mat, h.mat]])
     from scipy.linalg import expm
-    e = expm(-t * big)
-    odd_part = e[:d, d:]
-    direct = float(np.real(np.sum(g * np.diag(phi.mat @ c.mat @ odd_part))))
-    # series route: the k=1 term with a single odd insertion
-    approx = -t * adaptive_simplex_integral(
-        1, lambda node: float(np.real(np.sum(g * np.diag(
-            phi.mat @ c.mat @ expm(-node[0] * t * h.mat) @ b_odd.mat
-            @ expm(-node[1] * t * h.mat))))))
-    assert abs(direct - approx) < 1e-3 * max(abs(direct), 1e-12) + 1e-8
+
+    def first_order_error(b):
+        # direct sigma-extended exponential exp(-t(A + sigma B)) by the
+        # 2x2 block trick [[A, B], [B, A]]
+        big = np.block([[h.mat, b], [b, h.mat]])
+        odd_part = expm(-t * big)[:d, d:]
+        direct = float(np.real(np.sum(g * np.diag(phi.mat @ c.mat @ odd_part))))
+        # series route: the k=1 term with a single odd insertion
+        approx = -t * adaptive_simplex_integral(
+            1, lambda node: float(np.real(np.sum(g * np.diag(
+                phi.mat @ c.mat @ expm(-node[0] * t * h.mat) @ b
+                @ expm(-node[1] * t * h.mat))))))
+        return abs(direct - approx)
+    ratio = first_order_error(b_odd.mat) / first_order_error(b_odd.mat / 2)
+    assert 7 < ratio < 9

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    curvature_bivector)
 from heatchern.getzler import (ExteriorDiffOp, GradedDiffOp, Mat,
-                               SigmaExtendedOp, VolterraSymbol,
-                               compose, getzler_order,
+                               VolterraSymbol, compose, getzler_order,
                                lichnerowicz_split, model_operator,
                                top_order_part, volterra_compose, weitzenbock)
 from heatchern.multivector import _SparseElement
@@ -176,13 +175,6 @@ def test_lichnerowicz_rejects_malformed(rng):
     data.omega = data.omega[:-1]
     with pytest.raises(ValueError):
         lichnerowicz_split(random_curvature(n, rng), data)
-
-
-def test_sigma_pair_multiplication():
-    p = SigmaExtendedOp(1, 2)
-    q = SigmaExtendedOp(3, 5)
-    assert p * q == SigmaExtendedOp(1 * 3 + 2 * 5, 1 * 5 + 2 * 3)
-    assert p + q == SigmaExtendedOp(4, 7)
 
 
 def test_volterra_composition_example():

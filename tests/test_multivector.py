@@ -38,6 +38,11 @@ def test_mask_range_checked():
 def test_wedge_sign_example():
     # e2 ^ e1 = -e1 ^ e2
     assert wedge(basis_e(2, 2), basis_e(2, 1)) == basis_e(2, 1, 2).scale(-1)
+    # every pair of generators anticommutes, so each squares to zero
+    for i in range(1, 5):
+        for j in range(1, 5):
+            assert (wedge(basis_e(4, i), basis_e(4, j))
+                    + wedge(basis_e(4, j), basis_e(4, i))).is_zero()
 
 
 def test_graded_tensor_sign():

@@ -25,18 +25,27 @@ SCENARIOS = sorted(
 
 ITEM_1 = "ROADMAP item 1 (Greiner's parametrix as a route)"
 ITEM_2 = "ROADMAP item 2 (the equivariant Ray-Singer metric)"
+ITEM_4 = "ROADMAP item 4 (the Lichnerowicz record composes D o D)"
 BENCHMARK = "the benchmark (perfbench/checks.py)"
 
 WAITING = {
     "equivariant.mehler_kernel": ITEM_1,
     "equivariant.mehler_heat_residual": ITEM_1,
+    "equivariant.mehler_body": ITEM_1,
+    "multivector.exp_even": ITEM_1,
+    "multivector.Multivector.scalar": ITEM_1,
     "getzler.VolterraSymbol.tau": ITEM_1,
     "getzler.VolterraSymbol.parabolic_order": ITEM_1,
     "getzler.VolterraSymbol.dilate": ITEM_1,
     "equivariant.transgression": ITEM_2,
     "equivariant.theta_form": ITEM_2,
     "equivariant.hodge_variation_operator": ITEM_2,
+    "getzler.compose": ITEM_4,
+    "getzler.GradedDiffOp.d_x": ITEM_4,
+    "getzler.GradedDiffOp.word": ITEM_4,
+    "getzler.GradedDiffOp.x_coord": ITEM_4,
     "duhamel.remainder_operator": BENCHMARK,
+    "duhamel.iterated_commutator": BENCHMARK,
     "spectral.IsometryAction.translation": BENCHMARK,
     "spectral.IsometryAction.rotation": BENCHMARK,
 }
