@@ -36,6 +36,10 @@ __all__ = [
 
 # points per numpy chunk: larger chunks save little time and cost memory
 _CHUNK = 4096
+# the Gauss-Hermite refinement stops when two successive orders (8, 16, ...)
+# differ by less than this share of the value, and gives up past the order
+_GH_TOL = 1e-8
+_GH_MAX_ORDER = 48
 
 
 def _mapped(f, x):
@@ -71,12 +75,12 @@ def _gh_sum(nodes, weights, scales, A):
     return total
 
 
-def gauss_hermite_gaussian_integral(M, four_t, tol=1e-8, max_order=48):
+def gauss_hermite_gaussian_integral(M, four_t):
     """integral over R^b of exp(-v^T M v / four_t) dv by tensor Gauss-Hermite.
 
     Axes are rescaled by sqrt(four_t / M_jj) so the weight matches the
     Gaussian; the order is refined until two successive results differ by
-    less than tol.
+    less than ``_GH_TOL`` of the value.
     """
     M = np.asarray(M, dtype=float)
     b = M.shape[0]
@@ -86,15 +90,15 @@ def gauss_hermite_gaussian_integral(M, four_t, tol=1e-8, max_order=48):
     A = M / four_t
     prev = None
     order = 8
-    while order <= max_order:
+    while order <= _GH_MAX_ORDER:
         nodes, weights = np.polynomial.hermite.hermgauss(order)
         val = _gh_sum(nodes, weights, scales, A) * float(np.prod(scales))
-        if prev is not None and abs(val - prev) < tol:
+        if prev is not None and abs(val - prev) < _GH_TOL * abs(val):
             return val
         prev = val
         order += 8
-    raise RuntimeError(f"Gauss-Hermite refinement did not converge to {tol} "
-                       f"by order {max_order}")
+    raise RuntimeError(f"Gauss-Hermite refinement did not converge to "
+                       f"{_GH_TOL} of the value by order {_GH_MAX_ORDER}")
 
 
 # -- spectral mode sums ---------------------------------------------------

@@ -354,7 +354,8 @@ def fiber_integral_quadrature(iso: IsometryNormalForm, t: float) -> float:
     """The number of :func:`fiber_integral`, by quadrature.
 
     A tensor Gauss-Hermite evaluation of the Gaussian factor over the
-    normal fiber, refined until successive orders differ by < 1e-8.
+    normal fiber, refined until successive orders differ by < 1e-8 of the
+    value.
     """
     if t <= 0:
         raise ValueError("t must be positive")

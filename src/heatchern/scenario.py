@@ -23,12 +23,10 @@ line; `#` starts a comment; blank lines are ignored.  Keys:
                                  sphere only rotation; vx, vy and theta
                                  in [0, 2pi))
     t-grid <f> [<f> ...]         the fixed-point suite reads the first
-                                 entry t and refuses it when its Gaussian
+                                 entry t and refuses it when the Gaussian
                                  fiber integral (4 pi t)^{(n-a)/2} /
-                                 det(1 - phi^N) exceeds 5e6 (n - a = 2) or
-                                 4e5 (n - a = 4), as small angles and
-                                 large t make it, or when the fiber
-                                 integral leaves the float range
+                                 det(1 - phi^N), the fiber integral or
+                                 (4 pi t)^{-n/2} leaves e^{+-700}
     cutoff <K>                   the spectral suite sums (2K+1)^2 torus
                                  or K+1 sphere modes once per t-grid
                                  entry; at most 1e7 terms in all
@@ -62,14 +60,6 @@ MAX_NORMAL_DIM = 4
 # ambient dimension of the fixed-point suite, whose exact routes work on
 # 2^n- and 4^n-sized bases; no test or workload goes past n = 10
 MAX_FIXED_POINT_DIM = 10
-# largest Gaussian fiber integral (4 pi t)^{b/2} / det(1 - phi^N), per b > 0,
-# at the fixed-point suite's t (the first t-grid entry).  The quadrature
-# refines until two orders differ by less than 1e-8, which rounding on a
-# large integral never reaches by order 48.  Over random angles and t the
-# smallest integral on which it failed was 1.48e7 at b = 2 (20000 samples)
-# and 8.6e5 at b = 4 (200 samples; every one from there on failed); each
-# bound is about half of that.
-MAX_FIBER_INTEGRAL = {2: 5e6, 4: 4e5}
 # |log| of a float the fiber integral's routes may produce, below the log of
 # the smallest normal float (-708.4) and of the largest (709.8)
 MAX_LOG_FLOAT = 700
@@ -137,13 +127,8 @@ class ScenarioConfig:
             t = self.t_grid[0]
             log_4pit = math.log(4 * math.pi * t)
             log_det = math.log(iso.det_one_minus_normal())
-            if b and (b / 2 * log_4pit - log_det
-                      > math.log(MAX_FIBER_INTEGRAL[b])):
-                raise ScenarioError(f"t = {t:g} and these angles give a fiber "
-                                    f"Gaussian integral over "
-                                    f"{MAX_FIBER_INTEGRAL[b]:g}, past what the "
-                                    f"quadrature resolves")
-            if max(abs(self.a / 2 * log_4pit + log_det),
+            if max(abs(b / 2 * log_4pit - log_det),
+                   abs(self.a / 2 * log_4pit + log_det),
                    abs(self.n / 2 * log_4pit)) > MAX_LOG_FLOAT:
                 raise ScenarioError(f"t = {t:g} puts the fiber integral "
                                     f"outside the float range")
@@ -220,7 +205,7 @@ def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str,
     elif key == "a":
         cfg.a = int(one())
     elif key == "angles":
-        cfg.angles = tuple(float(x) for x in args)
+        cfg.angles = tuple(_parse_angle(x) for x in args)
     elif key == "R":
         if len(args) != 5:
             raise ScenarioError("R takes four indices and one value")

@@ -2,6 +2,7 @@ import random
 import sys
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from heatchern.clifford import CliffordElement
@@ -27,6 +28,11 @@ def gen_chat(n, i):
 @pytest.fixture
 def rng():
     return random.Random(20260823)
+
+
+@pytest.fixture
+def nprng():
+    return np.random.default_rng(424242)
 
 
 @contextmanager

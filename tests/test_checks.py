@@ -201,23 +201,50 @@ def _fiber_integral(cfg: ScenarioConfig):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([(2, 0), (4, 2), (4, 0), (8, 6), (10, 6), (6, 2),
                         (6, 6)]),
-       st.lists(st.floats(-20, math.log(math.pi)), min_size=2, max_size=2),
+       st.lists(st.floats(math.log(3e-15), math.log(math.pi)),
+                min_size=2, max_size=2),
        st.lists(st.sampled_from([1, -1, 2]), min_size=2, max_size=2),
-       st.floats(-40, 40))
+       st.floats(-705, 705))
 def test_fiber_integral_passes_where_accepted(na, log_angles, signs, log_t):
-    """Every input that ``validate()`` accepts passes the fiber-integral
-    record: angles from e^-20 to 2 pi, either sign, t from e^-40 to e^40."""
+    """``validate()`` refuses an input exactly when the Gaussian integral,
+    the fiber integral or (4 pi t)^{-n/2} is past e^{+-MAX_LOG_FLOAT}, and
+    every input it accepts passes the fiber-integral record: angles from
+    3e-15 to 2 pi, either sign, t from e^-705 to e^705."""
     n, a = na
     angles = tuple(s * math.exp(x) for s, x in
                    zip(signs, log_angles))[:(n - a) // 2]
+    t = math.exp(log_t)
+    try:
+        iso = equivariant.IsometryNormalForm(n, a, angles)
+    except ValueError:
+        assume(False)   # a multiple of 2 pi, refused as a degenerate rotation
+    log_4pit = math.log(4 * math.pi * t)
+    log_det = math.log(iso.det_one_minus_normal())
+    past = max(abs((n - a) / 2 * log_4pit - log_det),
+               abs(a / 2 * log_4pit + log_det),
+               abs(n / 2 * log_4pit)) > scenario.MAX_LOG_FLOAT
     cfg = ScenarioConfig(suite="fixed-point", n=n, a=a, angles=angles,
-                         t_grid=(math.exp(log_t),))
+                         t_grid=(t,))
     try:
         cfg.validate()
-    except ScenarioError:
-        assume(False)
+    except ScenarioError as exc:
+        assert past and "float range" in str(exc)
+        return
+    assert not past
     record = suites._run(_fiber_integral(cfg))
     assert record.passed, record
+
+
+def test_fiber_integral_inputs_name_t():
+    # of the fixed-point records only the fiber integral reads t
+    def inputs(t):
+        cfg = ScenarioConfig(suite="fixed-point", n=4, a=2, angles=(0.8,),
+                             t_grid=(t, 1.0))
+        return {check.name: check.inputs for check in suites._checks(cfg)}
+    low, high = inputs(0.1), inputs(0.5)
+    assert low.pop("fixed-point/fiber-integral") == "n=4 a=2 angles=[0.8] t=0.1"
+    assert high.pop("fixed-point/fiber-integral") == "n=4 a=2 angles=[0.8] t=0.5"
+    assert low == high
 
 
 @pytest.mark.parametrize("body", [
@@ -225,6 +252,10 @@ def test_fiber_integral_passes_where_accepted(na, log_angles, signs, log_t):
     dict(n=8, a=6, angles=(0.8,), t_grid=(1e-4,)),
     # 2 - 2 cos theta lost digits at a small angle
     dict(n=4, a=2, angles=(1e-3,), t_grid=(0.1,)),
+    # an absolute 1e-8 stop did not converge on these Gaussian integrals,
+    # 2.04e8 and 1.26e8
+    dict(n=4, a=0, angles=(0.8, 1.2), t_grid=(1000.0,)),
+    dict(n=4, a=2, angles=(1e-4,), t_grid=(0.1,)),
 ])
 def test_fiber_integral_cases(body):
     cfg = ScenarioConfig(suite="fixed-point", **body)

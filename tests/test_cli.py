@@ -57,6 +57,15 @@ def test_angle_forms():
         _parse_angle("pix2")
 
 
+def test_angles_take_pi_forms(tmp_path):
+    # one parser reads angles and action, so both take the forms above
+    forms = parse_scenario(write_scn(tmp_path, "n 6\na 2\nangles pi/2 3pi/4\n"))
+    floats = parse_scenario(write_scn(
+        tmp_path, "n 6\na 2\nangles 1.5707963267948966 2.356194490192345\n"))
+    assert forms == floats
+    assert forms.angles == (1.5707963267948966, 2.356194490192345)
+
+
 def test_curvature_include(tmp_path):
     write_scn(tmp_path, "R 1 2 1 2 3\nR 3 4 3 4 1/3\n", name="curv.inc")
     path = write_scn(tmp_path, "suite algebra\ncurvature curv.inc\n")
@@ -255,14 +264,14 @@ def test_cli_nan_t_grid_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body", [
-    "n 4\na 0\nangles 0.8 1.2\nt-grid 1000\n",
-    "n 4\na 2\nangles 1e-4\nt-grid 0.1\n",
     "n 10\na 6\nt-grid 1e-70\n",
     "n 10\na 10\nt-grid 1e70\n",
+    # only the Gaussian integral (4 pi t)^{b/2} / det(1 - phi^N) overflows
+    "n 2\na 0\nangles 3.7e-13\nt-grid 4.2e287\n",
 ])
 def test_cli_unresolvable_fiber_integral_exit_2(tmp_path, capsys, body):
-    # a Gaussian integral the quadrature cannot converge on, or a fiber
-    # integral past the float range
+    # the fiber integral, its Gaussian factor or (4 pi t)^{-n/2} past the
+    # float range
     for suite in ("fixed-point", "all"):
         scn = write_scn(tmp_path, f"suite {suite}\n{body}")
         assert main(["--config", scn]) == 2

@@ -9,16 +9,13 @@ from heatchern.duhamel import (FiniteOperator, SimplexQuadrature,
                                direct_supertrace, duhamel_series,
                                iterated_commutator, remainder_operator)
 
-NPRNG = np.random.default_rng(424242)
-
-
-def rand_hermitian(d, shift=0.0):
-    m = NPRNG.standard_normal((d, d))
+def rand_hermitian(nprng, d, shift=0.0):
+    m = nprng.standard_normal((d, d))
     return FiniteOperator((m + m.T) / 2 + shift * np.eye(d), hermitian=True)
 
 
-def rand_op(d, scale=1.0):
-    return FiniteOperator(scale * NPRNG.standard_normal((d, d)))
+def rand_op(nprng, d, scale=1.0):
+    return FiniteOperator(scale * nprng.standard_normal((d, d)))
 
 
 def test_finite_operator_validation():
@@ -46,8 +43,8 @@ def test_commuting_pair_collapses():
     assert rem < 1e-14
 
 
-def test_expansion_first_term():
-    h, b = rand_hermitian(4), rand_op(4)
+def test_expansion_first_term(nprng):
+    h, b = rand_hermitian(nprng, 4), rand_op(nprng, 4)
     approx, _ = commutator_expansion(h, b, 0.7, 1)
     heat = h.scale(-0.7).expm()
     assert np.allclose(approx.mat, (b * heat).mat)
@@ -80,18 +77,18 @@ def test_quadrature_permutation_invariance():
     assert abs(f01 - f21) < 1e-14
 
 
-def test_remainder_slopes():
+def test_remainder_slopes(nprng):
     for N in (1, 2, 3):
-        h, b = rand_hermitian(8), rand_op(8)
+        h, b = rand_hermitian(nprng, 8), rand_op(nprng, 8)
         ss = [2.0 ** (-e) for e in range(3, 11)]
         errs = [commutator_expansion(h, b, s, N)[1] for s in ss]
         slope = float(np.polyfit(np.log(ss), np.log(errs), 1)[0])
         assert abs(slope - N) < 0.1
 
 
-def test_exact_remainder_identity():
+def test_exact_remainder_identity(nprng):
     for N in (1, 2, 3):
-        h, b = rand_hermitian(6), rand_op(6)
+        h, b = rand_hermitian(nprng, 6), rand_op(nprng, 6)
         s = 0.3
         approx, _ = commutator_expansion(h, b, s, N)
         rem = remainder_operator(h, b, s, N)
@@ -99,32 +96,32 @@ def test_exact_remainder_identity():
         assert (full - approx - rem).norm() < 1e-10
 
 
-def _series_data(d=4):
-    h = rand_hermitian(d, shift=2.0)
-    L = rand_op(d, 0.5)
-    c = rand_op(d)
-    phi = rand_op(d)
+def _series_data(nprng, d=4):
+    h = rand_hermitian(nprng, d, shift=2.0)
+    L = rand_op(nprng, d, 0.5)
+    c = rand_op(nprng, d)
+    phi = rand_op(nprng, d)
     grading = np.array([1.0] * (d // 2) + [-1.0] * (d - d // 2))
     return h, L, c, phi, grading
 
 
-def test_series_zero_perturbation():
-    h, _, c, phi, g = _series_data()
+def test_series_zero_perturbation(nprng):
+    h, _, c, phi, g = _series_data(nprng)
     zero = FiniteOperator.zero(4)
     assert abs(duhamel_series(h, zero, c, phi, 0.4, 3, g)
                - direct_supertrace(h, zero, c, phi, 0.4, g)) < 1e-12
 
 
-def test_series_accuracy():
-    h, L, c, phi, g = _series_data()
+def test_series_accuracy(nprng):
+    h, L, c, phi, g = _series_data(nprng)
     t, K = 0.1, 3
     err = abs(duhamel_series(h, L, c, phi, t, K, g)
               - direct_supertrace(h, L, c, phi, t, g))
     assert err < 1e-4 * L.norm() ** (K + 1)
 
 
-def test_series_halving_t():
-    h, L, c, phi, g = _series_data()
+def test_series_halving_t(nprng):
+    h, L, c, phi, g = _series_data(nprng)
     K = 2
     e1 = abs(duhamel_series(h, L, c, phi, 0.2, K, g)
              - direct_supertrace(h, L, c, phi, 0.2, g))
@@ -133,11 +130,11 @@ def test_series_halving_t():
     assert e1 / e2 == pytest.approx(2.0 ** (K + 1), rel=0.35)
 
 
-def test_term_bound_pattern():
+def test_term_bound_pattern(nprng):
     # with spectrum >= 0 the k-th term is bounded by ||C|| ||L||^k / k!
     d = 4
-    h = rand_hermitian(d, shift=3.0)
-    L, c = rand_op(d, 0.5), rand_op(d)
+    h = rand_hermitian(nprng, d, shift=3.0)
+    L, c = rand_op(nprng, d, 0.5), rand_op(nprng, d)
     phi = FiniteOperator(np.eye(d))
     g = np.array([1.0, 1.0, -1.0, -1.0])
     t = 1.0
@@ -150,15 +147,15 @@ def test_term_bound_pattern():
         prev = cur
 
 
-def test_sigma_extraction_first_order():
+def test_sigma_extraction_first_order(nprng):
     # Str-sigma of the sigma-extended heat operator starts at the
     # first-order odd insertion of the series; the odd part is odd in the
     # insertion B, so what the first order misses is O(B^3), and halving B
     # divides it by 8 (a wrong first-order term would leave O(B))
     d = 4
-    h = rand_hermitian(d, shift=2.0)
-    b_odd = rand_op(d, 0.1)
-    c, phi = rand_op(d), FiniteOperator(np.eye(d))
+    h = rand_hermitian(nprng, d, shift=2.0)
+    b_odd = rand_op(nprng, d, 0.1)
+    c, phi = rand_op(nprng, d), FiniteOperator(np.eye(d))
     g = np.array([1.0, 1.0, -1.0, -1.0])
     t = 0.1
     from scipy.linalg import expm

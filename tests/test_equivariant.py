@@ -1,10 +1,12 @@
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from heatchern import _kernels
 from heatchern._kernels import gauss_hermite_gaussian_integral
 from heatchern.clifford import CliffordElement, represent, symbol_map
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
@@ -151,8 +153,10 @@ def test_fiber_integral_routes_agree(rng):
 
 
 def test_gauss_hermite_reports_tolerance_and_order():
-    with pytest.raises(RuntimeError, match="converge to 1e-09 by order 8"):
-        gauss_hermite_gaussian_integral(np.eye(1), 1.0, tol=1e-9, max_order=8)
+    with mock.patch.multiple(_kernels, _GH_TOL=1e-9, _GH_MAX_ORDER=8), \
+            pytest.raises(RuntimeError,
+                          match="converge to 1e-09 of the value by order 8"):
+        gauss_hermite_gaussian_integral(np.eye(1), 1.0)
 
 
 def test_pfaffian_textbook_4x4():
