@@ -8,9 +8,11 @@ interleaved with L.
 
 Matrix exponentials are scipy's scaling-and-squaring Pade implementation
 (accurate to ~1e-12 for the conditioning used here, far below the
-remainder magnitudes these tests measure).  Simplex integrals use the
-Grundmann-Moller family with the degree raised adaptively until two
-successive rules agree to 1e-9.
+remainder magnitudes these tests measure).  ``scipy.linalg`` is imported
+at the first exponential, inside each function that takes one, so that
+importing the package (and every suite but ``duhamel``) never loads it.
+Simplex integrals use the Grundmann-Moller family with the degree raised
+adaptively until two successive rules agree to 1e-9.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "FiniteOperator", "SimplexQuadrature",
@@ -83,6 +84,7 @@ class FiniteOperator:
         return float(np.linalg.norm(self.mat, 2))
 
     def expm(self) -> "FiniteOperator":
+        from scipy.linalg import expm
         return FiniteOperator(expm(self.mat))
 
     def __repr__(self):
@@ -199,6 +201,7 @@ def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
     N-simplex in (u_1, ..., u_N); the integrand depends on u_1 only.
     Adding this to the truncated expansion recovers exp(-sH) B exactly.
     """
+    from scipy.linalg import expm
     bN = iterated_commutator(h, b, N)
 
     # simplex coordinates (t_0,...,t_N) with u_1 = t_0
@@ -227,6 +230,7 @@ def direct_supertrace(h: FiniteOperator, L: FiniteOperator,
                       c: FiniteOperator, phi: FiniteOperator,
                       t: float, grading) -> float:
     """Str[Phi C exp(-t(H+L))] by a single matrix exponential."""
+    from scipy.linalg import expm
     g = _check_grading(grading, h.dim)
     mat = phi.mat @ c.mat @ expm(-t * (h.mat + L.mat))
     return _supertrace(mat, g)
@@ -241,6 +245,7 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
     adaptive simplex quadrature; the truncation error decays like
     t^{K+1} ||L||^{K+1}.
     """
+    from scipy.linalg import expm
     for op in (L, c, phi):
         h._check(op)
     if t <= 0 or K < 0:

@@ -10,6 +10,7 @@ operations on algebra elements call :func:`join_backend` and raise
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 EXACT = "exact"
 FLOAT = "float"
@@ -28,16 +29,15 @@ def backend_of(values) -> str | None:
     """
     seen = None
     for v in values:
-        if isinstance(v, tuple):
-            b = backend_of(v)
-        elif isinstance(v, bool) or type(v) is int:
-            b = None
-        else:
-            b = EXACT if isinstance(v, (Fraction, CFrac)) else FLOAT
-        if seen is None:
-            seen = b
-        elif b not in (None, seen):
-            raise BackendMismatch("mixed exact and floating coefficients in one element")
+        # a matrix's entries in one flat pass, a scalar as itself
+        for x in chain.from_iterable(v) if isinstance(v, tuple) else (v,):
+            if isinstance(x, bool) or type(x) is int:
+                continue
+            b = EXACT if isinstance(x, (Fraction, CFrac)) else FLOAT
+            if seen is None:
+                seen = b
+            elif b != seen:
+                raise BackendMismatch("mixed exact and floating coefficients in one element")
     return seen
 
 

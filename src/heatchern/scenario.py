@@ -127,11 +127,18 @@ class ScenarioConfig:
             t = self.t_grid[0]
             log_4pit = math.log(4 * math.pi * t)
             log_det = math.log(iso.det_one_minus_normal())
-            if max(abs(b / 2 * log_4pit - log_det),
-                   abs(self.a / 2 * log_4pit + log_det),
-                   abs(self.n / 2 * log_4pit)) > MAX_LOG_FLOAT:
-                raise ScenarioError(f"t = {t:g} puts the fiber integral "
-                                    f"outside the float range")
+            past = [name for name, log in (
+                ("the Gaussian integral (4 pi t)^(b/2)/det(1 - phi^N)",
+                 b / 2 * log_4pit - log_det),
+                ("the fiber integral (4 pi t)^(-a/2)/det(1 - phi^N)",
+                 self.a / 2 * log_4pit + log_det),
+                ("the fiber quadrature's factor (4 pi t)^(-n/2)",
+                 self.n / 2 * log_4pit)) if abs(log) > MAX_LOG_FLOAT]
+            if past:
+                raise ScenarioError(
+                    f"{' and '.join(past)} at t = {t:g} "
+                    f"{'is' if len(past) == 1 else 'are'} outside the float "
+                    f"range e^(+-{MAX_LOG_FLOAT})")
         if self.suite in ("spectral", "all"):
             # the spectral suite has no stand-in for an input it cannot run
             try:

@@ -207,9 +207,10 @@ def _fiber_integral(cfg: ScenarioConfig):
        st.floats(-705, 705))
 def test_fiber_integral_passes_where_accepted(na, log_angles, signs, log_t):
     """``validate()`` refuses an input exactly when the Gaussian integral,
-    the fiber integral or (4 pi t)^{-n/2} is past e^{+-MAX_LOG_FLOAT}, and
-    every input it accepts passes the fiber-integral record: angles from
-    3e-15 to 2 pi, either sign, t from e^-705 to e^705."""
+    the fiber integral or (4 pi t)^{-n/2} is past e^{+-MAX_LOG_FLOAT}, its
+    message names those of the three that are, and every input it accepts
+    passes the fiber-integral record: angles from 3e-15 to 2 pi, either
+    sign, t from e^-705 to e^705."""
     n, a = na
     angles = tuple(s * math.exp(x) for s, x in
                    zip(signs, log_angles))[:(n - a) // 2]
@@ -220,15 +221,19 @@ def test_fiber_integral_passes_where_accepted(na, log_angles, signs, log_t):
         assume(False)   # a multiple of 2 pi, refused as a degenerate rotation
     log_4pit = math.log(4 * math.pi * t)
     log_det = math.log(iso.det_one_minus_normal())
-    past = max(abs((n - a) / 2 * log_4pit - log_det),
-               abs(a / 2 * log_4pit + log_det),
-               abs(n / 2 * log_4pit)) > scenario.MAX_LOG_FLOAT
+    logs = {"Gaussian integral": (n - a) / 2 * log_4pit - log_det,
+            "fiber integral": a / 2 * log_4pit + log_det,
+            "(4 pi t)^(-n/2)": n / 2 * log_4pit}
+    past = {name for name, log in logs.items()
+            if abs(log) > scenario.MAX_LOG_FLOAT}
     cfg = ScenarioConfig(suite="fixed-point", n=n, a=a, angles=angles,
                          t_grid=(t,))
     try:
         cfg.validate()
     except ScenarioError as exc:
+        # the message names exactly the quantities past the bound
         assert past and "float range" in str(exc)
+        assert {name for name in logs if name in str(exc)} == past
         return
     assert not past
     record = suites._run(_fiber_integral(cfg))

@@ -263,20 +263,29 @@ def test_cli_nan_t_grid_exit_2(tmp_path, capsys):
     assert "t-grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", [
-    "n 10\na 6\nt-grid 1e-70\n",
-    "n 10\na 10\nt-grid 1e70\n",
+# each body, and the quantities its message names as past the float range
+UNRESOLVABLE = {
+    "n 10\na 6\nt-grid 1e-70\n": ["factor (4 pi t)^(-n/2)"],
+    "n 10\na 10\nt-grid 1e70\n": ["the fiber integral",
+                                   "factor (4 pi t)^(-n/2)"],
     # only the Gaussian integral (4 pi t)^{b/2} / det(1 - phi^N) overflows
-    "n 2\na 0\nangles 3.7e-13\nt-grid 4.2e287\n",
-])
+    "n 2\na 0\nangles 3.7e-13\nt-grid 4.2e287\n": ["the Gaussian integral"],
+}
+
+
+@pytest.mark.parametrize("body", UNRESOLVABLE)
 def test_cli_unresolvable_fiber_integral_exit_2(tmp_path, capsys, body):
     # the fiber integral, its Gaussian factor or (4 pi t)^{-n/2} past the
-    # float range
+    # float range, named in the message
     for suite in ("fixed-point", "all"):
         scn = write_scn(tmp_path, f"suite {suite}\n{body}")
         assert main(["--config", scn]) == 2
         err = capsys.readouterr().err
-        assert "fiber" in err and len(err.splitlines()) == 1
+        assert "float range" in err and len(err.splitlines()) == 1
+        assert [name for name in ("the Gaussian integral",
+                                  "the fiber integral",
+                                  "factor (4 pi t)^(-n/2)")
+                if name in err] == UNRESOLVABLE[body]
     assert main(["--config", scn, "--suite", "torsion"]) == 0
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from heatchern.getzler import GradedDiffOp, Mat
 from heatchern.scalars import (EXACT, FLOAT, BackendMismatch, CFrac, I,
                                backend_of, join_backend)
 
@@ -25,6 +26,19 @@ def test_backend_mix_raises():
         backend_of([CFrac(1, 2), 0.5])
     with pytest.raises(BackendMismatch):
         join_backend(EXACT, FLOAT)
+
+
+def test_backend_mix_inside_one_matrix_raises():
+    # a Mat coefficient with one exact and one floating entry
+    mixed = Mat(((Fraction(1, 2), 0), (0, 0.5)))
+    with pytest.raises(BackendMismatch):
+        backend_of([mixed])
+    assert backend_of([Mat(((Fraction(1, 2), 0), (0, 1)))]) == EXACT
+    assert backend_of([Mat(((1, 0), (0, 1))), 0.5]) == FLOAT
+    with pytest.raises(BackendMismatch):
+        GradedDiffOp.scalar(2, mixed) + GradedDiffOp.scalar(2, 1)
+    with pytest.raises(BackendMismatch):
+        GradedDiffOp.scalar(2, 1) + GradedDiffOp.scalar(2, mixed)
 
 
 def test_join_backend_none():
