@@ -47,19 +47,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IsometryNormalForm:
-    """Block normal form of an orientation-preserving isometry germ."""
+    """Block normal form of an orientation-preserving isometry germ.
+
+    Each normal block's rotation is an angle in ``angles`` and a (cos, sin)
+    pair in ``rotations``, which the routes read: floats when built from
+    the angles, or exact pairs given as ``rotations=[(Fraction(3, 5),
+    Fraction(4, 5)), ...]`` (ints or Fractions, c^2 + s^2 = 1), whose
+    angles are their atan2 and whose routes stay exact.
+    """
 
     n: int
     a: int
     angles: tuple = ()
+    rotations: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(t) for t in self.angles))
         if self.n % 2 or self.a % 2 or self.a < 0:
             raise ValueError("n and a must be even and nonnegative")
-        if self.a + 2 * len(self.angles) != self.n:
+        if self.rotations:
+            if self.angles:
+                raise ValueError("give angles or rotations, not both")
+            rotations = tuple((c, s) for c, s in self.rotations)
+            for c, s in rotations:
+                if not (isinstance(c, (int, Fraction)) and isinstance(
+                        s, (int, Fraction)) and c * c + s * s == 1):
+                    raise ValueError(f"rotation ({c!r}, {s!r}) is not ints or "
+                                     "Fractions with c^2 + s^2 = 1")
+            angles = tuple(math.atan2(s, c) for c, s in rotations)
+        else:
+            angles = tuple(float(t) for t in self.angles)
+            rotations = tuple((math.cos(t), math.sin(t)) for t in angles)
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "rotations", rotations)
+        if self.a + 2 * len(angles) != self.n:
             raise ValueError("a + 2 * len(angles) must equal n")
-        for t in self.angles:
+        for t in angles:
             if math.isclose(math.sin(t / 2), 0.0, abs_tol=1e-15):
                 raise ValueError(f"degenerate rotation angle {t}")
 
@@ -68,16 +90,10 @@ class IsometryNormalForm:
         return self.n - self.a
 
     def normal_rotation(self) -> np.ndarray:
-        """The b x b block rotation phi^N."""
-        blocks = []
-        for t in self.angles:
-            c, s = math.cos(t), math.sin(t)
-            blocks.append(np.array([[c, s], [-s, c]]))
-        if not blocks:
-            return np.zeros((0, 0))
+        """The b x b block rotation phi^N, in floats."""
         out = np.zeros((self.b, self.b))
-        for j, blk in enumerate(blocks):
-            out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blk
+        for j, (c, s) in enumerate(self.rotations):
+            out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, s], [-s, c]]
         return out
 
     def full_matrix(self) -> np.ndarray:
@@ -85,20 +101,17 @@ class IsometryNormalForm:
         out[self.a:, self.a:] = self.normal_rotation()
         return out
 
-    def det_one_minus_normal(self, trig=None):
+    def det_one_minus_normal(self):
         """det(1 - phi^N) = prod (2 - 2 cos theta_j); always positive.
 
-        Each float factor is 4 sin^2(theta_j / 2), which keeps its digits
-        at small angles.  Exact when exact (cos, sin) pairs are passed as
-        ``trig``.
+        Exact pairs give the exact product of 2 - 2c.  Float pairs give
+        each factor as 4 sin^2(theta_j / 2), which keeps its digits at
+        small angles.
         """
-        if trig is None:
-            return math.prod((4 * math.sin(t / 2) ** 2 for t in self.angles),
-                             start=1.0)
-        out = 1
-        for c, _ in _trig_pairs(self, trig):
-            out *= 2 - 2 * c
-        return out
+        if self.rotations and isinstance(self.rotations[0][0], (int, Fraction)):
+            return math.prod(2 - 2 * c for c, _ in self.rotations)
+        return math.prod((4 * math.sin(t / 2) ** 2 for t in self.angles),
+                         start=1.0)
 
 
 class CurvatureTensor:
@@ -180,24 +193,14 @@ class BundleVariationData:
 # -- phi-tilde and the equivariant supertrace --------------------------
 
 
-def _trig_pairs(iso: IsometryNormalForm, trig=None):
-    """(cos, sin) per rotation block; exact pairs may be supplied for
-    rational-backend cross-checks (e.g. Pythagorean angles)."""
-    if trig is not None:
-        if len(trig) != len(iso.angles):
-            raise ValueError("trig override length mismatch")
-        return list(trig)
-    return [(math.cos(t), math.sin(t)) for t in iso.angles]
-
-
-def phi_tilde(iso: IsometryNormalForm, trig=None) -> CliffordElement:
-    """Clifford expansion of the lifted isometry (product over rotation blocks)."""
+def phi_tilde(iso: IsometryNormalForm) -> CliffordElement:
+    """Clifford expansion of the lifted isometry, exact when its rotations are."""
     n = iso.n
     out = CliffordElement.one(n)
-    for jblk, (c, s) in enumerate(_trig_pairs(iso, trig)):
+    half = Fraction(1, 2)
+    for jblk, (c, s) in enumerate(iso.rotations):
         p = iso.a + 2 * jblk + 1   # block indices (p, p+1)
         cp, cq = 1 << (p - 1), 1 << p
-        half = Fraction(1, 2) if isinstance(c, (int, Fraction)) else 0.5
         factor = CliffordElement(n, {
             (0, 0): half * (1 + c),
             (cp | cq, cp | cq): -half * (1 - c),
@@ -239,19 +242,18 @@ def lambda_pushforward_oracle(iso: IsometryNormalForm) -> np.ndarray:
 
 
 def equivariant_supertrace(iso: IsometryNormalForm, A: CliffordElement,
-                           method: str = "matrix", trig=None):
+                           method: str = "matrix"):
     """Str[phi_tilde * A], by matrix representation or by the bigraded
     decomposition (leading det-term plus lower-normal-grade corrections)."""
     if method == "matrix":
-        return supertrace(clifford_multiply(phi_tilde(iso, trig), A))
+        return supertrace(clifford_multiply(phi_tilde(iso), A))
     if method == "decomposition":
-        lead, corr = supertrace_decomposition(iso, A, trig)
+        lead, corr = supertrace_decomposition(iso, A)
         return lead + corr
     raise ValueError(f"unknown method {method!r}")
 
 
-def supertrace_decomposition(iso: IsometryNormalForm, A: CliffordElement,
-                             trig=None):
+def supertrace_decomposition(iso: IsometryNormalForm, A: CliffordElement):
     """(leading term, correction sum) of the bigraded supertrace formula.
 
     leading = (-1)^{n/2} 2^n (-1/4)^{b/2} det(1-phi^N) |sigma(A)|^{((a,0),(a,0))};
@@ -261,10 +263,9 @@ def supertrace_decomposition(iso: IsometryNormalForm, A: CliffordElement,
     n, a, b = iso.n, iso.a, iso.b
     tan = (1 << a) - 1
     pref = ((-1) ** (n // 2)) * (1 << n)
-    sig_phi = symbol_map(phi_tilde(iso, trig))
+    sig_phi = symbol_map(phi_tilde(iso))
     sig_a = symbol_map(A)
-    quarter = Fraction(-1, 4) if trig is not None else -0.25
-    lead = (pref * (quarter ** (b // 2)) * iso.det_one_minus_normal(trig)
+    lead = (pref * Fraction(-1, 4) ** (b // 2) * iso.det_one_minus_normal()
             * sig_a.coefficient(tan, tan))
     corr = 0
     for l1 in range(b + 1):
@@ -575,7 +576,7 @@ def hodge_variation_operator(data: BundleVariationData):
             if v == 0:
                 continue
             key = (1 << i, 1 << j)
-            coeff = Fraction(-1, 2) * v if isinstance(v, (int, Fraction)) else -0.5 * v
+            coeff = Fraction(-1, 2) * v
             cl_terms[key] = cl_terms.get(key, 0) + coeff
             mv_terms[key] = mv_terms.get(key, 0) + coeff
     return CliffordElement(n, cl_terms), Multivector(n, mv_terms)

@@ -16,7 +16,7 @@ line; `#` starts a comment; blank lines are ignored.  Keys:
                                  e.g. 3, -5/2 or 1.5e2, the exponent at
                                  most 4 digits; indices in 1..n, lines
                                  consistent under the symmetries of R)
-    curvature <path>             include n/a/angles/R lines from a file
+    curvature <path>             include only n/a/angles/R lines from a file
     geometry torus | sphere
     action identity | minus-id | translation <vx> <vy> | rotation <theta>
                                  (the torus takes the first three, the
@@ -181,7 +181,7 @@ def _parse_fraction(tok: str) -> Fraction:
 
 
 def _parse_lines(text: str, cfg: ScenarioConfig, base_dir: str,
-                 allow_include: bool = True):
+                 include: bool = False):
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,7 +189,10 @@ def _parse_lines(text: str, cfg: ScenarioConfig, base_dir: str,
         toks = line.split()
         key, args = toks[0], toks[1:]
         try:
-            _apply(key, args, cfg, base_dir, allow_include)
+            if include and key not in ("n", "a", "angles", "R"):
+                raise ScenarioError(f"a curvature include takes n, a, angles "
+                                    f"and R lines, not {key!r}")
+            _apply(key, args, cfg, base_dir)
         except ScenarioError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
@@ -198,8 +201,7 @@ def _parse_lines(text: str, cfg: ScenarioConfig, base_dir: str,
                 from None
 
 
-def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str,
-           allow_include: bool):
+def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str):
     def one():
         if len(args) != 1:
             raise ScenarioError(f"{key} takes one value")
@@ -219,14 +221,11 @@ def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str,
         i, j, k, l = (int(x) for x in args[:4])
         cfg.curvature[(i, j, k, l)] = _parse_fraction(args[4])
     elif key == "curvature":
-        if not allow_include:
-            raise ScenarioError("nested curvature includes are not allowed")
         path = os.path.join(base_dir, one())
         if not os.path.isfile(path):
             raise ScenarioError(f"curvature file not found: {path}")
         with open(path, encoding="utf-8") as fh:
-            _parse_lines(fh.read(), cfg, os.path.dirname(path),
-                         allow_include=False)
+            _parse_lines(fh.read(), cfg, os.path.dirname(path), include=True)
     elif key == "geometry":
         cfg.geometry = one()
     elif key == "action":

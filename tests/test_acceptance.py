@@ -1,11 +1,12 @@
 """End-to-end acceptance checks, one numbered criterion per test.
 
 Each test prints a single pass/fail line (run with ``pytest -s`` to see
-them) and asserts the stated tolerance.
+them) and asserts the stated tolerance.  Each criterion draws from its own
+seeded generator (the ``rng`` and ``nprng`` fixtures), so its data does not
+depend on which criteria ran before it.
 """
 
 import math
-import random
 import time
 from fractions import Fraction
 
@@ -33,9 +34,6 @@ from heatchern.spectral import (FiniteComplex, IsometryAction, SpectralModel,
 
 from conftest import random_curvature
 
-RNG = random.Random(20260823)
-NPRNG = np.random.default_rng(20260823)
-
 
 def _line(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -62,7 +60,7 @@ def test_criterion_01_supertrace_word_table():
           f"exhaustive word table n=2,4 exact, {elapsed:.1f}s")
 
 
-def test_criterion_02_index_density_polynomial_identity():
+def test_criterion_02_index_density_polynomial_identity(rng):
     t0 = time.time()
     combos = [(4, 2, 20), (4, 4, 20), (6, 2, 20), (6, 4, 20), (6, 6, 20),
               (8, 2, 5), (8, 4, 5), (8, 6, 5), (8, 8, 3),
@@ -73,22 +71,20 @@ def test_criterion_02_index_density_polynomial_identity():
         angles = tuple(0.4 + 0.5 * i for i in range((n - a) // 2))
         iso = IsometryNormalForm(n, a, angles)
         for _ in range(count):
-            R = random_curvature(n, RNG)
+            R = random_curvature(n, rng)
             if local_index_density(R, iso) != euler_form(R.tangent_block(a), a):
                 ok = False
             checked += 1
-    # one n = a = 10 identity, on its own seed so the draws above and the
-    # later criteria's draws from RNG stay as they were
-    R = random_curvature(10, random.Random(10))
+    # one n = a = 10 identity
+    R = random_curvature(10, rng)
     if local_index_density(R, IsometryNormalForm(10, 10)) != euler_form(R, 10):
         ok = False
     checked += 1
-    # and one on sparse curvature with denominators 2 and 3, on a third seed
-    sparse_rng = random.Random(11)
+    # and one on sparse curvature with denominators 2 and 3
     R = CurvatureTensor(10, {
-        k: v / sparse_rng.choice([2, 3])
-        for k, v in random_curvature(10, sparse_rng).components.items()
-        if sparse_rng.random() < 0.3})
+        k: v / rng.choice([2, 3])
+        for k, v in random_curvature(10, rng).components.items()
+        if rng.random() < 0.3})
     if local_index_density(R, IsometryNormalForm(10, 10)) != euler_form(R, 10):
         ok = False
     checked += 1
@@ -109,13 +105,13 @@ def test_criterion_03_pushforward_oracle_grid():
     _line(3, worst < 1e-12, f"50-angle grid, max entry error {worst:.2e}")
 
 
-def test_criterion_04_fiber_integral_consistency():
+def test_criterion_04_fiber_integral_consistency(rng):
     worst = 0.0
     for n, a in [(4, 2), (4, 0)]:
         b = n - a
-        angles = tuple(RNG.uniform(0.1, math.pi - 0.1) for _ in range(b // 2))
+        angles = tuple(rng.uniform(0.1, math.pi - 0.1) for _ in range(b // 2))
         iso = IsometryNormalForm(n, a, angles)
-        R = random_curvature(n, RNG)
+        R = random_curvature(n, rng)
         R = CurvatureTensor(n, {k: float(v) for k, v in R.components.items()})
         for t in (0.1, 1.0):
             body = mehler_body(R, t)
@@ -128,11 +124,11 @@ def test_criterion_04_fiber_integral_consistency():
     _line(4, worst < 1e-6, f"closed form vs quadrature, max error {worst:.2e}")
 
 
-def test_criterion_05_model_operator_extraction():
+def test_criterion_05_model_operator_extraction(rng):
     n = 4
     ok = True
     for _ in range(10):
-        R = random_curvature(n, RNG)
+        R = random_curvature(n, rng)
         got = model_operator(GradedDiffOp.d_t(n) + weitzenbock(R))
         terms = {((0,) * n, 0, 0, (0,) * n, 1): 1}
         for j in range(n):
@@ -145,31 +141,31 @@ def test_criterion_05_model_operator_extraction():
     _line(5, ok, "model operator equals free Laplacian + curvature potential")
 
 
-def test_criterion_06_lichnerowicz_identities():
+def test_criterion_06_lichnerowicz_identities(rng):
     n, r = 4, 2
     ok = True
     for _ in range(5):
         data = BundleVariationData(
             n=n,
-            omega=[[[Fraction(RNG.randint(-3, 3)) for _ in range(r)]
+            omega=[[[Fraction(rng.randint(-3, 3)) for _ in range(r)]
                     for _ in range(r)] for _ in range(n)],
-            nabla_omega={(i, j): [[Fraction(RNG.randint(-3, 3))
+            nabla_omega={(i, j): [[Fraction(rng.randint(-3, 3))
                                    for _ in range(r)] for _ in range(r)]
                          for i in range(1, n + 1) for j in range(1, n + 1)})
-        split = lichnerowicz_split(random_curvature(n, RNG), data)
+        split = lichnerowicz_split(random_curvature(n, rng), data)
         if not all(split.identities.values()):
             ok = False
     _line(6, ok, "both operator identities hold term-by-term, n=4")
 
 
-def test_criterion_07_remainder_order():
+def test_criterion_07_remainder_order(nprng):
     t0 = time.time()
     ss = [2.0 ** (-e) for e in range(3, 11)]
     worst = 0.0
     for _ in range(20):
-        m = NPRNG.standard_normal((8, 8))
+        m = nprng.standard_normal((8, 8))
         h = FiniteOperator((m + m.T) / 2, hermitian=True)
-        b = FiniteOperator(NPRNG.standard_normal((8, 8)))
+        b = FiniteOperator(nprng.standard_normal((8, 8)))
         for N in (1, 2, 3):
             errs = [commutator_expansion(h, b, s, N)[1] for s in ss]
             slope = float(np.polyfit(np.log(ss), np.log(errs), 1)[0])
@@ -179,13 +175,13 @@ def test_criterion_07_remainder_order():
           f"20 pairs, max slope deviation {worst:.3f}, {elapsed:.1f}s")
 
 
-def test_criterion_08_duhamel_truncation():
+def test_criterion_08_duhamel_truncation(nprng):
     d = 4
-    m = NPRNG.standard_normal((d, d))
+    m = nprng.standard_normal((d, d))
     h = FiniteOperator((m + m.T) / 2 + 2.0 * np.eye(d), hermitian=True)
-    L = FiniteOperator(0.5 * NPRNG.standard_normal((d, d)))
-    c = FiniteOperator(NPRNG.standard_normal((d, d)))
-    phi = FiniteOperator(NPRNG.standard_normal((d, d)))
+    L = FiniteOperator(0.5 * nprng.standard_normal((d, d)))
+    c = FiniteOperator(nprng.standard_normal((d, d)))
+    phi = FiniteOperator(nprng.standard_normal((d, d)))
     g = np.array([1.0, 1.0, -1.0, -1.0])
     ts = [0.2, 0.1, 0.05, 0.025]
     ok = True
@@ -233,16 +229,16 @@ def test_criterion_09_equivariant_index_desk_scale():
           f"{elapsed:.1f}s")
 
 
-def _rand_volterra(n, max_deg=4):
+def _rand_volterra(rng, n, max_deg=4):
     terms = {}
     for _ in range(4):
         while True:
-            xe = tuple(RNG.randint(0, 2) for _ in range(n))
-            xie = tuple(RNG.randint(0, 2) for _ in range(n))
+            xe = tuple(rng.randint(0, 2) for _ in range(n))
+            xie = tuple(rng.randint(0, 2) for _ in range(n))
             if sum(xe) + sum(xie) <= max_deg:
                 break
-        terms[(xe, xie, RNG.randint(0, 1))] = CFrac(RNG.randint(-3, 3),
-                                                    RNG.randint(-2, 2))
+        terms[(xe, xie, rng.randint(0, 1))] = CFrac(rng.randint(-3, 3),
+                                                    rng.randint(-2, 2))
     return VolterraSymbol(n, terms)
 
 
@@ -271,17 +267,17 @@ def _apply_symbol(sym, poly):
     return {k: v for k, v in out.items() if v != CFrac(0)}
 
 
-def test_criterion_11_volterra_composition_exact():
+def test_criterion_11_volterra_composition_exact(rng):
     ok = True
     for n in (1, 2, 3):
         for _ in range(8):
-            a, b, c = (_rand_volterra(n) for _ in range(3))
+            a, b, c = (_rand_volterra(rng, n) for _ in range(3))
             if volterra_compose(volterra_compose(a, b), c) \
                     != volterra_compose(a, volterra_compose(b, c)):
                 ok = False
-            poly = {(tuple(RNG.randint(0, 2) for _ in range(n)), 0): CFrac(1),
-                    (tuple(RNG.randint(0, 3) for _ in range(n)), 1):
-                    CFrac(RNG.randint(-2, 2), 1)}
+            poly = {(tuple(rng.randint(0, 2) for _ in range(n)), 0): CFrac(1),
+                    (tuple(rng.randint(0, 3) for _ in range(n)), 1):
+                    CFrac(rng.randint(-2, 2), 1)}
             via_symbol = _apply_symbol(volterra_compose(a, b), poly)
             via_ops = _apply_symbol(a, _apply_symbol(b, poly))
             if via_symbol != via_ops:
@@ -289,7 +285,7 @@ def test_criterion_11_volterra_composition_exact():
     _line(11, ok, "composition exact and associative on rational symbols")
 
 
-def test_criterion_12_finite_torsion():
+def test_criterion_12_finite_torsion(nprng):
     # 1-dim closed form
     exact = all(abs(log_finite_torsion(
         FiniteComplex(dims=(1, 1), d=[[[a]]])) + math.log(abs(a))) < 1e-13
@@ -299,8 +295,8 @@ def test_criterion_12_finite_torsion():
     base = log_finite_torsion(FiniteComplex(dims=(2, 2), d=[dmat]))
     inv_err = 0.0
     for _ in range(5):
-        q0, _ = np.linalg.qr(NPRNG.standard_normal((2, 2)))
-        q1, _ = np.linalg.qr(NPRNG.standard_normal((2, 2)))
+        q0, _ = np.linalg.qr(nprng.standard_normal((2, 2)))
+        q1, _ = np.linalg.qr(nprng.standard_normal((2, 2)))
         rot = log_finite_torsion(FiniteComplex(dims=(2, 2), d=[q1 @ dmat @ q0.T]))
         inv_err = max(inv_err, abs(rot - base))
     # second-order finite differences

@@ -51,7 +51,6 @@ SHARED = {
     ("fixed-point/supertrace-paths", "equivariant.equivariant_supertrace"):
         DISPATCH,
     ("fixed-point/supertrace-paths", "equivariant.phi_tilde"): PHI,
-    ("fixed-point/supertrace-paths", "equivariant._trig_pairs"): PHI,
     ("fixed-point/supertrace-paths", "clifford.clifford_multiply"): PHI,
     ("fixed-point/supertrace-paths", "clifford.CliffordElement.one"): PHI,
     ("duhamel/series-vs-direct", "duhamel.FiniteOperator.dim"): READOUT,

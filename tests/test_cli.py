@@ -81,6 +81,21 @@ def test_nested_include_rejected(tmp_path):
         parse_scenario(path)
 
 
+@pytest.mark.parametrize("key", ["suite torsion", "seed 5", "format json",
+                                 "t-grid 0.5", "geometry torus"])
+def test_include_sets_only_geometry_keys(tmp_path, capsys, key):
+    """A curvature include holds n/a/angles/R lines; any other key exits 2
+    with one line that names it."""
+    write_scn(tmp_path, f"n 4\na 2\nangles 0.8\nR 1 2 1 2 3\n{key}\n",
+              name="c.inc")
+    path = write_scn(tmp_path, "suite algebra\ncurvature c.inc\n")
+    assert main(["verify", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"{key.split()[0]!r}" in captured.err
+
+
 @pytest.mark.parametrize("body", [
     "suite nonsense\n",
     "format yaml\n",

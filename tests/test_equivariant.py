@@ -29,7 +29,8 @@ from heatchern.scalars import BackendMismatch
 from conftest import random_curvature
 
 # exact Pythagorean (cos, sin) pairs for rational-backend checks
-PYTH = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13))]
+PYTH = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+        (Fraction(8, 17), Fraction(15, 17))]
 
 
 def test_isometry_validation():
@@ -42,6 +43,39 @@ def test_isometry_validation():
     iso = IsometryNormalForm(4, 2, (math.pi,))
     assert iso.b == 2
     assert iso.det_one_minus_normal() == pytest.approx(4.0)
+
+
+NOT_EXACT = r"is not ints or Fractions with c\^2"
+
+
+@pytest.mark.parametrize("n, a, kwargs, match", [
+    (4, 2, {"rotations": [(0.6, 0.8)]}, NOT_EXACT),
+    (4, 2, {"rotations": [(Fraction(3, 5), 0.8)]}, NOT_EXACT),
+    (4, 2, {"rotations": [("3/5", "4/5")]}, NOT_EXACT),
+    (4, 2, {"rotations": [(Fraction(1, 2), Fraction(1, 2))]}, NOT_EXACT),
+    (4, 2, {"rotations": [(1, 0)]}, "degenerate rotation"),
+    (4, 2, {"rotations": PYTH[:2]}, "must equal n"),
+    (6, 2, {"rotations": PYTH[:1]}, "must equal n"),
+    (4, 2, {"rotations": [(Fraction(3, 5),)]}, "values to unpack"),
+    (4, 2, {"angles": (0.9,), "rotations": PYTH[:1]}, "not both"),
+], ids=["floats", "one-float", "strings", "off-circle", "identity",
+        "too-many", "too-few", "not-a-pair", "both"])
+def test_exact_rotations_refused(n, a, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        IsometryNormalForm(n, a, **kwargs)
+
+
+def test_exact_isometry_keeps_its_pairs():
+    iso = IsometryNormalForm(8, 2, rotations=PYTH)
+    assert iso.rotations == tuple(PYTH)
+    assert iso.angles == tuple(math.atan2(s, c) for c, s in PYTH)
+    det = iso.det_one_minus_normal()
+    assert type(det) is Fraction
+    assert det == math.prod(2 - 2 * c for c, _ in PYTH)
+    assert det == pytest.approx(math.prod(4 * math.sin(t / 2) ** 2
+                                          for t in iso.angles))
+    assert np.allclose(iso.normal_rotation(), IsometryNormalForm(
+        8, 2, iso.angles).normal_rotation(), rtol=0, atol=1e-15)
 
 
 def test_curvature_symmetries():
@@ -64,9 +98,8 @@ def test_scalar_curvature_and_tangent_block():
 
 
 def test_phi_tilde_exact_structure():
-    iso = IsometryNormalForm(2, 0, (1.0,))
-    p = phi_tilde(iso, trig=[PYTH[0]])
     c, s = PYTH[0]
+    p = phi_tilde(IsometryNormalForm(2, 0, rotations=[(c, s)]))
     half = Fraction(1, 2)
     assert p.coefficient(0, 0) == half * (1 + c)
     assert p.coefficient(0b11, 0b11) == -half * (1 - c)
@@ -75,17 +108,20 @@ def test_phi_tilde_exact_structure():
 
 
 def test_pushforward_oracle_matches_representation():
-    for n, a, angles in [(2, 0, (0.4,)), (4, 2, (2.2,)), (4, 0, (0.7, 2.9))]:
-        iso = IsometryNormalForm(n, a, angles)
+    for iso in (IsometryNormalForm(2, 0, (0.4,)),
+                IsometryNormalForm(4, 2, (2.2,)),
+                IsometryNormalForm(4, 0, (0.7, 2.9)),
+                IsometryNormalForm(4, 2, rotations=PYTH[:1]),
+                IsometryNormalForm(6, 0, rotations=PYTH)):
         mat = represent(phi_tilde(iso)).astype(float)
         want = lambda_pushforward_oracle(iso)
         assert np.max(np.abs(mat - want)) < 1e-12
 
 
 def test_sigma_phi_top_leading_term():
-    iso = IsometryNormalForm(4, 2, (1.0,))
+    iso = IsometryNormalForm(4, 2, rotations=[PYTH[1]])
     c, _ = PYTH[1]
-    sig = symbol_map(phi_tilde(iso, trig=[PYTH[1]]))
+    sig = symbol_map(phi_tilde(iso))
     comp = grade_component(sig, 2, ((0, 2), (0, 2)))
     # (-1/4)^{b/2} det(1 - phi^N) on the top normal word
     mask = 0b1100
@@ -93,16 +129,29 @@ def test_sigma_phi_top_leading_term():
 
 
 def test_supertrace_paths_exact():
-    iso = IsometryNormalForm(4, 2, (1.0,))
-    trig = [PYTH[0]]
+    iso = IsometryNormalForm(4, 2, rotations=[PYTH[0]])
     full = (1 << 4) - 1
     A = CliffordElement(4, {(full, full): Fraction(1), (0b11, 0b11): Fraction(2),
                             (0, 0): Fraction(3)})
-    s1 = equivariant_supertrace(iso, A, "matrix", trig)
-    s2 = equivariant_supertrace(iso, A, "decomposition", trig)
-    assert s1 == s2
-    lead, corr = supertrace_decomposition(iso, A, trig)
+    s1 = equivariant_supertrace(iso, A, "matrix")
+    s2 = equivariant_supertrace(iso, A, "decomposition")
+    assert type(s1) is Fraction and s1 == s2
+    lead, corr = supertrace_decomposition(iso, A)
     assert lead + corr == s1
+
+
+@pytest.mark.parametrize("n, a, want", [
+    (4, 2, Fraction(64, 5)), (6, 2, Fraction(-2304, 65)),
+    (8, 2, Fraction(23040, 221)), (6, 0, Fraction(-28224, 1105))])
+def test_supertrace_paths_exact_rotations(n, a, want):
+    """The fixed-point suite's A = top word + 1/2 on Pythagorean rotations:
+    both routes give the same Fraction."""
+    iso = IsometryNormalForm(n, a, rotations=PYTH[:(n - a) // 2])
+    full = (1 << n) - 1
+    A = CliffordElement(n, {(full, full): Fraction(1), (0, 0): Fraction(1, 2)})
+    for method in ("matrix", "decomposition"):
+        got = equivariant_supertrace(iso, A, method)
+        assert type(got) is Fraction and got == want
 
 
 def test_supertrace_float_paths_agree(rng):
