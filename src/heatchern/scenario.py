@@ -225,7 +225,11 @@ def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str):
         if not os.path.isfile(path):
             raise ScenarioError(f"curvature file not found: {path}")
         with open(path, encoding="utf-8") as fh:
-            _parse_lines(fh.read(), cfg, os.path.dirname(path), include=True)
+            text = fh.read()
+        try:
+            _parse_lines(text, cfg, os.path.dirname(path), include=True)
+        except ScenarioError as exc:
+            raise ScenarioError(f"include {path}: {exc}") from None
     elif key == "geometry":
         cfg.geometry = one()
     elif key == "action":

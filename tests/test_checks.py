@@ -22,7 +22,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatchern import _kernels, equivariant, multivector, scenario, suites
+from heatchern import (_kernels, equivariant, getzler, multivector, scenario,
+                       suites)
 from heatchern.multivector import _SparseElement
 from heatchern.report import emit
 from heatchern.scenario import ScenarioConfig, ScenarioError, parse_scenario
@@ -114,6 +115,17 @@ def test_two_route_checks_share_only_what_is_listed():
     assert idle == [], "a route reaches nothing"
     assert sorted(shared - SHARED.keys()) == [], "shared, not listed"
     assert sorted(SHARED.keys() - shared) == [], "listed, not shared"
+
+
+def test_profile_sees_through_caches():
+    """Each profile starts with the functools caches empty, so a function
+    that a cache hit would skip, and that two routes might share, is still
+    reported by both."""
+    a, b = getzler.VolterraSymbol.xi(2, 1), getzler.VolterraSymbol.x(2, 1)
+    for _ in range(2):
+        with profiled() as codes:
+            getzler.volterra_compose(a, b)
+        assert "getzler._leibniz" in {_name(c) for c in codes}
 
 
 def test_suite_names_have_one_list():

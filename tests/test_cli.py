@@ -96,6 +96,18 @@ def test_include_sets_only_geometry_keys(tmp_path, capsys, key):
     assert f"{key.split()[0]!r}" in captured.err
 
 
+def test_include_error_names_the_include(tmp_path, capsys):
+    """An error inside a curvature include names the include's path between
+    the including line and the include's own line."""
+    inc = write_scn(tmp_path, "n 4\nR 1 2 1 2 x/y\n", name="c.inc")
+    path = write_scn(tmp_path, "suite algebra\ncurvature c.inc\n")
+    assert main(["verify", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: line 2: include {inc}: line 2: "
+                            "bad rational value 'x/y'\n")
+
+
 @pytest.mark.parametrize("body", [
     "suite nonsense\n",
     "format yaml\n",

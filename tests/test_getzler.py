@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatchern.clifford import CliffordElement
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    curvature_bivector)
 from heatchern.getzler import (ExteriorDiffOp, GradedDiffOp, Mat,
-                               VolterraSymbol, compose, getzler_order,
-                               lichnerowicz_split, model_operator,
-                               top_order_part, volterra_compose, weitzenbock)
+                               VolterraSymbol, _curvature_quartic, compose,
+                               getzler_order, lichnerowicz_split,
+                               model_operator, top_order_part,
+                               volterra_compose, weitzenbock)
 from heatchern.multivector import _SparseElement
 from heatchern.scalars import EXACT, BackendMismatch, CFrac, I
 
-from conftest import random_curvature
+from conftest import gen_c, gen_chat, random_curvature
 
 
 def z(n):
@@ -61,6 +63,36 @@ def test_weitzenbock_flat_case():
         (z(n), 0, 0, tuple(2 if i == j else 0 for i in range(n)), 0): -1
         for j in range(n)})
     assert flat == want
+
+
+def _sparse_rational_curvature(n, rng):
+    """A third of the canonical components, each a non-integer rational."""
+    canonical = [(i, j, k, l)
+                 for i, j in itertools.combinations(range(1, n + 1), 2)
+                 for k, l in itertools.combinations(range(1, n + 1), 2)
+                 if (i, j) <= (k, l)]
+    return CurvatureTensor(n, {
+        key: Fraction(rng.choice([-7, -2, 1, 5]), rng.choice([3, 4, 9]))
+        for key in rng.sample(canonical, max(1, len(canonical) // 3))})
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_curvature_quartic_matches_full_sum(rng, n, kind):
+    """The sum over i < j, k < l equals -(1/8) sum_ijkl R_ijkl c_i c_j ch_k
+    ch_l taken over all n^4 index tuples, one Clifford product each."""
+    R = (random_curvature(n, rng) if kind == "dense"
+         else _sparse_rational_curvature(n, rng))
+    terms = {}
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        v = R.get(i, j, k, l)
+        if v:
+            word = gen_c(n, i) * gen_c(n, j) * gen_chat(n, k) * gen_chat(n, l)
+            for key, c in word.terms.items():
+                terms[key] = terms.get(key, 0) + Fraction(-v, 8) * c
+    want = CliffordElement(n, terms)
+    assert want.terms
+    assert _curvature_quartic(R).terms == want.terms
 
 
 def test_weitzenbock_order_and_residual(rng):
