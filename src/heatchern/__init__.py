@@ -22,7 +22,7 @@ from .equivariant import (IsometryNormalForm, CurvatureTensor,
                           euler_form, local_index_density, transgression,
                           pfaffian, curvature_form_matrix,
                           hodge_variation_operator, theta_form)
-from .getzler import (GradedDiffOp, ExteriorDiffOp, SigmaExtendedOp,
+from .getzler import (GradedDiffOp, ExteriorDiffOp,
                       VolterraSymbol, getzler_order, model_operator, top_order_part,
                       weitzenbock, compose, lichnerowicz_split,
                       volterra_compose)

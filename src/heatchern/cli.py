@@ -21,14 +21,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Run verification suites from a scenario file.")
-    sub = parser.add_subparsers(dest="command")
-    v = sub.add_parser("verify", help="run a named suite")
-    for p in (parser, v):
-        p.add_argument("--suite", choices=SUITES, default=None)
-        p.add_argument("--config", required=False, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
+    # one parser, so an option reads the same before and after ``verify``
+    parser.add_argument("command", nargs="?", choices=("verify",),
+                        help="run a named suite (the default)")
+    parser.add_argument("--suite", choices=SUITES, default=None)
+    parser.add_argument("--config", required=False, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     return parser
 
 

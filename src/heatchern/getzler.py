@@ -16,7 +16,9 @@ expanded from a metric: they are carried as opaque named summands with a
 declared grading bound, since only the top-order part is ever consumed.
 An opaque summand is an ordinary term of the shared sparse element,
 keyed (name-tuple, order-bound).  Endomorphism-valued (End(F))
-coefficients are one square-matrix type, :class:`Mat`.
+coefficients are one square-matrix type, :class:`Mat`.  The Lichnerowicz
+split keeps each of its summands as a term dict and builds each piece by
+one constructor call over the dicts it sums.
 
 Truncated symbol composition for the parabolic calculus uses the
 Fourier convention D_x = -i d/dx (fixed once here; the composition
@@ -45,8 +47,8 @@ from .multivector import _SparseElement, _mask_indices, _popcount, _product
 from .scalars import BackendMismatch, CFrac
 
 __all__ = [
-    "GradedDiffOp", "ExteriorDiffOp", "Mat", "SigmaExtendedOp",
-    "VolterraSymbol", "getzler_order", "model_operator", "top_order_part",
+    "GradedDiffOp", "ExteriorDiffOp", "Mat", "VolterraSymbol",
+    "getzler_order", "model_operator", "top_order_part",
     "weitzenbock", "compose", "lichnerowicz_split", "LichnerowiczSplit",
     "volterra_compose",
 ]
@@ -189,11 +191,6 @@ class GradedDiffOp(_SparseElement):
         return (xexp, cmask, hmask, dexp, tpow), c
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def scalar(cls, n: int, value) -> "GradedDiffOp":
-        z = (0,) * n
-        return cls(n, {(z, 0, 0, z, 0): value})
 
     @classmethod
     def d_x(cls, n: int, j: int) -> "GradedDiffOp":
@@ -403,24 +400,31 @@ class LichnerowiczSplit:
     triangle_F: GradedDiffOp
     D0_squared: GradedDiffOp
     L_omega: GradedDiffOp
-    D2_odd: GradedDiffOp
-    D2_even: GradedDiffOp
-    L_omega_sigma: "SigmaExtendedOp"
     identities: dict
 
 
-def _clifford_to_op(n: int, summands) -> GradedDiffOp:
-    """The sum of coef * words over (Clifford word dict, coef) summands.
-
-    The summands go into one term dict and one operator: adding them one
-    operator at a time would re-check every term at each ``+``.
-    """
+def _clifford_terms(n: int, summands) -> dict:
+    """Term dict of the sum of coef * words over (Clifford word dict, coef)
+    summands, zero sums kept."""
     z = (0,) * n
     terms = {}
     for words, coef in summands:
         for (cm, hm), s in words.items():
             key = (z, cm, hm, z, 0)
             terms[key] = terms[key] + s * coef if key in terms else s * coef
+    return terms
+
+
+def _merged(n: int, *summands) -> GradedDiffOp:
+    """The operator sum of term dicts, added in the order given.
+
+    One constructor call checks each term once: adding the summands one
+    operator at a time would re-check every term at each ``+``.
+    """
+    terms = {}
+    for summand in summands:
+        for key, c in summand.items():
+            terms[key] = terms[key] + c if key in terms else c
     return GradedDiffOp(n, terms)
 
 
@@ -435,7 +439,9 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
 
       triangle_F = -laplacian + E
       triangle_F = D0_squared + L_omega
-      (D2_even, D2_odd) = D0_squared + L_omega_sigma   (sigma-pair sense)
+      triangle_F - mixed = D0_squared + hh + omega^2/4   (the sigma-even parts)
+
+    where mixed, the c ch terms of L_omega, is its sigma-odd part.
     """
     n = R.n
     if n != data.n:
@@ -463,57 +469,40 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
 
     lap = GradedDiffOp.opaque_term(n, "rough_laplacian", 2,
                                    coef=Mat.scalar(-1, r_fib))
-    zero = GradedDiffOp.zero(n)
-
     z = (0,) * n
-    curv_quartic = GradedDiffOp(n, {
-        (z, cm, hm, z, 0): Mat.scalar(c, r_fib)
-        for (cm, hm), c in _curvature_quartic(R).terms.items()})
-
-    cc_w2 = _clifford_to_op(n, (
+    one = (z, 0, 0, z, 0)
+    curv_quartic = {(z, cm, hm, z, 0): Mat.scalar(c, r_fib)
+                    for (cm, hm), c in _curvature_quartic(R).terms.items()}
+    cc_w2 = _clifford_terms(n, (
         (_cw(i, j, ("c", "c")), Fraction(-1, 8) * w2[i, j])
         for i, j in pairs if w2[i, j]))
-    hh_w2 = _clifford_to_op(n, (
+    hh_w2 = _clifford_terms(n, (
         (_cw(i, j, ("ch", "ch")), Fraction(1, 8) * w2[i, j])
         for i, j in pairs if w2[i, j]))
     brackets = {p: nabla[p] + Fraction(1, 2) * w2[p] for p in pairs}
-    mixed = _clifford_to_op(n, (
+    mixed = _clifford_terms(n, (
         (_cw(i, j, ("c", "ch")), Fraction(-1, 2) * brackets[i, j])
         for i, j in pairs if brackets[i, j]))
-
-    # a zero omega^2 drops out as a zero coefficient
-    omega_sq_op = GradedDiffOp.scalar(n, Fraction(1, 4) * sum(w * w for w in omega))
+    # omega^2/4 and r/4 share the constant term: a zero one is no term, so
+    # the other keeps its own entries
+    w_sq = Fraction(1, 4) * sum(w * w for w in omega)
+    omega_sq = {one: w_sq} if w_sq else {}
     r = R.scalar_curvature()
-    r_term = GradedDiffOp.scalar(n, Mat.scalar(Fraction(r, 4), r_fib)) if r else zero
+    r_term = {one: Mat.scalar(Fraction(r, 4), r_fib)} if r else {}
 
-    E = curv_quartic + cc_w2 + hh_w2 + mixed + omega_sq_op + r_term
-    triangle_F = lap + E
-    D0_squared = lap + curv_quartic + cc_w2 + r_term
-    L_omega = hh_w2 + mixed + omega_sq_op
-    D2_odd = mixed
-    D2_even = triangle_F - D2_odd
-    L_omega_sigma = SigmaExtendedOp(hh_w2 + omega_sq_op, mixed)
+    E = _merged(n, curv_quartic, cc_w2, hh_w2, mixed, omega_sq, r_term)
+    triangle_F = _merged(n, lap.terms, curv_quartic, cc_w2, hh_w2, mixed,
+                         omega_sq, r_term)
+    D0_squared = _merged(n, lap.terms, curv_quartic, cc_w2, r_term)
+    L_omega = _merged(n, hh_w2, mixed, omega_sq)
 
     identities = {
         "triangle_is_laplacian_plus_E": triangle_F == lap + E,
         "triangle_is_D0sq_plus_L": triangle_F == D0_squared + L_omega,
-        "sigma_split": SigmaExtendedOp(D2_even, D2_odd)
-                       == SigmaExtendedOp(D0_squared + L_omega_sigma.even,
-                                          L_omega_sigma.odd),
+        "sigma_split": triangle_F - _merged(n, mixed)
+                       == D0_squared + _merged(n, hh_w2, omega_sq),
     }
-    return LichnerowiczSplit(E, triangle_F, D0_squared, L_omega,
-                             D2_odd, D2_even, L_omega_sigma, identities)
-
-
-# -- sigma-extended pairs -------------------------------------------------
-
-@dataclass(frozen=True)
-class SigmaExtendedOp:
-    """Formal pair (A, B) standing for A + sigma B with sigma^2 = 1; two
-    pairs are equal when both parts are."""
-
-    even: object
-    odd: object
+    return LichnerowiczSplit(E, triangle_F, D0_squared, L_omega, identities)
 
 
 # -- truncated parabolic symbol composition ------------------------------
@@ -610,12 +599,12 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
     if N < threshold:
         warnings.warn("composition truncated below the polynomial exactness "
                       "threshold; result is approximate", RuntimeWarning)
-    parts2 = [(key, c.parts()) for key, c in q2.terms.items()]
+    parts2 = [(key, c.re, c.im) for key, c in q2.terms.items()]
     sums = {}
     get = sums.get
     for (x1, xi1, t1), c1 in q1.terms.items():
-        re1, im1 = c1.parts()
-        for (x2, xi2, t2), (re2, im2) in parts2:
+        re1, im1 = c1.re, c1.im
+        for (x2, xi2, t2), re2, im2 in parts2:
             re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
             # c1*c2*(-i)^k for k mod 4
             turns = ((re, im), (im, -re), (-re, -im), (-im, re))

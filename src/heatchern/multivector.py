@@ -19,9 +19,10 @@ The symbol map sigma is therefore the identity on words.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
-from .scalars import backend_of, join_backend
+from .scalars import backend_of
 
 __all__ = [
     "Multivector", "wedge", "grade_component", "berezin", "exp_even",
@@ -156,7 +157,7 @@ class _SparseElement:
                             f"with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        join_backend(self.backend(), other.backend())
+        backend_of(chain(self.terms.values(), other.terms.values()))
 
     def _like(self, terms):
         """An element of the same type as self with the given terms."""

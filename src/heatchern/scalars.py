@@ -2,9 +2,10 @@
 
 Every algebraic identity in this package is checked in exact rational
 arithmetic (``fractions.Fraction``); spectral and Gaussian numerics use
-IEEE doubles.  The two backends are never mixed silently: binary
-operations on algebra elements call :func:`join_backend` and raise
-:class:`BackendMismatch` when one side is exact and the other floating.
+IEEE doubles.  The two backends are never mixed silently: a binary
+operation on algebra elements reads :func:`backend_of` over the
+coefficients of both operands, which raises :class:`BackendMismatch`
+when one is exact and another floating.
 """
 
 from __future__ import annotations
@@ -41,40 +42,24 @@ def backend_of(values) -> str | None:
     return seen
 
 
-def join_backend(a: str | None, b: str | None) -> str | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a != b:
-        raise BackendMismatch(f"cannot combine {a} and {b} backends")
-    return a
-
-
 class CFrac:
-    """Gaussian rational a + b*i with Fraction parts.
+    """Gaussian rational a + b*i with int or Fraction parts.
 
     Used by the Volterra symbol calculus, where the D_x = -i d/dx
     convention puts factors of i into otherwise rational coefficients.
-    A part that is not an int or a Fraction (a float, say) raises
-    :class:`BackendMismatch`.  A CFrac with zero imaginary part equals
-    and hashes like its real part.
+    The parts are kept as given; one that is not an int or a Fraction
+    (a float or a bool, say) raises :class:`BackendMismatch`.  A CFrac
+    with zero imaginary part equals and hashes like its real part.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         for v in (re, im):
-            if not isinstance(v, (int, Fraction)):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise BackendMismatch(f"CFrac part {v!r} is not an int or a Fraction")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def parts(self) -> tuple:
-        """(re, im), each an int when its denominator is 1, else a Fraction."""
-        re, im = self.re, self.im
-        return (re.numerator if re.denominator == 1 else re,
-                im.numerator if im.denominator == 1 else im)
+        self.re = re
+        self.im = im
 
     @staticmethod
     def _coerce(other) -> "CFrac":

@@ -29,7 +29,8 @@ line; `#` starts a comment; blank lines are ignored.  Keys:
                                  (4 pi t)^{-n/2} leaves e^{+-700}
     cutoff <K>                   the spectral suite sums (2K+1)^2 torus
                                  or K+1 sphere modes once per t-grid
-                                 entry; at most 1e7 terms in all
+                                 entry, and a tail past K that grows
+                                 like t^(-1/2); at most 1e7 terms in all
     tolerance <float>
     seed <int>                   a non-negative integer
     out <path>
@@ -46,13 +47,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .equivariant import CurvatureTensor, IsometryNormalForm
-from .spectral import IsometryAction, check_pair
+from .spectral import IsometryAction, _tail_terms, check_pair
 
 SUITES = ("algebra", "fixed-point", "getzler", "duhamel", "spectral",
           "torsion", "all")
 FORMATS = ("json", "csv", "text")
-# mode terms the spectral suite may sum, one heat sum per t-grid entry;
-# 1e6 of them take 0.1-0.2 s
+# mode and tail terms the spectral suite may sum, one heat sum and one tail
+# sum per t-grid entry; 1e6 of them take 0.1-0.2 s
 MAX_MODE_TERMS = 10 ** 7
 # normal directions b = n - a of the fixed-point fiber quadrature, whose
 # refinement evaluates 8^b + 16^b points at about 0.2 us each
@@ -149,14 +150,15 @@ class ScenarioConfig:
                 IsometryAction(self.action_kind, self.action_params)
             except ValueError as exc:
                 raise ScenarioError(f"action: {exc}") from None
-            # one mode sum per t
+            # one mode sum and one tail sum per t
             K = self.cutoff
             modes = (2 * K + 1) ** 2 if self.geometry == "torus" else K + 1
-            terms = modes * len(self.t_grid)
-            if terms > MAX_MODE_TERMS:
+            modes *= len(self.t_grid)
+            tail = sum(_tail_terms(K, t) for t in self.t_grid)
+            if modes + tail > MAX_MODE_TERMS:
                 raise ScenarioError(f"cutoff {K} on the {self.geometry} needs "
-                                    f"{terms} mode terms, more than "
-                                    f"{MAX_MODE_TERMS}")
+                                    f"{modes} mode terms and {tail} tail "
+                                    f"terms, more than {MAX_MODE_TERMS}")
 
     def isometry(self) -> IsometryNormalForm:
         """The fixed-point suite's isometry; the angles default to 0.7 + 0.4 j."""

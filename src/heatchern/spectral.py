@@ -106,6 +106,23 @@ class IsometryAction:
 # the tail sum gives up after this many terms, which settle the sum for
 # every t above about 5e-11 (measured at cutoff 40)
 _TAIL_TERMS = 10 ** 6
+# log of the factor by which a tail term has fallen below the first when the
+# sum stops: the 1e-22 stop rule times the sphere's weight growth
+# (2l + 1)/(2s + 1), which stays below 2 _TAIL_TERMS + 1
+_TAIL_DECAY = math.log(1e22 * (2 * _TAIL_TERMS + 1))
+
+
+def _tail_terms(cutoff: int, t: float) -> int:
+    """Tail-sum terms past the cutoff that the mode budget counts at t.
+
+    A tail from s = cutoff + 1 stops once t (k^2 - s^2) exceeds
+    ``_TAIL_DECAY``, so by k = sqrt(s^2 + _TAIL_DECAY / t).  The count is
+    of the indices above the cutoff up to sqrt(_TAIL_DECAY / t), capped at
+    ``_TAIL_TERMS``; the sum takes at most cutoff + 2 terms more, about
+    the modes counted at t.
+    """
+    reach = math.sqrt(_TAIL_DECAY / t)   # inf for the smallest floats
+    return max(0, math.ceil(min(reach - cutoff, _TAIL_TERMS)))
 
 
 def _tail_sum(term, start: int) -> float:

@@ -431,6 +431,22 @@ def test_tiny_t_ends_with_failing_tail_bound(tmp_path, capsys):
     assert out.count("[FAIL]") == 1
 
 
+def test_tail_terms_count_toward_mode_cap(tmp_path, capsys):
+    # each t = 1e-11 runs the tail sum to its 1e6-term limit and fails
+    scn = write_scn(tmp_path, "suite spectral\ngeometry torus\naction identity"
+                    "\ncutoff 1\nt-grid" + " 1e-11" * 30 + "\n")
+    assert main(["--config", scn]) == 2
+    err = capsys.readouterr().err
+    assert "270 mode terms and 30000000 tail terms" in err
+    assert len(err.splitlines()) == 1
+    # the smallest t counts the whole tail: nine entries fit, ten do not
+    parse_scenario(write_scn(tmp_path, "suite spectral\nt-grid"
+                             + " 5e-324" * 9 + "\n")).validate()
+    with pytest.raises(ScenarioError, match="10000000 tail terms"):
+        parse_scenario(write_scn(tmp_path, "suite spectral\nt-grid"
+                                 + " 5e-324" * 10 + "\n")).validate()
+
+
 def test_torsion_ill_conditioned_seeds_pass(tmp_path, capsys):
     # seeds whose complex is ill-conditioned enough that rounding exceeds
     # a fixed 1e-12 tolerance on the unitary-invariance check
@@ -445,6 +461,16 @@ def test_cli_overrides(tmp_path, capsys):
                  "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("suite: torsion (seed 9)")
+
+
+def test_options_read_alike_before_and_after_verify(tmp_path, capsys):
+    scn = write_scn(tmp_path, "suite torsion\n")
+    for argv in (["--seed", "5", "--format", "json", "verify", "--config", scn],
+                 ["verify", "--seed", "5", "--format", "json", "--config", scn],
+                 ["--seed", "5", "--format", "json", "--config", scn]):
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["suite"], report["seed"]) == ("torsion", 5), argv
 
 
 def test_cli_unwritable_out_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import warnings
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -15,7 +16,7 @@ from heatchern.getzler import (ExteriorDiffOp, GradedDiffOp, Mat,
                                getzler_order, lichnerowicz_split,
                                model_operator, top_order_part,
                                volterra_compose, weitzenbock)
-from heatchern.multivector import _SparseElement
+from heatchern.multivector import _SparseElement, _popcount
 from heatchern.scalars import EXACT, BackendMismatch, CFrac, I
 
 from conftest import gen_c, gen_chat, random_curvature
@@ -107,7 +108,7 @@ def test_compose_leibniz():
     n = 2
     lhs = GradedDiffOp.d_x(n, 1) * GradedDiffOp.x_coord(n, 1)
     rhs = GradedDiffOp.x_coord(n, 1) * GradedDiffOp.d_x(n, 1) \
-        + GradedDiffOp.scalar(n, 1)
+        + GradedDiffOp.word(n, 0, 0)
     assert lhs == rhs
     # d1^a d2^c o x1^b x2^e against the closed form, coordinate by coordinate
     for a, b, c, e in itertools.product(range(4), repeat=4):
@@ -181,9 +182,12 @@ def test_lichnerowicz_identities(rng):
     split = lichnerowicz_split(R, _rand_data(rng, n, 2))
     assert all(split.identities.values())
     assert getzler_order(split.D0_squared) == 2
-    assert getzler_order(split.L_omega_sigma.even) == 1
-    assert getzler_order(split.L_omega_sigma.odd) == 1
-    assert split.D2_even + split.D2_odd == split.triangle_F
+    # the sigma-odd part of L_omega is its c ch terms, the even part the rest
+    odd = split.L_omega._like({key: c for key, c in split.L_omega.terms.items()
+                               if _popcount(key[1]) == 1})
+    even = split.L_omega - odd
+    assert getzler_order(even) == getzler_order(odd) == 1
+    assert split.triangle_F - odd == split.D0_squared + even
 
 
 def test_lichnerowicz_degenerate_cases(rng):
@@ -199,6 +203,54 @@ def test_lichnerowicz_degenerate_cases(rng):
     assert s.triangle_F == s.D0_squared
     flat = lichnerowicz_split(CurvatureTensor(n, {}), data0)
     assert flat.E.is_zero()
+
+
+def _split_by_operator_sums(R, data):
+    """E, triangle_F, D0_squared and L_omega as sums of operators, one
+    operator per word, from generator products (not from ``_cw``)."""
+    n = R.n
+    omega = [Mat(m) for m in data.omega]
+    one = Mat.scalar(1, len(omega[0]))
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    w2 = {(i, j): omega[i - 1] * omega[j - 1] + -(omega[j - 1] * omega[i - 1])
+          for i, j in pairs}
+
+    def total(words_and_coefs):
+        out = GradedDiffOp.zero(n)
+        for word, coef in words_and_coefs:
+            for (cm, hm), s in word.terms.items():
+                out = out + GradedDiffOp.word(n, cm, hm, s * coef)
+        return out
+
+    c, h = partial(gen_c, n), partial(gen_chat, n)
+    lap = GradedDiffOp.opaque_term(n, "rough_laplacian", 2, coef=-one)
+    quartic = total([(_curvature_quartic(R), one)])
+    cc = total((c(i) * c(j), Fraction(-1, 8) * w2[i, j]) for i, j in pairs)
+    hh = total((h(i) * h(j), Fraction(1, 8) * w2[i, j]) for i, j in pairs)
+    mixed = total((c(i) * h(j), Fraction(-1, 2) * (
+        Mat(data.nabla_omega[i, j]) + Fraction(1, 2) * w2[i, j]))
+        for i, j in pairs)
+    constant = CliffordElement.one(n)
+    omega_sq = total([(constant, Fraction(1, 4) * sum(w * w for w in omega))])
+    r_term = total([(constant, Fraction(R.scalar_curvature(), 4) * one)])
+    E = quartic + cc + hh + mixed + omega_sq + r_term
+    return (E, lap + E, lap + quartic + cc + r_term, hh + mixed + omega_sq)
+
+
+@pytest.mark.parametrize("case", ["seeded", "zero omega", "flat"])
+def test_lichnerowicz_pieces_match_operator_sums(rng, case):
+    n, r = 4, 2
+    R = CurvatureTensor(n, {}) if case == "flat" else random_curvature(n, rng)
+    data = _rand_data(rng, n, r)
+    if case == "zero omega":
+        data.omega = [[[Fraction(0)] * r for _ in range(r)] for _ in range(n)]
+    split = lichnerowicz_split(R, data)
+    want = _split_by_operator_sums(R, data)
+    assert (split.E, split.triangle_F, split.D0_squared, split.L_omega) == want
+    assert not want[3].is_zero()
+    assert list(split.identities) == ["triangle_is_laplacian_plus_E",
+                                      "triangle_is_D0sq_plus_L", "sigma_split"]
+    assert all(split.identities.values())
 
 
 def test_lichnerowicz_rejects_malformed(rng):
@@ -460,8 +512,8 @@ def test_graded_op_linearity(ops):
 
 
 def test_identity_matrix_equals_its_scalar():
-    p = GradedDiffOp.scalar(2, 3)
-    q = GradedDiffOp.scalar(2, Mat([[1, 0], [0, 2]]))
+    p = GradedDiffOp.word(2, 0, 0, 3)
+    q = GradedDiffOp.word(2, 0, 0, Mat([[1, 0], [0, 2]]))
     assert (p + q) - q == p
     assert hash((p + q) - q) == hash(p)
     assert Mat([[Fraction(3), 0], [0, 3]]) == 3
@@ -472,9 +524,9 @@ def test_identity_matrix_equals_its_scalar():
 
 def test_backend_looks_inside_matrices():
     exact = Mat([[Fraction(1), 0], [0, 1]])
-    assert GradedDiffOp.scalar(2, exact).backend() == "exact"
-    assert GradedDiffOp.scalar(2, Mat([[1.0, 0], [0, 1]])).backend() == "float"
-    assert GradedDiffOp.scalar(2, Mat([[1, 0], [0, 1]])).backend() is None
+    assert GradedDiffOp.word(2, 0, 0, exact).backend() == "exact"
+    assert GradedDiffOp.word(2, 0, 0, Mat([[1.0, 0], [0, 1]])).backend() == "float"
+    assert GradedDiffOp.word(2, 0, 0, Mat([[1, 0], [0, 1]])).backend() is None
     with pytest.raises(BackendMismatch):
         GradedDiffOp(2, {((0, 0), 0, 0, (0, 0), 0): exact,
                          ((1, 0), 0, 0, (0, 0), 0): 0.5}).backend()

@@ -5,7 +5,7 @@ import pytest
 
 from heatchern.getzler import GradedDiffOp, Mat
 from heatchern.scalars import (EXACT, FLOAT, BackendMismatch, CFrac, I,
-                               backend_of, join_backend)
+                               backend_of)
 
 
 def test_backend_of_neutral_ints():
@@ -24,8 +24,6 @@ def test_backend_mix_raises():
         backend_of([Fraction(1, 2), 0.5])
     with pytest.raises(BackendMismatch):
         backend_of([CFrac(1, 2), 0.5])
-    with pytest.raises(BackendMismatch):
-        join_backend(EXACT, FLOAT)
 
 
 def test_backend_mix_inside_one_matrix_raises():
@@ -36,15 +34,9 @@ def test_backend_mix_inside_one_matrix_raises():
     assert backend_of([Mat(((Fraction(1, 2), 0), (0, 1)))]) == EXACT
     assert backend_of([Mat(((1, 0), (0, 1))), 0.5]) == FLOAT
     with pytest.raises(BackendMismatch):
-        GradedDiffOp.scalar(2, mixed) + GradedDiffOp.scalar(2, 1)
+        GradedDiffOp.word(2, 0, 0, mixed) + GradedDiffOp.word(2, 0, 0)
     with pytest.raises(BackendMismatch):
-        GradedDiffOp.scalar(2, 1) + GradedDiffOp.scalar(2, mixed)
-
-
-def test_join_backend_none():
-    assert join_backend(None, EXACT) == EXACT
-    assert join_backend(FLOAT, None) == FLOAT
-    assert join_backend(None, None) is None
+        GradedDiffOp.word(2, 0, 0) + GradedDiffOp.word(2, 0, 0, mixed)
 
 
 def test_cfrac_arithmetic():
@@ -70,11 +62,13 @@ def test_cfrac_str():
     assert str(I) == "(0+1i)"
 
 
-def test_cfrac_parts():
-    assert CFrac(3, -2).parts() == (3, -2)
-    assert [type(v) for v in CFrac(3, -2).parts()] == [int, int]
-    assert CFrac(Fraction(1, 2), 4).parts() == (Fraction(1, 2), 4)
-    assert type(CFrac(Fraction(4, 2)).parts()[0]) is int
+def test_cfrac_keeps_int_parts():
+    z = CFrac(3, -2)
+    assert (z.re, z.im) == (3, -2) and type(z.re) is type(z.im) is int
+    assert type(CFrac(Fraction(1, 2), 4).im) is int
+    w = z * CFrac(1, 1) + 2
+    assert (w.re, w.im) == (7, 1) and type(w.re) is type(w.im) is int
+    assert CFrac(Fraction(4, 2)) == CFrac(2) and hash(CFrac(Fraction(4, 2))) == hash(2)
 
 
 def test_equal_values_hash_alike():
@@ -89,7 +83,7 @@ def test_equal_values_hash_alike():
 
 
 def test_cfrac_refuses_non_rational_parts():
-    for bad in (0.1, 1.0, 1j, Decimal("0.5"), "1/2"):
+    for bad in (0.1, 1.0, 1j, Decimal("0.5"), "1/2", True, False):
         with pytest.raises(BackendMismatch):
             CFrac(bad)
         with pytest.raises(BackendMismatch):
