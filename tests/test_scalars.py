@@ -62,7 +62,7 @@ def test_cfrac_str():
     assert str(I) == "(0+1i)"
 
 
-def test_cfrac_keeps_int_parts():
+def test_cfrac_parts():
     z = CFrac(3, -2)
     assert (z.re, z.im) == (3, -2) and type(z.re) is type(z.im) is int
     assert type(CFrac(Fraction(1, 2), 4).im) is int
