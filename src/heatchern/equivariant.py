@@ -13,6 +13,11 @@ Conventions fixed here once:
 * The Mehler prefactor is (4 pi t)^{-n/2}; the printed positive exponent
   would violate both the model heat equation and the Gaussian
   normalization, and the residual test pins the negative choice.
+* Exact inputs (rotation pairs, Pfaffian entries) are ints that are not
+  bools, or Fractions: the one rule of ``scalars``.
+* The End(F) data of the variation formula, :class:`BundleVariationData`,
+  is checked once, when built: its matrices become ``scalars.Mat``s of
+  one fiber size, and its readers use them as they are.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .multivector import (
     Multivector, _popcount, _product, _suffix_parity, berezin, exp_even,
     grade_component, wedge,
 )
-from .scalars import BackendMismatch
+from .scalars import BackendMismatch, Mat, _is_exact
 
 __all__ = [
     "IsometryNormalForm", "CurvatureTensor", "BundleVariationData",
@@ -69,8 +75,7 @@ class IsometryNormalForm:
                 raise ValueError("give angles or rotations, not both")
             rotations = tuple((c, s) for c, s in self.rotations)
             for c, s in rotations:
-                if not (isinstance(c, (int, Fraction)) and isinstance(
-                        s, (int, Fraction)) and c * c + s * s == 1):
+                if not (_is_exact(c) and _is_exact(s) and c * c + s * s == 1):
                     raise ValueError(f"rotation ({c!r}, {s!r}) is not ints or "
                                      "Fractions with c^2 + s^2 = 1")
             angles = tuple(math.atan2(s, c) for c, s in rotations)
@@ -108,7 +113,7 @@ class IsometryNormalForm:
         each factor as 4 sin^2(theta_j / 2), which keeps its digits at
         small angles.
         """
-        if self.rotations and isinstance(self.rotations[0][0], (int, Fraction)):
+        if self.rotations and _is_exact(self.rotations[0][0]):
             return math.prod(2 - 2 * c for c, _ in self.rotations)
         return math.prod((4 * math.sin(t / 2) ** 2 for t in self.angles),
                          start=1.0)
@@ -167,27 +172,40 @@ class CurvatureTensor:
         return CurvatureTensor(a, comp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BundleVariationData:
     """Pointwise samples of the bundle/metric variation data.
 
     omega[j-1] is the End(F) matrix omega(F,h^F)(e_j); nabla_omega[(i,j)]
     the derivative of omega(e_j) in direction e_i; gdot the symmetric
-    matrix (g^TM)^{-1} gdot^TM.
+    matrix (g^TM)^{-1} gdot^TM.  Construction turns omega, nabla_omega
+    and phiF into :class:`Mat` s of one fiber size (nabla_omega a
+    read-only mapping) and gdot into a symmetric n x n Mat, or raises
+    ``ValueError``.
     """
 
     n: int
-    omega: list = field(default_factory=list)
+    omega: tuple = ()
     nabla_omega: dict = field(default_factory=dict)
-    phiF: np.ndarray | None = None
-    gdot: np.ndarray | None = None
+    phiF: Mat | None = None
+    gdot: Mat | None = None
 
     def __post_init__(self):
-        if self.gdot is not None:
-            g = np.asarray(self.gdot, dtype=object)
-            if g.shape != (self.n, self.n) or not (g == g.T).all():
-                raise ValueError("gdot must be a symmetric n x n matrix")
-            self.gdot = g
+        omega = tuple(map(Mat, self.omega))
+        nabla = MappingProxyType({p: Mat(m)
+                                  for p, m in self.nabla_omega.items()})
+        phi = None if self.phiF is None else Mat(self.phiF)
+        sizes = {len(m) for m in (*omega, *nabla.values(), phi) if m is not None}
+        if len(sizes) > 1:
+            raise ValueError(f"End(F) matrices of sizes {sorted(sizes)} "
+                             "in one bundle")
+        g = None if self.gdot is None else Mat(self.gdot)
+        if g is not None and (len(g) != self.n or any(
+                g[i][j] != g[j][i] for i in range(self.n) for j in range(i))):
+            raise ValueError("gdot must be a symmetric n x n matrix")
+        for name, value in (("omega", omega), ("nabla_omega", nabla),
+                            ("phiF", phi), ("gdot", g)):
+            object.__setattr__(self, name, value)
 
 
 # -- phi-tilde and the equivariant supertrace --------------------------
@@ -412,7 +430,7 @@ def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
             if e.n != a:
                 raise ValueError(f"entry {key} has n={e.n}, not {a}")
             for c in e.terms.values():
-                if not isinstance(c, (int, Fraction)):
+                if not _is_exact(c):
                     raise BackendMismatch(f"Pfaffian entry coefficient {c!r} "
                                           "is not an int or a Fraction")
     D = math.lcm(*(c.denominator for matrix in matrices
@@ -564,22 +582,11 @@ def hodge_variation_operator(data: BundleVariationData):
     C = -(1/2) sum_{ij} gdot_{ij} c(e_i) chat(e_j); sigma(C) matches with
     e^i ^ ehat^j in place of the Clifford word.
     """
-    n = data.n
-    g = data.gdot
-    if g is None:
+    if data.gdot is None:
         raise ValueError("gdot required")
-    cl_terms = {}
-    mv_terms = {}
-    for i in range(n):
-        for j in range(n):
-            v = g[i, j]
-            if v == 0:
-                continue
-            key = (1 << i, 1 << j)
-            coeff = Fraction(-1, 2) * v
-            cl_terms[key] = cl_terms.get(key, 0) + coeff
-            mv_terms[key] = mv_terms.get(key, 0) + coeff
-    return CliffordElement(n, cl_terms), Multivector(n, mv_terms)
+    terms = {(1 << i, 1 << j): Fraction(-1, 2) * v
+             for i, row in enumerate(data.gdot) for j, v in enumerate(row) if v}
+    return CliffordElement(data.n, terms), Multivector(data.n, terms)
 
 
 def theta_form(data: BundleVariationData):
@@ -587,13 +594,6 @@ def theta_form(data: BundleVariationData):
     phi = data.phiF
     out = []
     for om in data.omega:
-        om = np.asarray(om, dtype=object)
-        if phi is not None:
-            phi_m = np.asarray(phi, dtype=object)
-            if phi_m.shape != om.shape:
-                raise ValueError("phi^F and omega dimension mismatch")
-            prod = np.dot(phi_m, om)
-        else:
-            prod = om
-        out.append(sum(prod[k, k] for k in range(prod.shape[0])))
+        prod = om if phi is None else phi * om
+        out.append(sum(prod[k][k] for k in range(len(prod))))
     return out

@@ -16,9 +16,12 @@ expanded from a metric: they are carried as opaque named summands with a
 declared grading bound, since only the top-order part is ever consumed.
 An opaque summand is an ordinary term of the shared sparse element,
 keyed (name-tuple, order-bound).  Endomorphism-valued (End(F))
-coefficients are one square-matrix type, :class:`Mat`.  The Lichnerowicz
-split keeps each of its summands as a term dict and builds each piece by
-one constructor call over the dicts it sums.
+coefficients are ``scalars.Mat``s; an operator's coefficients are all
+scalars or all Mats of one size, since a Mat adds only to a Mat.  The
+Lichnerowicz split reads its End(F) data as Mats validated by
+``BundleVariationData``, writes its generator products in closed form,
+keeps each summand as a term dict and builds each piece by one
+constructor call over the dicts it sums.
 
 Truncated symbol composition for the parabolic calculus uses the
 Fourier convention D_x = -i d/dx (fixed once here; the composition
@@ -44,96 +47,14 @@ from operator import add
 from .clifford import CliffordElement
 from .equivariant import BundleVariationData, CurvatureTensor
 from .multivector import _SparseElement, _mask_indices, _popcount, _product
-from .scalars import BackendMismatch, CFrac
+from .scalars import BackendMismatch, CFrac, Mat, _is_exact
 
 __all__ = [
-    "GradedDiffOp", "ExteriorDiffOp", "Mat", "VolterraSymbol",
+    "GradedDiffOp", "ExteriorDiffOp", "VolterraSymbol",
     "getzler_order", "model_operator", "top_order_part",
     "weitzenbock", "compose", "lichnerowicz_split", "LichnerowiczSplit",
     "volterra_compose",
 ]
-
-
-# -- End(F) coefficients ---------------------------------------------------
-
-class Mat(tuple):
-    """Square matrix coefficient (an endomorphism-valued term), as row tuples.
-
-    In ``+`` a scalar stands for that multiple of the identity; in ``*``
-    it acts entrywise.  A multiple of the identity compares equal to that
-    scalar, and hashes like it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, rows):
-        self = super().__new__(cls, (tuple(row) for row in rows))
-        if any(len(row) != len(self) for row in self):
-            raise ValueError("matrix coefficient must be square")
-        return self
-
-    @classmethod
-    def scalar(cls, value, r: int) -> "Mat":
-        return _square(tuple(value if i == j else 0 for j in range(r))
-                       for i in range(r))
-
-    def _sized(self, other) -> "Mat":
-        if not isinstance(other, Mat):
-            return Mat.scalar(other, len(self))
-        if len(other) != len(self):
-            raise ValueError("matrix coefficient size mismatch")
-        return other
-
-    def __add__(self, other):
-        return _square(tuple(x + y for x, y in zip(ra, rb))
-                       for ra, rb in zip(self, self._sized(other)))
-
-    def __radd__(self, other):
-        return self._sized(other) + self
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            cols = tuple(zip(*self._sized(other)))
-            return _square(tuple(sum(x * y for x, y in zip(row, col))
-                                 for col in cols) for row in self)
-        return _square(tuple(v * other for v in row) for row in self)
-
-    def __rmul__(self, other):
-        return _square(tuple(other * v for v in row) for row in self)
-
-    def __neg__(self):
-        return _square(tuple(-v for v in row) for row in self)
-
-    def __bool__(self):
-        return any(v for row in self for v in row)
-
-    def _identity_multiple(self):
-        """c when self is c times the identity, else None."""
-        if not self:
-            return 0
-        c = self[0][0]
-        if all(v == (c if i == j else 0)
-               for i, row in enumerate(self) for j, v in enumerate(row)):
-            return c
-        return None
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return tuple.__eq__(self, other)
-        c = self._identity_multiple()
-        return c is not None and c == other
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        c = self._identity_multiple()
-        return tuple.__hash__(self) if c is None else hash(c)
-
-
-def _square(rows) -> Mat:
-    """A Mat from row tuples already known to form a square."""
-    return tuple.__new__(Mat, rows)
 
 
 # -- graded differential operators ---------------------------------------
@@ -279,13 +200,6 @@ def model_operator(op: GradedDiffOp) -> ExteriorDiffOp:
     return ExteriorDiffOp(op.n, top.terms)
 
 
-def _cw(i, j, kind_pair):
-    """Two-generator word c/ch(e_i) c/ch(e_j), as a Clifford word dict."""
-    masks = {"c": lambda x: (1 << (x - 1), 0), "ch": lambda x: (0, 1 << (x - 1))}
-    return _product({masks[kind_pair[0]](i): 1}, {masks[kind_pair[1]](j): 1},
-                    -1, +1)
-
-
 def _curvature_quartic(R: CurvatureTensor) -> CliffordElement:
     """-(1/8) sum_ijkl R_ijkl c_i c_j ch_k ch_l, for both operator assemblies.
 
@@ -403,18 +317,6 @@ class LichnerowiczSplit:
     identities: dict
 
 
-def _clifford_terms(n: int, summands) -> dict:
-    """Term dict of the sum of coef * words over (Clifford word dict, coef)
-    summands, zero sums kept."""
-    z = (0,) * n
-    terms = {}
-    for words, coef in summands:
-        for (cm, hm), s in words.items():
-            key = (z, cm, hm, z, 0)
-            terms[key] = terms[key] + s * coef if key in terms else s * coef
-    return terms
-
-
 def _merged(n: int, *summands) -> GradedDiffOp:
     """The operator sum of term dicts, added in the order given.
 
@@ -442,30 +344,26 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
       triangle_F - mixed = D0_squared + hh + omega^2/4   (the sigma-even parts)
 
     where mixed, the c ch terms of L_omega, is its sigma-odd part.
+
+    For i < j, c_i c_j and ch_i ch_j are the words {i, j} with sign +1, and
+    c_i ch_j is the word ({i}, {j}) with sign +1.  As w2[i, j] =
+    [omega(e_i), omega(e_j)] is antisymmetric, cc = -(1/4) and hh = +(1/4)
+    sum_{i<j} w2[i, j] times the word {i, j}.
     """
     n = R.n
     if n != data.n:
         raise ValueError("dimension mismatch between curvature and bundle data")
-    if len(data.omega) != n:
+    omega, nabla = data.omega, data.nabla_omega
+    if len(omega) != n:
         raise ValueError("need one omega matrix per frame direction")
-    omega = [Mat(m) for m in data.omega]
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    for p in pairs:
+        if p not in nabla:
+            raise ValueError(f"missing nabla_omega sample at {p}")
     r_fib = len(omega[0])
-    if any(len(m) != r_fib for m in omega):
-        raise ValueError("omega matrices must share one fiber dimension")
-    nabla = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) not in data.nabla_omega:
-                raise ValueError(f"missing nabla_omega sample at {(i, j)}")
-            m = Mat(data.nabla_omega[(i, j)])
-            if len(m) != r_fib:
-                raise ValueError("nabla_omega fiber dimension mismatch")
-            nabla[(i, j)] = m
-
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    # the commutators [omega(e_i), omega(e_j)]
+    # the commutators [omega(e_i), omega(e_j)], i < j
     w2 = {(i, j): omega[i - 1] * omega[j - 1] + -(omega[j - 1] * omega[i - 1])
-          for i, j in pairs}
+          for i, j in itertools.combinations(range(1, n + 1), 2)}
 
     lap = GradedDiffOp.opaque_term(n, "rough_laplacian", 2,
                                    coef=Mat.scalar(-1, r_fib))
@@ -473,19 +371,20 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
     one = (z, 0, 0, z, 0)
     curv_quartic = {(z, cm, hm, z, 0): Mat.scalar(c, r_fib)
                     for (cm, hm), c in _curvature_quartic(R).terms.items()}
-    cc_w2 = _clifford_terms(n, (
-        (_cw(i, j, ("c", "c")), Fraction(-1, 8) * w2[i, j])
-        for i, j in pairs if w2[i, j]))
-    hh_w2 = _clifford_terms(n, (
-        (_cw(i, j, ("ch", "ch")), Fraction(1, 8) * w2[i, j])
-        for i, j in pairs if w2[i, j]))
-    brackets = {p: nabla[p] + Fraction(1, 2) * w2[p] for p in pairs}
-    mixed = _clifford_terms(n, (
-        (_cw(i, j, ("c", "ch")), Fraction(-1, 2) * brackets[i, j])
-        for i, j in pairs if brackets[i, j]))
+    # brackets[i, j] = nabla_omega[i, j] + w2[i, j] / 2, w2 antisymmetric
+    cc_w2, hh_w2, brackets = {}, {}, {p: nabla[p] for p in pairs}
+    for (i, j), w in w2.items():
+        if w:
+            ij = (1 << (i - 1)) | (1 << (j - 1))
+            cc_w2[z, ij, 0, z, 0] = Fraction(-1, 4) * w
+            hh_w2[z, 0, ij, z, 0] = Fraction(1, 4) * w
+            brackets[i, j] += Fraction(1, 2) * w
+            brackets[j, i] += Fraction(-1, 2) * w
+    mixed = {(z, 1 << (i - 1), 1 << (j - 1), z, 0): Fraction(-1, 2) * b
+             for (i, j), b in brackets.items() if b}
     # omega^2/4 and r/4 share the constant term: a zero one is no term, so
     # the other keeps its own entries
-    w_sq = Fraction(1, 4) * sum(w * w for w in omega)
+    w_sq = Fraction(1, 4) * sum((w * w for w in omega), Mat.scalar(0, r_fib))
     omega_sq = {one: w_sq} if w_sq else {}
     r = R.scalar_curvature()
     r_term = {one: Mat.scalar(Fraction(r, 4), r_fib)} if r else {}
@@ -571,7 +470,7 @@ class VolterraSymbol(_SparseElement):
         it multiplies by lam^m.  A lam that is not an int or a Fraction
         (a float, say) raises :class:`BackendMismatch`.
         """
-        if not isinstance(lam, (int, Fraction)):
+        if not _is_exact(lam):
             raise BackendMismatch(f"dilation {lam!r} is not an int or a Fraction")
         lam = Fraction(lam)
         return VolterraSymbol(self.n, {

@@ -6,6 +6,10 @@ IEEE doubles.  The two backends are never mixed silently: a binary
 operation on algebra elements reads :func:`backend_of` over the
 coefficients of both operands, which raises :class:`BackendMismatch`
 when one is exact and another floating.
+
+Where a value must be exact, :func:`_is_exact` is the one rule: an int
+that is not a bool, or a ``Fraction``.  End(F) coefficients are
+:class:`Mat`, a square tuple of row tuples.
 """
 
 from __future__ import annotations
@@ -13,8 +17,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
+__all__ = ["EXACT", "FLOAT", "BackendMismatch", "backend_of", "CFrac", "I",
+           "Mat"]
+
 EXACT = "exact"
 FLOAT = "float"
+
+
+def _is_exact(x) -> bool:
+    """An int that is not a bool, or a Fraction."""
+    return isinstance(x, Fraction) or (isinstance(x, int)
+                                       and not isinstance(x, bool))
+
 
 class BackendMismatch(TypeError):
     """Raised when exact and floating coefficients meet in one operation."""
@@ -56,7 +70,7 @@ class CFrac:
 
     def __init__(self, re=0, im=0):
         for v in (re, im):
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            if not _is_exact(v):
                 raise BackendMismatch(f"CFrac part {v!r} is not an int or a Fraction")
         self.re = re
         self.im = im
@@ -124,3 +138,57 @@ class CFrac:
 
 
 I = CFrac(0, 1)
+
+
+class Mat(tuple):
+    """Square matrix coefficient (an endomorphism-valued term), as row tuples.
+
+    Equality and hash are the tuple's.  A Mat adds only to a Mat of its
+    size; anything else raises ``TypeError``.  In ``*`` a Mat multiplies
+    a Mat of its size as a matrix, and a scalar entrywise.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, (tuple(row) for row in rows))
+        if any(len(row) != len(self) for row in self):
+            raise ValueError("matrix coefficient must be square")
+        return self
+
+    @classmethod
+    def scalar(cls, value, r: int) -> "Mat":
+        return _square(tuple(value if i == j else 0 for j in range(r))
+                       for i in range(r))
+
+    def __add__(self, other):
+        if not (isinstance(other, Mat) and len(other) == len(self)):
+            raise TypeError(f"a {len(self)}x{len(self)} Mat adds only to a "
+                            f"Mat of its size, not {other!r}")
+        return _square(tuple(x + y for x, y in zip(ra, rb))
+                       for ra, rb in zip(self, other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, Mat):
+            if len(other) != len(self):
+                raise ValueError("matrix coefficient size mismatch")
+            cols = tuple(zip(*other))
+            return _square(tuple(sum(x * y for x, y in zip(row, col))
+                                 for col in cols) for row in self)
+        return _square(tuple(v * other for v in row) for row in self)
+
+    def __rmul__(self, other):
+        return _square(tuple(other * v for v in row) for row in self)
+
+    def __neg__(self):
+        return _square(tuple(-v for v in row) for row in self)
+
+    def __bool__(self):
+        return any(v for row in self for v in row)
+
+
+def _square(rows) -> Mat:
+    """A Mat from row tuples already known to form a square."""
+    return tuple.__new__(Mat, rows)

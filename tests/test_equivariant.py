@@ -24,7 +24,7 @@ from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    transgression)
 from heatchern.multivector import (Multivector, _product, exp_even,
                                    grade_component, wedge)
-from heatchern.scalars import BackendMismatch
+from heatchern.scalars import BackendMismatch, Mat
 
 from conftest import random_curvature
 
@@ -52,13 +52,14 @@ NOT_EXACT = r"is not ints or Fractions with c\^2"
     (4, 2, {"rotations": [(0.6, 0.8)]}, NOT_EXACT),
     (4, 2, {"rotations": [(Fraction(3, 5), 0.8)]}, NOT_EXACT),
     (4, 2, {"rotations": [("3/5", "4/5")]}, NOT_EXACT),
+    (2, 0, {"rotations": [(False, True)]}, NOT_EXACT),
     (4, 2, {"rotations": [(Fraction(1, 2), Fraction(1, 2))]}, NOT_EXACT),
     (4, 2, {"rotations": [(1, 0)]}, "degenerate rotation"),
     (4, 2, {"rotations": PYTH[:2]}, "must equal n"),
     (6, 2, {"rotations": PYTH[:1]}, "must equal n"),
     (4, 2, {"rotations": [(Fraction(3, 5),)]}, "values to unpack"),
     (4, 2, {"angles": (0.9,), "rotations": PYTH[:1]}, "not both"),
-], ids=["floats", "one-float", "strings", "off-circle", "identity",
+], ids=["floats", "one-float", "strings", "bools", "off-circle", "identity",
         "too-many", "too-few", "not-a-pair", "both"])
 def test_exact_rotations_refused(n, a, kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -414,6 +415,11 @@ def test_pfaffian_routes_match_row_oracle(a, rng):
         assert all(type(c) is Fraction for c in (*pf.terms.values(), *got.terms.values()))
 
 
+def test_pfaffian_refuses_bool_coefficients():
+    with pytest.raises(BackendMismatch, match="True"):
+        pfaffian({(1, 2): Multivector(2, {(0, 0): True})}, 2)
+
+
 def test_pfaffian_routes_refuse_float_coefficients():
     R = CurvatureTensor(2, {(1, 2, 1, 2): 0.5})
     with pytest.raises(BackendMismatch, match="0.5"):
@@ -427,8 +433,7 @@ def test_pfaffian_routes_refuse_float_coefficients():
 
 
 def test_hodge_variation_operator():
-    g = np.empty((2, 2), dtype=object)
-    g[:] = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(0)]]
+    g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(0)]]
     data = BundleVariationData(n=2, gdot=g)
     C, sig = hodge_variation_operator(data)
     assert C.coefficient(0b01, 0b01) == Fraction(-1)
@@ -437,11 +442,36 @@ def test_hodge_variation_operator():
 
 
 def test_theta_form():
-    om = [np.array([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]],
-                   dtype=object)]
-    phi = np.array([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
-                   dtype=object)
+    om = [[[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]]
+    phi = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     data = BundleVariationData(n=1, omega=om, phiF=phi)
     assert theta_form(data) == [0]
     data2 = BundleVariationData(n=1, omega=om)
     assert theta_form(data2) == [3]
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"omega": [[[1, 0], [0, 1]]], "nabla_omega": {(1, 1): [[1]]}},
+     r"sizes \[1, 2\]"),
+    ({"omega": [[[1, 0], [0, 1]]], "phiF": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     r"sizes \[2, 3\]"),
+    ({"omega": [[[1, 0]]]}, "must be square"),
+    ({"gdot": [[1, 2], [3, 1]]}, "symmetric n x n"),
+    ({"gdot": [[1]]}, "symmetric n x n"),
+], ids=["nabla-size", "phi-size", "non-square", "gdot-asymmetric",
+        "gdot-size"])
+def test_bundle_data_refuses_malformed(kwargs, match):
+    with pytest.raises(ValueError, match=match) as exc:
+        BundleVariationData(n=2 if "gdot" in kwargs else 1, **kwargs)
+    assert "\n" not in str(exc.value)
+
+
+def test_bundle_data_is_frozen_and_exact():
+    data = BundleVariationData(n=1, omega=[[[1, 2], [3, 4]]],
+                               nabla_omega={(1, 1): ((0, 1), (1, 0))})
+    assert data.omega == (Mat([[1, 2], [3, 4]]),)
+    assert all(type(m) is Mat for m in (*data.omega, *data.nabla_omega.values()))
+    with pytest.raises(AttributeError):
+        data.omega = ()
+    with pytest.raises(TypeError):
+        data.nabla_omega[1, 1] = [[1, 2, 3]]

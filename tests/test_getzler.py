@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from fractions import Fraction
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 from heatchern.clifford import CliffordElement
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
                                    curvature_bivector)
-from heatchern.getzler import (ExteriorDiffOp, GradedDiffOp, Mat,
-                               VolterraSymbol, _curvature_quartic, compose,
+from heatchern.getzler import (ExteriorDiffOp, GradedDiffOp, VolterraSymbol, _curvature_quartic, compose,
                                getzler_order, lichnerowicz_split,
                                model_operator, top_order_part,
                                volterra_compose, weitzenbock)
 from heatchern.multivector import _SparseElement, _popcount
-from heatchern.scalars import EXACT, BackendMismatch, CFrac, I
+from heatchern.scalars import EXACT, BackendMismatch, CFrac, I, Mat
 
 from conftest import gen_c, gen_chat, random_curvature
 
@@ -207,10 +207,11 @@ def test_lichnerowicz_degenerate_cases(rng):
 
 def _split_by_operator_sums(R, data):
     """E, triangle_F, D0_squared and L_omega as sums of operators, one
-    operator per word, from generator products (not from ``_cw``)."""
+    operator per word, from generator products of Clifford elements."""
     n = R.n
-    omega = [Mat(m) for m in data.omega]
-    one = Mat.scalar(1, len(omega[0]))
+    omega = data.omega
+    r = len(omega[0])
+    one = Mat.scalar(1, r)
     pairs = list(itertools.product(range(1, n + 1), repeat=2))
     w2 = {(i, j): omega[i - 1] * omega[j - 1] + -(omega[j - 1] * omega[i - 1])
           for i, j in pairs}
@@ -228,10 +229,11 @@ def _split_by_operator_sums(R, data):
     cc = total((c(i) * c(j), Fraction(-1, 8) * w2[i, j]) for i, j in pairs)
     hh = total((h(i) * h(j), Fraction(1, 8) * w2[i, j]) for i, j in pairs)
     mixed = total((c(i) * h(j), Fraction(-1, 2) * (
-        Mat(data.nabla_omega[i, j]) + Fraction(1, 2) * w2[i, j]))
+        data.nabla_omega[i, j] + Fraction(1, 2) * w2[i, j]))
         for i, j in pairs)
     constant = CliffordElement.one(n)
-    omega_sq = total([(constant, Fraction(1, 4) * sum(w * w for w in omega))])
+    omega_sq = total([(constant, Fraction(1, 4) * sum(
+        (w * w for w in omega), Mat.scalar(0, r)))])
     r_term = total([(constant, Fraction(R.scalar_curvature(), 4) * one)])
     E = quartic + cc + hh + mixed + omega_sq + r_term
     return (E, lap + E, lap + quartic + cc + r_term, hh + mixed + omega_sq)
@@ -243,7 +245,7 @@ def test_lichnerowicz_pieces_match_operator_sums(rng, case):
     R = CurvatureTensor(n, {}) if case == "flat" else random_curvature(n, rng)
     data = _rand_data(rng, n, r)
     if case == "zero omega":
-        data.omega = [[[Fraction(0)] * r for _ in range(r)] for _ in range(n)]
+        data = dataclasses.replace(data, omega=[Mat.scalar(0, r)] * n)
     split = lichnerowicz_split(R, data)
     want = _split_by_operator_sums(R, data)
     assert (split.E, split.triangle_F, split.D0_squared, split.L_omega) == want
@@ -256,8 +258,8 @@ def test_lichnerowicz_pieces_match_operator_sums(rng, case):
 def test_lichnerowicz_rejects_malformed(rng):
     n = 4
     data = _rand_data(rng, n, 2)
-    data.omega = data.omega[:-1]
-    with pytest.raises(ValueError):
+    data = dataclasses.replace(data, omega=data.omega[:-1])
+    with pytest.raises(ValueError, match="one omega matrix per frame"):
         lichnerowicz_split(random_curvature(n, rng), data)
 
 
@@ -351,6 +353,11 @@ def test_volterra_dilation_refuses_float():
     with pytest.raises(BackendMismatch, match="0.1"):
         sym.dilate(0.1)
     assert sym.dilate(2) == sym.dilate(Fraction(2))
+
+
+def test_volterra_dilation_refuses_bool():
+    with pytest.raises(BackendMismatch, match="True"):
+        VolterraSymbol.xi(2, 1).dilate(True)
 
 
 def test_volterra_truncation_flagged():
@@ -485,12 +492,12 @@ def test_lichnerowicz_to_text_golden():
 
 @st.composite
 def op_triples(draw):
-    """Three operators of one word algebra; each coefficient a scalar or a
-    2x2 matrix, drawn independently (a scalar equals its identity matrix)."""
+    """Three operators of one word algebra; the coefficients of a triple
+    are all scalars or all 2x2 matrices (a Mat adds only to a Mat)."""
     cls = draw(st.sampled_from([GradedDiffOp, ExteriorDiffOp]))
     small = st.fractions(-3, 3, max_denominator=3)
     row = st.tuples(small, small)
-    coef = st.one_of(small, st.tuples(row, row).map(Mat))
+    coef = draw(st.sampled_from([small, st.tuples(row, row).map(Mat)]))
     exps = st.tuples(st.integers(0, 1), st.integers(0, 1))
     concrete = st.tuples(exps, st.integers(0, 3), st.integers(0, 3), exps,
                          st.integers(0, 1))
@@ -511,14 +518,14 @@ def test_graded_op_linearity(ops):
     assert compose(p, q1 + q2) == compose(p, q1) + compose(p, q2)
 
 
-def test_identity_matrix_equals_its_scalar():
+def test_scalar_and_matrix_coefficients_do_not_add():
     p = GradedDiffOp.word(2, 0, 0, 3)
     q = GradedDiffOp.word(2, 0, 0, Mat([[1, 0], [0, 2]]))
-    assert (p + q) - q == p
-    assert hash((p + q) - q) == hash(p)
-    assert Mat([[Fraction(3), 0], [0, 3]]) == 3
-    assert hash(Mat([[3, 0], [0, 3]])) == hash(3)
-    assert Mat([[3, 0], [0, 2]]) != 3 and Mat([[0, 0], [0, 0]]) == 0
+    with pytest.raises(TypeError, match="adds only to a Mat"):
+        p + q
+    three = GradedDiffOp.word(2, 0, 0, Mat.scalar(3, 2))
+    assert (three + q) - q == three and hash((three + q) - q) == hash(three)
+    assert Mat([[Fraction(3), 0], [0, 3]]) != 3
     assert Mat([[1, 0], [2, 3]]) == ((1, 0), (2, 3))
 
 

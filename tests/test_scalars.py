@@ -2,10 +2,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from heatchern.getzler import GradedDiffOp, Mat
-from heatchern.scalars import (EXACT, FLOAT, BackendMismatch, CFrac, I,
-                               backend_of)
+from heatchern.getzler import GradedDiffOp
+from heatchern.scalars import (EXACT, FLOAT, BackendMismatch, CFrac, I, Mat,
+                               _is_exact, backend_of)
 
 
 def test_backend_of_neutral_ints():
@@ -88,3 +90,35 @@ def test_cfrac_refuses_non_rational_parts():
             CFrac(bad)
         with pytest.raises(BackendMismatch):
             CFrac(1, bad)
+
+
+def test_exact_means_int_or_fraction_not_bool():
+    assert all(map(_is_exact, (0, -3, Fraction(1, 2), Fraction(2))))
+    assert not any(map(_is_exact, (True, False, 0.5, 1.0, CFrac(1), "1")))
+    assert backend_of([True, False]) is None
+
+
+# entries from a small range, and multiples of the identity drawn often,
+# so that a matrix equal to a scalar or a plain tuple comes up
+entry = st.integers(-1, 1) | st.fractions(-1, 1, max_denominator=2)
+rows = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry))
+rows = rows | entry.map(lambda c: ((c, 0), (0, c)))
+coefficients = rows.map(Mat) | rows | entry
+
+
+@given(coefficients, coefficients)
+def test_mat_equality_agrees_with_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(rows, entry)
+def test_mat_adds_only_to_a_mat_of_its_size(m, c):
+    m = Mat(m)
+    for bad in (c, tuple(m), Mat([[c]])):
+        with pytest.raises(TypeError, match="adds only to a Mat"):
+            m + bad
+        with pytest.raises(TypeError):
+            bad + m
+    assert m + Mat.scalar(c, 2) == Mat(((m[0][0] + c, m[0][1]),
+                                        (m[1][0], m[1][1] + c)))
