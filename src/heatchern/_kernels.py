@@ -15,6 +15,12 @@ point sees the same float operations in the same order:
 * sums run left to right through ``np.add.accumulate``, seeded with the
   running total (``np.sum`` adds pairwise).
 
+The mode sums skip every mode whose heat argument -t * lambda is at or
+below -746, where ``math.exp`` returns exactly 0.0.  Such a term is
+(finite) * 0.0 = +-0.0, and it cannot move a bit of the total: the total
+starts at +0.0, a round-to-nearest sum is -0.0 only when both addends
+are, so the total is never -0.0, and x + (+-0.0) == x for every other x.
+
 The kernels are timed, as two-route checks, by the numeric-kernels
 workload of ``python3 perfbench/run.py``.
 """
@@ -36,6 +42,8 @@ __all__ = [
 
 # points per numpy chunk: larger chunks save little time and cost memory
 _CHUNK = 4096
+# math.exp(x) is exactly 0.0 for x <= -746 (it is from x = -745.1332...)
+_UNDERFLOW = -746.0
 # the Gauss-Hermite refinement stops when two successive orders (8, 16, ...)
 # differ by less than this share of the value, and gives up past the order
 _GH_TOL = 1e-8
@@ -103,6 +111,23 @@ def gauss_hermite_gaussian_integral(M, four_t):
 
 # -- spectral mode sums ---------------------------------------------------
 
+def _reach(top, t, lam):
+    """The largest k in 0..top whose heat factor exp(-t * lam(k)) can be
+    nonzero, for a float lam(k) that grows with k.
+
+    Past the reach every heat argument is at or below ``_UNDERFLOW``.  A
+    bisection, so no t > 0 overflows an estimate like sqrt(746 / t).
+    """
+    lo, hi = 0, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if -t * lam(mid) <= _UNDERFLOW:
+            hi = mid - 1
+        else:
+            lo = mid
+    return lo
+
+
 def torus_supertrace(kmax, vx, vy, minus_id, t):
     """Supertrace over the torus lattice |k_i| <= kmax, for t > 0.
 
@@ -115,13 +140,22 @@ def torus_supertrace(kmax, vx, vy, minus_id, t):
     if minus_id:
         return (1.0 + 2.0 + 1.0) * math.exp(-t * 0.0)
     side = 2 * kmax + 1
+    # the loop's math.cos raises on an angle k.v that overflows, also on
+    # a mode past the reach; the corner mode has the largest |k.v|
+    math.cos(kmax * abs(vx) + kmax * abs(vy))
+    # rows with |kx| past the reach hold only zero heat factors; in the
+    # other rows the modes past the underflow are masked out
+    reach = _reach(kmax, t, lambda k: float(k * k))
+    stop = (kmax + reach + 1) * side
     total = 0.0
-    for start in range(0, side * side, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, side * side))
+    for start in range((kmax - reach) * side, stop, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, stop))
         kx = flat // side - kmax
         ky = flat % side - kmax
-        heat = _mapped(math.exp, -t * (kx * kx + ky * ky).astype(float))
-        w = _mapped(math.cos, kx * vx + ky * vy)
+        arg = -t * (kx * kx + ky * ky).astype(float)
+        live = ~(arg <= _UNDERFLOW)     # a NaN argument stays, as in the loop
+        heat = _mapped(math.exp, arg[live])
+        w = _mapped(math.cos, kx[live] * vx + ky[live] * vy)
         total = _running_sum(total, w * (1.0 - 2.0 + 1.0) * heat)
     return total
 
@@ -130,12 +164,18 @@ def sphere_supertrace(lmax, theta, t):
     """Supertrace over the sphere towers l <= lmax under rotation theta.
 
     Tower l adds its degree-0, degree-2 and (for l >= 1) degree-1 terms,
-    in that order.
+    in that order.  The towers stop at the reach: past it every heat
+    factor is 0.0.
     """
     half = math.sin(theta / 2.0)
+    if abs(half) >= 1e-14:
+        # the loop's math.sin raises on an angle that overflows, also on a
+        # tower past the reach; tower lmax has the largest
+        math.sin((lmax + 0.5) * theta)
+    top = _reach(lmax, t, lambda l: float(l * (l + 1)))
     total = 0.0
-    for start in range(0, lmax + 1, _CHUNK):
-        l = np.arange(start, min(start + _CHUNK, lmax + 1))
+    for start in range(0, top + 1, _CHUNK):
+        l = np.arange(start, min(start + _CHUNK, top + 1))
         if abs(half) < 1e-14:
             chi = 2.0 * l + 1.0
         else:

@@ -105,7 +105,7 @@ class GradedDiffOp(_SparseElement):
         xexp, dexp = tuple(xexp), tuple(dexp)
         if len(xexp) != n or len(dexp) != n:
             raise ValueError("exponent tuples must have length n")
-        if any(e < 0 for e in xexp + dexp) or tpow < 0:
+        if (n and min(xexp + dexp) < 0) or tpow < 0:
             raise ValueError("exponents must be non-negative")
         if cmask >> n or hmask >> n:
             raise ValueError("word mask out of range")
@@ -421,7 +421,7 @@ class VolterraSymbol(_SparseElement):
         xexp, xiexp = tuple(xexp), tuple(xiexp)
         if len(xexp) != n or len(xiexp) != n:
             raise ValueError("exponent tuples must have length n")
-        if any(e < 0 for e in xexp + xiexp) or taupow < 0:
+        if (n and min(xexp + xiexp) < 0) or taupow < 0:
             raise ValueError("exponents must be non-negative")
         return (xexp, xiexp, taupow), c if isinstance(c, CFrac) else CFrac(c)
 

@@ -450,6 +450,18 @@ def test_graded_op_text_golden():
     assert op.to_text() == "3/2 * x1 c1 ch2 d2 dt"
 
 
+def test_graded_op_refuses_negative_exponents():
+    for key in (((0, -1), 0, 0, (0, 0), 0), ((0, 0), 0, 0, (-1, 0), 0),
+                ((0, 0), 0, 0, (0, 0), -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            GradedDiffOp(2, {key: 1})
+    # with n = 0 there are no exponents to scan, only the t power
+    assert GradedDiffOp(0, {((), 0, 0, (), 1): 1}).coefficient(
+        (), 0, 0, (), 1) == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        GradedDiffOp(0, {((), 0, 0, (), -1): 1})
+
+
 def test_graded_op_on_sparse_element():
     # the linear structure, the zero test and the coefficient lookup come
     # from the shared sparse element; opaque summands are ordinary terms

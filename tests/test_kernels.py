@@ -199,3 +199,110 @@ def test_torus_matches_loop(kmax, vx, vy, minus_id, t):
     # falls on a row of the lattice
     assert repr(torus_supertrace(kmax, vx, vy, minus_id, t)) == \
         repr(torus_loop(kmax, vx, vy, minus_id, t))
+
+
+# -- the cut at the underflow of math.exp -----------------------------------
+
+# math.exp is nonzero at -745.1332191019411 and 0.0 from the next float on;
+# the kernels skip a mode from a heat argument of -746 on
+EXP_LAST_NONZERO = 745.1332191019411
+EXP_FIRST_ZERO = 745.1332191019412
+
+
+def test_exp_underflow_boundary():
+    assert math.exp(-EXP_LAST_NONZERO) == 5e-324
+    assert math.exp(-EXP_FIRST_ZERO) == 0.0
+    assert math.exp(-746.0) == 0.0
+
+
+def mapped_count(call, *args):
+    """The result of call(*args) and how many entries it maps math over."""
+    with mock.patch.object(_kernels, "_mapped",
+                           wraps=_kernels._mapped) as mapped:
+        result = call(*args)
+    return result, sum(len(c.args[1]) for c in mapped.call_args_list)
+
+
+@pytest.mark.parametrize("t_lam", [EXP_LAST_NONZERO, EXP_FIRST_ZERO,
+                                   np.nextafter(746.0, 0.0), 746.0])
+def test_cut_either_side_of_underflow(t_lam):
+    # one mode, lambda = 2 on the sphere (l = 1) and lambda = 1 on the
+    # torus (k = (+-1, 0) and (0, +-1)), at t * lambda = t_lam
+    for theta in (0.0, 0.7):
+        assert repr(sphere_supertrace(1, theta, t_lam / 2.0)) == \
+            repr(sphere_loop(1, theta, t_lam / 2.0))
+    assert repr(torus_supertrace(1, 0.3, 2.9, False, t_lam)) == \
+        repr(torus_loop(1, 0.3, 2.9, False, t_lam))
+    # sin and exp on each tower the sphere evaluates: l = 1 goes at -746
+    _, count = mapped_count(sphere_supertrace, 1, 0.7, t_lam / 2.0)
+    assert count == (2 if t_lam >= 746.0 else 4)
+    _, count = mapped_count(torus_supertrace, 1, 0.3, 2.9, False, t_lam)
+    assert count == (2 if t_lam >= 746.0 else 10)
+
+
+@pytest.mark.parametrize("lmax", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("reach", [40, CHUNK - 1, CHUNK])
+def test_sphere_cut_at_chunk_edges_matches_loop(lmax, reach):
+    # t puts the last nonzero heat factor at l = reach: inside the first
+    # chunk, at its last tower, or on the first tower of the second
+    t = float(np.nextafter(746.0 / ((reach + 1) * (reach + 2)), 1.0))
+    assert -t * float(reach * (reach + 1)) > -746.0
+    assert -t * float((reach + 1) * (reach + 2)) <= -746.0
+    for theta in (0.0, 0.7):
+        assert repr(sphere_supertrace(lmax, theta, t)) == \
+            repr(sphere_loop(lmax, theta, t))
+
+
+@pytest.mark.parametrize("reach", [0, 1, 7, 49, 50])
+def test_torus_cut_rows_matches_loop(reach):
+    # rows |kx| > reach are skipped, and the chunks start inside a row
+    t = float(np.nextafter(746.0 / (reach + 1) ** 2, 1.0))
+    assert -t * float(reach * reach) > -746.0
+    for v in ((0.0, 0.0), (0.3, 2.9)):
+        assert repr(torus_supertrace(50, *v, False, t)) == \
+            repr(torus_loop(50, *v, False, t))
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-300])
+@pytest.mark.parametrize("cutoff", [0, 1, 3])
+def test_tiny_t_matches_loop(t, cutoff):
+    # nothing is cut, and finding the reach overflows nothing
+    assert repr(sphere_supertrace(cutoff, 0.7, t)) == \
+        repr(sphere_loop(cutoff, 0.7, t))
+    assert repr(torus_supertrace(cutoff, 0.3, 2.9, False, t)) == \
+        repr(torus_loop(cutoff, 0.3, 2.9, False, t))
+
+
+def test_mode_sums_map_only_the_modes_inside_the_reach():
+    # exp and cos (torus) or sin and exp (sphere) once per live mode
+    k = np.arange(-300, 301)
+    lam = (k[:, None] ** 2 + k[None, :] ** 2).astype(float)
+    live = int(np.count_nonzero(-1.0 * lam > -746.0))
+    value, count = mapped_count(torus_supertrace, 300, 0.3, 2.9, False, 1.0)
+    assert count == 2 * live < 2 * 601 ** 2 // 100
+    assert repr(value) == repr(torus_loop(30, 0.3, 2.9, False, 1.0))
+    # 0.5 l (l + 1) < 746 holds up to l = 38
+    value, count = mapped_count(sphere_supertrace, 100000, 0.7, 0.5)
+    assert count == 2 * 39
+    assert repr(value) == repr(sphere_loop(40, 0.7, 0.5))
+
+
+@pytest.mark.parametrize("t", [1.0, 1000.0])
+def test_overflowing_angle_raises_as_in_loop(t):
+    # at t = 1000 only k = 0 lies inside the reach, and the angles that
+    # overflow lie past it: the loop still raises there, and so must the cut
+    cases = [(torus_supertrace, torus_loop, (3, 1e308, 0.0, False, t)),
+             (torus_supertrace, torus_loop, (3, 0.5, -1e308, False, t)),
+             (sphere_supertrace, sphere_loop, (3, 1e308, t))]
+    for kernel, loop, args in cases:
+        with pytest.raises(ValueError, match="math domain error"):
+            loop(*args)
+        with pytest.raises(ValueError, match="math domain error"):
+            kernel(*args)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_infinite_angle_on_the_zero_mode_alone_is_nan():
+    # 0 * inf is nan, which math.cos takes without an error
+    assert repr(torus_supertrace(0, math.inf, 0.0, False, 1.0)) == \
+        repr(torus_loop(0, math.inf, 0.0, False, 1.0)) == "nan"
