@@ -11,8 +11,15 @@ Matrix exponentials are scipy's scaling-and-squaring Pade implementation
 remainder magnitudes these tests measure).  ``scipy.linalg`` is imported
 at the first exponential, inside each function that takes one, so that
 importing the package (and every suite but ``duhamel``) never loads it.
-Simplex integrals use the Grundmann-Moller family with the degree raised
-adaptively until two successive rules agree to 1e-9.
+Simplex integrals use the Grundmann-Moller family with the rule index
+raised until two successive rules agree: to 1e-9 by index 12 in
+``duhamel_series`` (the default of ``adaptive_simplex_integral``), to 1e-11
+by index 13 in ``remainder_operator``.  Each rule makes one ``Fraction`` per
+coordinate value.  Within one call, ``remainder_operator`` evaluates its
+integrand once per distinct t_0, and ``duhamel_series`` takes one heat
+factor per distinct coordinate and builds each leading product
+Phi C e(t_0) L ... L e(t_j) of fewer than k coordinates once; nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -130,8 +137,9 @@ class SimplexQuadrature:
             denom = deg + d - 2 * i
             w = ((-1) ** i) * Fraction(denom ** deg, 2 ** (2 * s)) \
                 / (Fraction(factorial(i)) * factorial(deg + d - i))
+            coords = [Fraction(2 * b + 1, denom) for b in range(s - i + 1)]
             for beta in _compositions(s - i, d + 1):
-                nodes.append(tuple(Fraction(2 * bj + 1, denom) for bj in beta))
+                nodes.append(tuple(coords[bj] for bj in beta))
                 weights.append(w)
         self.nodes = nodes
         self.weights = weights
@@ -200,16 +208,21 @@ def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
     B^[N](s) integrates exp(-u_1 s H) B^[N] exp(-(1-u_1) s H) over the
     N-simplex in (u_1, ..., u_N); the integrand depends on u_1 only.
     Adding this to the truncated expansion recovers exp(-sH) B exactly.
+    The integrand is evaluated once per distinct u_1 over all the rules.
     """
+    if N < 1 or s <= 0:
+        raise ValueError("need N >= 1 and s > 0")
+    h._check(b)
     from scipy.linalg import expm
     bN = iterated_commutator(h, b, N)
 
-    # simplex coordinates (t_0,...,t_N) with u_1 = t_0
-    def integrand(node) -> np.ndarray:
-        u1 = float(node[0])
+    @lru_cache(maxsize=None)
+    def at(u1: float) -> np.ndarray:
         return expm(-u1 * s * h.mat) @ bN.mat @ expm(-(1.0 - u1) * s * h.mat)
 
-    total = adaptive_simplex_integral(N, integrand, tol=1e-11, max_index=13)
+    # simplex coordinates (t_0,...,t_N) with u_1 = t_0
+    total = adaptive_simplex_integral(N, lambda node: at(float(node[0])),
+                                      tol=1e-11, max_index=13)
     return FiniteOperator(((-1) ** N) * (s ** N) * total)
 
 
@@ -257,12 +270,23 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
         return expm(-tau * t * h.mat)
 
     head = phi.mat @ c.mat
+
+    @lru_cache(maxsize=None)
+    def prefix(x: tuple) -> np.ndarray:
+        # head e(x_0) L e(x_1) ... L e(x_j), associated from the left
+        if len(x) == 1:
+            return head @ heat(x[0])
+        return prefix(x[:-1]) @ L.mat @ heat(x[-1])
+
     total = _supertrace(head @ heat(1.0), g)
     for k in range(1, K + 1):
         def integrand(node, _k=k):
-            mat = head @ heat(round(float(node[0]), 15))
-            for i in range(1, _k + 1):
-                mat = mat @ L.mat @ heat(round(float(node[i]), 15))
+            x = tuple(round(float(v), 15) for v in node)
+            # k coordinates fix the node, so only shorter prefixes are shared
+            j = max(_k - 1, 1)
+            mat = prefix(x[:j]) if _k > 1 else head @ heat(x[0])
+            for xi in x[j:]:
+                mat = mat @ L.mat @ heat(xi)
             return _supertrace(mat, g)
 
         term = adaptive_simplex_integral(k, integrand)

@@ -1,9 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from heatchern import duhamel
 from heatchern.duhamel import (FiniteOperator, SimplexQuadrature,
                                adaptive_simplex_integral, commutator_expansion,
                                direct_supertrace, duhamel_series,
@@ -174,3 +179,110 @@ def test_sigma_extraction_first_order(nprng):
         return abs(direct - approx)
     ratio = first_order_error(b_odd.mat) / first_order_error(b_odd.mat / 2)
     assert 7 < ratio < 9
+
+
+# -- oracles: the node-by-node code, before shared values were computed once
+
+
+def _reference_rule(k, s):
+    nodes, weights = [], []
+    deg = 2 * s + 1
+    for i in range(s + 1):
+        denom = deg + k - 2 * i
+        w = ((-1) ** i) * Fraction(denom ** deg, 2 ** (2 * s)) \
+            / (Fraction(math.factorial(i)) * math.factorial(deg + k - i))
+        for beta in itertools.product(range(s - i + 1), repeat=k + 1):
+            if sum(beta) == s - i:
+                nodes.append(tuple(Fraction(2 * bj + 1, denom) for bj in beta))
+                weights.append(w)
+    return nodes, weights
+
+
+def _reference_remainder(h, b, s, N):
+    bN = iterated_commutator(h, b, N)
+
+    def integrand(node):
+        u1 = float(node[0])
+        return (scipy.linalg.expm(-u1 * s * h.mat) @ bN.mat
+                @ scipy.linalg.expm(-(1.0 - u1) * s * h.mat))
+
+    total = adaptive_simplex_integral(N, integrand, tol=1e-11, max_index=13)
+    return ((-1) ** N) * (s ** N) * total
+
+
+def _reference_series(h, L, c, phi, t, K, g):
+    @lru_cache(maxsize=None)
+    def heat(tau):
+        return scipy.linalg.expm(-tau * t * h.mat)
+
+    def supertrace(mat):
+        return float(np.real(np.sum(g * np.diag(mat))))
+
+    head = phi.mat @ c.mat
+    total = supertrace(head @ heat(1.0))
+    for k in range(1, K + 1):
+        def integrand(node, _k=k):
+            mat = head @ heat(round(float(node[0]), 15))
+            for i in range(1, _k + 1):
+                mat = mat @ L.mat @ heat(round(float(node[i]), 15))
+            return supertrace(mat)
+
+        total += ((-t) ** k) * adaptive_simplex_integral(k, integrand)
+    return total
+
+
+def test_rule_matches_node_by_node_construction():
+    for k in range(1, 5):
+        for s in range(0, 9):
+            q = SimplexQuadrature(k, s)
+            nodes, weights = _reference_rule(k, s)
+            assert q.nodes == nodes
+            assert q.weights == weights
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_series_bit_identical_to_node_by_node(nprng, d):
+    # at t = 0.5 the higher terms are not lost in the rounding of the total
+    h, L, c, phi, g = _series_data(nprng, d)
+    for t in (0.1, 0.5):
+        for K in range(0, 6):
+            assert duhamel_series(h, L, c, phi, t, K, g) \
+                == _reference_series(h, L, c, phi, t, K, g)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_remainder_bit_identical_to_node_by_node(nprng, d):
+    for N in (1, 2, 3):
+        h, b = rand_hermitian(nprng, d), rand_op(nprng, d)
+        assert np.array_equal(remainder_operator(h, b, 0.3, N).mat,
+                              _reference_remainder(h, b, 0.3, N))
+
+
+def test_remainder_takes_two_exponentials_per_distinct_t0(nprng):
+    built = []
+
+    class Recording(SimplexQuadrature):
+        __slots__ = ()
+
+        def __init__(self, k, s):
+            super().__init__(k, s)
+            built.append(self)
+
+    h, b = rand_hermitian(nprng, 8), rand_op(nprng, 8)
+    with mock.patch.object(duhamel, "SimplexQuadrature", Recording), \
+            mock.patch("scipy.linalg.expm", wraps=scipy.linalg.expm) as expm:
+        remainder_operator(h, b, 0.3, 3)
+    nodes = sum(len(q.nodes) for q in built)
+    t0 = {float(node[0]) for q in built for node in q.nodes}
+    assert len(built) >= 2
+    assert expm.call_count <= 2 * len(t0) < 2 * nodes
+
+
+@pytest.mark.parametrize("N, s", [(0, 0.3), (-1, 0.3), (1, 0.0), (1, -0.5),
+                                  (0, -0.5)])
+def test_remainder_refuses_what_the_expansion_refuses(N, s):
+    h = FiniteOperator(np.diag([1.0, 2.0]))
+    b = FiniteOperator([[0.0, 1.0], [1.0, 0.0]])
+    for f in (commutator_expansion, remainder_operator):
+        with pytest.raises(ValueError, match=r"need N >= 1 and s > 0"):
+            f(h, b, s, N)
