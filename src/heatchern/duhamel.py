@@ -39,7 +39,8 @@ __all__ = [
 
 
 class FiniteOperator:
-    """Dense square matrix with operator arithmetic (* is composition)."""
+    """Dense square matrix, checked once; the functions below compute on
+    ``mat`` with numpy."""
 
     __slots__ = ("mat",)
 
@@ -55,51 +56,21 @@ class FiniteOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def zero(cls, d: int) -> "FiniteOperator":
-        return cls(np.zeros((d, d)))
-
     def _check(self, other: "FiniteOperator"):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
 
-    def __add__(self, other: "FiniteOperator") -> "FiniteOperator":
-        self._check(other)
-        return FiniteOperator(self.mat + other.mat)
-
-    def __sub__(self, other: "FiniteOperator") -> "FiniteOperator":
-        self._check(other)
-        return FiniteOperator(self.mat - other.mat)
-
-    def __neg__(self) -> "FiniteOperator":
-        return FiniteOperator(-self.mat)
-
-    def __mul__(self, other: "FiniteOperator") -> "FiniteOperator":
-        self._check(other)
-        return FiniteOperator(self.mat @ other.mat)
-
-    def scale(self, factor) -> "FiniteOperator":
-        return FiniteOperator(factor * self.mat)
-
-    def __eq__(self, other):
-        if isinstance(other, FiniteOperator):
-            return self.dim == other.dim and np.array_equal(self.mat, other.mat)
-        return NotImplemented
-
     def norm(self) -> float:
         """Spectral norm."""
         return float(np.linalg.norm(self.mat, 2))
-
-    def expm(self) -> "FiniteOperator":
-        from scipy.linalg import expm
-        return FiniteOperator(expm(self.mat))
 
     def __repr__(self):
         return f"FiniteOperator(dim={self.dim})"
 
 
 def commutator(h: FiniteOperator, b: FiniteOperator) -> FiniteOperator:
-    return h * b - b * h
+    h._check(b)
+    return FiniteOperator(h.mat @ b.mat - b.mat @ h.mat)
 
 
 def iterated_commutator(h: FiniteOperator, b: FiniteOperator,
@@ -190,15 +161,15 @@ def commutator_expansion(h: FiniteOperator, b: FiniteOperator, s: float,
     if N < 1 or s <= 0:
         raise ValueError("need N >= 1 and s > 0")
     h._check(b)
-    heat = h.scale(-s).expm()
-    acc = FiniteOperator.zero(h.dim)
+    from scipy.linalg import expm
+    heat = expm(-s * h.mat)
+    acc = np.zeros_like(heat)
     bl = b
     for l in range(N):
         coef = ((-1) ** l) * (s ** l) / factorial(l)
-        acc = acc + (bl * heat).scale(coef)
+        acc = acc + coef * (bl.mat @ heat)
         bl = commutator(h, bl)
-    remainder = heat * b - acc
-    return acc, remainder.norm()
+    return FiniteOperator(acc), float(np.linalg.norm(heat @ b.mat - acc, 2))
 
 
 def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,

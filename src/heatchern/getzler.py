@@ -23,7 +23,7 @@ Lichnerowicz split reads its End(F) data as Mats validated by
 keeps each summand as a term dict and builds each piece by one
 constructor call over the dicts it sums.
 
-Truncated symbol composition for the parabolic calculus uses the
+Symbol composition for the parabolic calculus uses the
 Fourier convention D_x = -i d/dx (fixed once here; the composition
 example x^j o xi_j depends on it) with Gaussian-rational coefficients.
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -404,7 +403,7 @@ def lichnerowicz_split(R: CurvatureTensor, data: BundleVariationData) -> Lichner
     return LichnerowiczSplit(E, triangle_F, D0_squared, L_omega, identities)
 
 
-# -- truncated parabolic symbol composition ------------------------------
+# -- parabolic symbol composition ----------------------------------------
 
 class VolterraSymbol(_SparseElement):
     """Polynomial symbol in (x, xi, tau) with degrees deg xi = 1, deg tau = 2.
@@ -457,11 +456,6 @@ class VolterraSymbol(_SparseElement):
             return None
         return max(sum(xi) + 2 * tp for (_, xi, tp) in self.terms)
 
-    def x_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(x) for (x, _, _) in self.terms)
-
     def dilate(self, lam) -> "VolterraSymbol":
         """Parabolic rescaling x -> x/lam, xi -> lam xi, tau -> lam^2 tau.
 
@@ -478,26 +472,17 @@ class VolterraSymbol(_SparseElement):
             for k, c in self.terms.items()})
 
 
-def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
-                     N: int | None = None) -> VolterraSymbol:
-    """Truncated composition sum over multi-indices alpha with |alpha| <= N.
+def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol) -> VolterraSymbol:
+    """Composition q1 o q2 = sum_alpha (1/alpha!) d_xi^alpha q1 * D_x^alpha q2.
 
-    q1 o q2 = sum_alpha (1/alpha!) d_xi^alpha q1 * D_x^alpha q2 with
-    D_x = -i d/dx.  For polynomial symbols the sum terminates once
-    |alpha| exceeds min(xi-degree of q1, x-degree of q2); passing a
-    smaller N truncates below the exactness threshold and warns.
-    The sum runs on exact (re, im) parts; each CFrac is built once.
+    D_x = -i d/dx.  For polynomial symbols the sum is finite: for each
+    pair of terms, ``_leibniz`` lists every alpha up to the xi-exponents
+    of the first and the x-exponents of the second, past which each
+    summand vanishes.  The sum runs on exact (re, im) parts; each CFrac
+    is built once.
     """
     if q1.n != q2.n:
         raise ValueError("dimension mismatch")
-    threshold = min(
-        max((sum(xi) for (_, xi, _) in q1.terms), default=0),
-        q2.x_degree())
-    if N is None:
-        N = threshold
-    if N < threshold:
-        warnings.warn("composition truncated below the polynomial exactness "
-                      "threshold; result is approximate", RuntimeWarning)
     parts2 = [(key, c.re, c.im) for key, c in q2.terms.items()]
     sums = {}
     get = sums.get
@@ -509,8 +494,6 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol,
             turns = ((re, im), (im, -re), (-re, -im), (-im, re))
             t = t1 + t2
             for coef, xrest, xirest, k in _leibniz(xi1, x2):
-                if k > N:
-                    continue
                 key = (tuple(map(add, x1, xrest)),
                        tuple(map(add, xirest, xi2)), t)
                 r, i = turns[k & 3]

@@ -124,16 +124,7 @@ class _SparseElement:
             raise ValueError(f"index mask out of range for n={n}")
         return key, c
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int):
-        return cls(n, {})
-
     # -- basic queries -------------------------------------------------
-
-    def backend(self):
-        return backend_of(self.terms.values())
 
     def coefficient(self, *key):
         return self.terms.get(key, 0)
@@ -203,9 +194,6 @@ class Multivector(_SparseElement):
     @classmethod
     def scalar(cls, n: int, value) -> "Multivector":
         return cls(n, {(0, 0): value})
-
-    def __xor__(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
 
     @staticmethod
     def _word(s: int, t: int) -> str:

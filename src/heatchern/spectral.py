@@ -228,8 +228,10 @@ class FiniteComplex:
             if dq.shape != (self.dims[q + 1], self.dims[q]):
                 raise ValueError(f"differential {q} has wrong shape")
         for q in range(m - 1):
-            if self.d[q + 1].shape[1] and not np.allclose(
-                    self.d[q + 1] @ self.d[q], 0.0, atol=1e-12):
+            # relative to the factors, so a rescaled complex stays valid
+            bound = 1e-12 * np.linalg.norm(self.d[q + 1]) \
+                * np.linalg.norm(self.d[q])
+            if not np.allclose(self.d[q + 1] @ self.d[q], 0.0, atol=bound):
                 raise ValueError("d squared must vanish")
         if self.phi is not None:
             self.phi = [np.asarray(p, dtype=float) for p in self.phi]
@@ -287,7 +289,8 @@ def _laplacians(cx: FiniteComplex, h) -> list:
     return laps
 
 
-# Laplacian eigenvalues at or below this count as zero modes
+# Laplacian eigenvalues at or below this fraction of their level's largest
+# count as zero modes
 _ZERO_TOL = 1e-10
 
 
@@ -313,7 +316,7 @@ def _log_torsion(cx: FiniteComplex, h: list) -> float:
         sym = (sym + sym.T) / 2.0
         evals, evecs = np.linalg.eigh(sym)
         phi_sym = chol.T @ cx.action(q) @ np.linalg.inv(chol.T)
-        if np.any(evals <= _ZERO_TOL):
+        if np.any(evals <= _ZERO_TOL * evals.max()):
             raise ValueError(f"complex is not acyclic at level {q}")
         for lam, vec in zip(evals, evecs.T):
             total += 0.5 * ((-1) ** q) * q * float(vec @ phi_sym @ vec) \
@@ -330,10 +333,6 @@ class TorsionVariation:
     finite_difference: float
     trace_formula: float
 
-    @property
-    def residual(self) -> float:
-        return abs(self.finite_difference - self.trace_formula)
-
 
 def torsion_variation(cx: FiniteComplex, h_path, eps: float,
                       step: float = 1e-4) -> TorsionVariation:
@@ -342,8 +341,8 @@ def torsion_variation(cx: FiniteComplex, h_path, eps: float,
     ``h_path(eps)`` returns the list of metrics; the candidate value is
     (1/2) sum_q (-1)^q tr[phi_q V_q] with V_q = h_q^{-1} hdot_q (hdot by
     the same centered difference).  Both numbers are returned; their
-    agreement is an observed identity of the model, reported through the
-    residual rather than asserted here.
+    agreement is an observed identity of the model, which the caller
+    checks rather than this function.
     """
     if step < 1e-12:
         raise ValueError("step size underflow")

@@ -30,7 +30,7 @@ from .report import KINDS, CheckRecord, Report
 from .scalars import I
 from .scenario import ScenarioConfig
 
-__all__ = ["Check", "KINDS", "run_suite", "SUITE_RUNNERS"]
+__all__ = ["Check", "KINDS", "run_suite", "SUITE_RUNNERS", "random_curvature"]
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,10 @@ def _relative(tol):
     return compare
 
 
-def _random_curvature(n: int, rng: random.Random):
+def random_curvature(n: int, rng: random.Random):
+    """Curvature tensor with integer components in [-5, 5] drawn from rng,
+    one per pair (i, j) <= (k, l) in lexicographic order; the suites and
+    the tests share it as their one seeded generator."""
     comps = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -123,7 +126,7 @@ def _suite_algebra(cfg: ScenarioConfig, rng: random.Random):
                         got != w for table in tables
                         for got, w in zip(table, want))))
 
-    R = _random_curvature(4, rng)
+    R = random_curvature(4, rng)
     iso = equivariant.IsometryNormalForm(4, 4, ())
     yield Check("algebra/index-density-identity", "n=4 a=4 seeded R",
                 "two-route", (lambda: equivariant.euler_form(R, 4),
@@ -136,7 +139,7 @@ def _suite_algebra(cfg: ScenarioConfig, rng: random.Random):
 def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random):
     iso = cfg.isometry()   # cfg.validate() has checked that it builds
     R = (equivariant.CurvatureTensor(cfg.n, dict(cfg.curvature))
-         if cfg.curvature else _random_curvature(iso.n, rng))
+         if cfg.curvature else random_curvature(iso.n, rng))
     inputs = f"n={iso.n} a={iso.a} angles={list(iso.angles)}"
 
     A = CliffordElement(iso.n, {
@@ -163,7 +166,7 @@ def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random):
 
 def _suite_getzler(cfg: ScenarioConfig, rng: random.Random):
     n = 4
-    R = _random_curvature(n, rng)
+    R = random_curvature(n, rng)
 
     def model_by_hand():
         z = (0,) * n
@@ -205,7 +208,7 @@ def _suite_getzler(cfg: ScenarioConfig, rng: random.Random):
                 "closed-form", (non_associative,), partial(_exact, 0))
 
     # ROADMAP item 4 rewrites this record as D o D by composition
-    R_split = _random_curvature(n, rng)
+    R_split = random_curvature(n, rng)
 
     def rmat():   # a seeded 2 x 2 End(F) matrix
         return [[Fraction(rng.randint(-3, 3)) for _ in range(2)]

@@ -7,7 +7,7 @@ import pytest
 
 from heatchern.clifford import CliffordElement
 from heatchern.multivector import Multivector
-from heatchern.suites import _random_curvature as random_curvature  # noqa: F401
+from heatchern.suites import random_curvature  # noqa: F401
 
 
 def basis_e(n, *indices):

@@ -307,8 +307,11 @@ def test_criterion_12_finite_torsion(nprng):
         return [np.eye(2),
                 np.eye(2) + 0.3 * math.sin(e) * M + 0.2 * e * e * np.eye(2)]
 
-    r1 = torsion_variation(cx, path, eps=0.4, step=1e-2).residual
-    r2 = torsion_variation(cx, path, eps=0.4, step=5e-3).residual
+    def residual(step):
+        tv = torsion_variation(cx, path, eps=0.4, step=step)
+        return abs(tv.finite_difference - tv.trace_formula)
+
+    r1, r2 = residual(1e-2), residual(5e-3)
     second_order = abs(r1 / r2 - 4.0) < 0.8
     _line(12, exact and inv_err < 1e-12 and second_order,
           f"closed form exact, invariance {inv_err:.2e}, "

@@ -32,13 +32,13 @@ def test_defining_relations():
         assert gen_chat(n, i) * gen_chat(n, i) == one
     for i, j in itertools.combinations(range(1, n + 1), 2):
         assert gen_c(n, i) * gen_c(n, j) + gen_c(n, j) * gen_c(n, i) \
-            == CliffordElement.zero(n)
+            == CliffordElement(n)
         assert gen_chat(n, i) * gen_chat(n, j) \
-            + gen_chat(n, j) * gen_chat(n, i) == CliffordElement.zero(n)
+            + gen_chat(n, j) * gen_chat(n, i) == CliffordElement(n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             assert gen_c(n, i) * gen_chat(n, j) \
-                + gen_chat(n, j) * gen_c(n, i) == CliffordElement.zero(n)
+                + gen_chat(n, j) * gen_c(n, i) == CliffordElement(n)
 
 
 @settings(max_examples=40, deadline=None)

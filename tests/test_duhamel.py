@@ -10,9 +10,10 @@ import scipy.linalg
 
 from heatchern import duhamel
 from heatchern.duhamel import (FiniteOperator, SimplexQuadrature,
-                               adaptive_simplex_integral, commutator_expansion,
-                               direct_supertrace, duhamel_series,
-                               iterated_commutator, remainder_operator)
+                               adaptive_simplex_integral, commutator,
+                               commutator_expansion, direct_supertrace,
+                               duhamel_series, iterated_commutator,
+                               remainder_operator)
 
 def rand_hermitian(nprng, d, shift=0.0):
     m = nprng.standard_normal((d, d))
@@ -28,14 +29,14 @@ def test_finite_operator_validation():
         FiniteOperator(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         FiniteOperator([[0, 1], [0, 0]], hermitian=True)
-    with pytest.raises(ValueError):
-        FiniteOperator(np.eye(2)) + FiniteOperator(np.eye(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        commutator(FiniteOperator(np.eye(2)), FiniteOperator(np.eye(3)))
 
 
 def test_iterated_commutator_table():
     h = FiniteOperator(np.diag([0.0, 1.0]))
     b = FiniteOperator([[0.0, 1.0], [1.0, 0.0]])
-    assert iterated_commutator(h, b, 0) == b
+    assert np.array_equal(iterated_commutator(h, b, 0).mat, b.mat)
     assert np.allclose(iterated_commutator(h, b, 1).mat, [[0, -1], [1, 0]])
     assert np.allclose(iterated_commutator(h, b, 2).mat, [[0, 1], [1, 0]])
 
@@ -51,8 +52,8 @@ def test_commuting_pair_collapses():
 def test_expansion_first_term(nprng):
     h, b = rand_hermitian(nprng, 4), rand_op(nprng, 4)
     approx, _ = commutator_expansion(h, b, 0.7, 1)
-    heat = h.scale(-0.7).expm()
-    assert np.allclose(approx.mat, (b * heat).mat)
+    heat = scipy.linalg.expm(-0.7 * h.mat)
+    assert np.allclose(approx.mat, b.mat @ heat)
 
 
 def test_gm_quadrature_exactness():
@@ -97,8 +98,8 @@ def test_exact_remainder_identity(nprng):
         s = 0.3
         approx, _ = commutator_expansion(h, b, s, N)
         rem = remainder_operator(h, b, s, N)
-        full = h.scale(-s).expm() * b
-        assert (full - approx - rem).norm() < 1e-10
+        full = scipy.linalg.expm(-s * h.mat) @ b.mat
+        assert np.linalg.norm(full - approx.mat - rem.mat, 2) < 1e-10
 
 
 def _series_data(nprng, d=4):
@@ -112,7 +113,7 @@ def _series_data(nprng, d=4):
 
 def test_series_zero_perturbation(nprng):
     h, _, c, phi, g = _series_data(nprng)
-    zero = FiniteOperator.zero(4)
+    zero = FiniteOperator(np.zeros((4, 4)))
     assert abs(duhamel_series(h, zero, c, phi, 0.4, 3, g)
                - direct_supertrace(h, zero, c, phi, 0.4, g)) < 1e-12
 
@@ -286,3 +287,66 @@ def test_remainder_refuses_what_the_expansion_refuses(N, s):
     for f in (commutator_expansion, remainder_operator):
         with pytest.raises(ValueError, match=r"need N >= 1 and s > 0"):
             f(h, b, s, N)
+
+
+# -- oracle: the expansion in the operator arithmetic FiniteOperator had
+
+
+class _OperatorAlgebra(FiniteOperator):
+    """FiniteOperator with its former ``+ - *``, ``scale``, ``zero`` and
+    ``expm``, so the expansion below runs the former code as it was."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, d):
+        return cls(np.zeros((d, d)))
+
+    def __add__(self, other):
+        self._check(other)
+        return _OperatorAlgebra(self.mat + other.mat)
+
+    def __sub__(self, other):
+        self._check(other)
+        return _OperatorAlgebra(self.mat - other.mat)
+
+    def __mul__(self, other):
+        self._check(other)
+        return _OperatorAlgebra(self.mat @ other.mat)
+
+    def scale(self, factor):
+        return _OperatorAlgebra(factor * self.mat)
+
+    def expm(self):
+        return _OperatorAlgebra(scipy.linalg.expm(self.mat))
+
+
+def _reference_commutator(h, b):
+    return h * b - b * h
+
+
+def _reference_expansion(h, b, s, N):
+    heat = h.scale(-s).expm()
+    acc = _OperatorAlgebra.zero(h.dim)
+    bl = b
+    for l in range(N):
+        coef = ((-1) ** l) * (s ** l) / math.factorial(l)
+        acc = acc + (bl * heat).scale(coef)
+        bl = _reference_commutator(h, bl)
+    remainder = heat * b - acc
+    return acc, remainder.norm()
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_expansion_bit_identical_to_operator_algebra(nprng, d):
+    for N in (1, 2, 3):
+        h, b = rand_hermitian(nprng, d), rand_op(nprng, d)
+        h_ref, b_ref = _OperatorAlgebra(h.mat), _OperatorAlgebra(b.mat)
+        assert np.array_equal(commutator(h, b).mat,
+                              _reference_commutator(h_ref, b_ref).mat)
+        # the report's dyadic s, and one whose powers are not exact in binary
+        for s in (0.5, 0.125, 0.3):
+            approx, norm = commutator_expansion(h, b, s, N)
+            want, want_norm = _reference_expansion(h_ref, b_ref, s, N)
+            assert np.array_equal(approx.mat, want.mat)
+            assert norm == want_norm

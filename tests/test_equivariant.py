@@ -372,7 +372,7 @@ def _pfaffian_by_rows(base, marked, a):
     numerators: whole ``Multivector`` minors with ``Fraction``
     coefficients, summed by ``+``.  With marked None it is Pf(base),
     otherwise the sum with exactly one entry taken from marked."""
-    zero = Multivector.zero(a)
+    zero = Multivector(a)
 
     @functools.cache
     def rec(indices, used_marked):

@@ -3,9 +3,11 @@ for a named reason.
 
 The test runs ``verify`` on each scenario file at seed 0 under a profiler
 and collects the code objects it enters.  The public functions are the
-module-level functions and the methods, classmethods and staticmethods of
-public classes whose names do not start with ``_`` (so dunders are out),
-properties excepted.  What is not reached must equal ``WAITING`` exactly:
+module-level functions and the methods, classmethods, staticmethods and
+property getters whose names do not start with ``_`` (so dunders are out)
+of public classes, and of the private ``heatchern`` bases those classes
+inherit from, keyed by the base (``multivector._SparseElement.coefficient``).
+What is not reached must equal ``WAITING`` exactly:
 a new function no check reaches fails here, and so does one that a check
 starts to reach while it is still listed.
 """
@@ -33,6 +35,7 @@ WAITING = {
     "equivariant.mehler_heat_residual": ITEM_1,
     "equivariant.mehler_body": ITEM_1,
     "multivector.exp_even": ITEM_1,
+    "multivector._SparseElement.scale": ITEM_1,
     "multivector.Multivector.scalar": ITEM_1,
     "getzler.VolterraSymbol.tau": ITEM_1,
     "getzler.VolterraSymbol.parabolic_order": ITEM_1,
@@ -51,6 +54,21 @@ WAITING = {
 }
 
 
+def _methods(cls) -> dict:
+    """Public attribute name -> code object of each method ``cls`` defines."""
+    out = {}
+    for attr, member in vars(cls).items():
+        if attr.startswith("_"):
+            continue
+        if isinstance(member, (classmethod, staticmethod)):
+            member = member.__func__
+        elif isinstance(member, property):
+            member = member.fget
+        if inspect.isfunction(member):
+            out[attr] = member.__code__
+    return out
+
+
 def public_functions() -> dict:
     """``module.qualname`` -> code object of each public function."""
     out = {}
@@ -63,13 +81,14 @@ def public_functions() -> dict:
             if inspect.isfunction(obj):
                 out[f"{info.name}.{name}"] = obj.__code__
             elif inspect.isclass(obj):
-                for attr, member in vars(obj).items():
-                    if attr.startswith("_"):
-                        continue
-                    if isinstance(member, (classmethod, staticmethod)):
-                        member = member.__func__
-                    if inspect.isfunction(member):
-                        out[f"{info.name}.{name}.{attr}"] = member.__code__
+                for attr, code in _methods(obj).items():
+                    out[f"{info.name}.{name}.{attr}"] = code
+                for base in obj.__mro__[1:]:
+                    if (base.__name__.startswith("_")
+                            and base.__module__.startswith("heatchern.")):
+                        owner = base.__module__.rsplit(".", 1)[1]
+                        for attr, code in _methods(base).items():
+                            out[f"{owner}.{base.__qualname__}.{attr}"] = code
     return out
 
 

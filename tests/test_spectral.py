@@ -164,8 +164,10 @@ def test_finite_complex_validation():
         FiniteComplex(dims=(1, 1), d=[])
     with pytest.raises(ValueError):
         FiniteComplex(dims=(2, 1), d=[[[1.0]]])
-    with pytest.raises(ValueError):
-        FiniteComplex(dims=(1, 1, 1), d=[[[1.0]], [[1.0]]])  # d^2 != 0
+    # d^2 != 0, also when it is small next to 1 but not next to |d| |d|
+    for a in (1.0, 1e-7):
+        with pytest.raises(ValueError, match="d squared"):
+            FiniteComplex(dims=(1, 1, 1), d=[[[a]], [[a]]])
     with pytest.raises(ValueError):
         FiniteComplex(dims=(2, 2), d=[[[1.0, 0.0], [0.0, 2.0]]],
                       phi=[[[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
@@ -177,7 +179,7 @@ def test_finite_complex_validation():
 
 def test_torsion_closed_form():
     # d = (a): tau = 1/|a|, exactly
-    for a in (2.0, 3.0, 0.5, -4.0):
+    for a in (2.0, 3.0, 0.5, -4.0, 1e-6):
         assert finite_torsion(two_term(a)) == pytest.approx(1.0 / abs(a),
                                                             rel=1e-14)
     assert log_finite_torsion(two_term(2.0)) == pytest.approx(-math.log(2.0),
@@ -187,9 +189,9 @@ def test_torsion_closed_form():
 def test_torsion_metric_scaling_closed_form():
     # rescaling the top metric by s^2 rescales d* by s^2 in the Laplacian
     cx = two_term(2.0)
-    s2 = 9.0
-    val = log_finite_torsion(cx, h=[[[1.0]], [[s2]]])
-    assert val == pytest.approx(-0.5 * math.log(4.0 * s2), rel=1e-12)
+    for s2 in (9.0, 1e-12):
+        val = log_finite_torsion(cx, h=[[[1.0]], [[s2]]])
+        assert val == pytest.approx(-0.5 * math.log(4.0 * s2), rel=1e-12)
 
 
 def test_torsion_equivariant_sign():
@@ -221,6 +223,24 @@ def test_torsion_requires_acyclic():
     cx = FiniteComplex(dims=(1, 1), d=[[[0.0]]])
     with pytest.raises(ValueError):
         log_finite_torsion(cx)
+    # R -> R^2 has cohomology at level 1, however small d is
+    cx = FiniteComplex(dims=(1, 2), d=[[[1e-6], [0.0]]])
+    with pytest.raises(ValueError, match="not acyclic at level 1"):
+        log_finite_torsion(cx)
+
+
+def _orthonormal_complex(scale):
+    """R -> R^3 -> R^2 from the columns of a random orthogonal matrix, times
+    scale: d_1 d_0 vanishes up to rounding, and log tau = log scale."""
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    return FiniteComplex(dims=(1, 3, 2),
+                         d=[scale * q[:, :1], scale * q[:, 1:].T])
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e-6])
+def test_rescaled_complex_is_accepted(scale):
+    assert log_finite_torsion(_orthonormal_complex(scale)) \
+        == pytest.approx(math.log(scale), abs=1e-9)
 
 
 def test_variation_linear_path_exact():
@@ -232,7 +252,7 @@ def test_variation_linear_path_exact():
     var = torsion_variation(cx, path, eps=0.3)
     assert var.finite_difference == pytest.approx(1.0, abs=1e-8)
     assert var.trace_formula == pytest.approx(1.0, abs=1e-8)
-    assert var.residual < 1e-8
+    assert abs(var.finite_difference - var.trace_formula) < 1e-8
 
 
 def test_variation_second_order_convergence():
@@ -243,9 +263,11 @@ def test_variation_second_order_convergence():
         h1 = np.eye(2) + 0.3 * math.sin(e) * M + 0.2 * e * e * np.eye(2)
         return [np.eye(2), h1]
 
-    r1 = torsion_variation(cx, path, eps=0.4, step=1e-2).residual
-    r2 = torsion_variation(cx, path, eps=0.4, step=5e-3).residual
-    assert r1 / r2 == pytest.approx(4.0, rel=0.2)
-    assert torsion_variation(cx, path, eps=0.4, step=1e-4).residual < 1e-7
+    def residual(step):
+        tv = torsion_variation(cx, path, eps=0.4, step=step)
+        return abs(tv.finite_difference - tv.trace_formula)
+
+    assert residual(1e-2) / residual(5e-3) == pytest.approx(4.0, rel=0.2)
+    assert residual(1e-4) < 1e-7
     with pytest.raises(ValueError):
         torsion_variation(cx, path, eps=0.4, step=0.0)
