@@ -30,6 +30,8 @@ from math import factorial
 
 import numpy as np
 
+from .scalars import _negligible
+
 __all__ = [
     "FiniteOperator", "SimplexQuadrature",
     "commutator", "iterated_commutator", "commutator_expansion",
@@ -48,7 +50,7 @@ class FiniteOperator:
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError("need a square matrix of dimension >= 1")
-        if hermitian and not np.allclose(m, m.conj().T, atol=1e-12):
+        if hermitian and not _negligible(m - m.conj().T, np.linalg.norm(m)):
             raise ValueError("matrix asserted Hermitian is not")
         self.mat = m
 

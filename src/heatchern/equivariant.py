@@ -522,12 +522,15 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
     of the rest (S ^ s, T ^ t) with the sign of its two merges (|t| = 2,
     so no cross-family sign).  It runs on integer numerators
     (denominators cleared by their lcm D) and divides by (2D)^m once.
+    A float coefficient raises ``BackendMismatch``, as in ``euler_form``.
     """
     n, a, b = iso.n, iso.a, iso.b
     tan = (1 << a) - 1
-    rdot = {(s, t): Fraction(c)
-            for (s, t), c in curvature_bivector(R).terms.items()
+    rdot = {(s, t): c for (s, t), c in curvature_bivector(R).terms.items()
             if not (s | t) & ~tan}
+    for c in rdot.values():
+        if not _is_exact(c):
+            raise BackendMismatch(f"curvature {c!r} is not an int or a Fraction")
     D = math.lcm(*(c.denominator for c in rdot.values()))
     # words by their lowest e-index, with the suffix parities of their
     # two parts, which give the merge signs

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 __all__ = ["EXACT", "FLOAT", "BackendMismatch", "backend_of", "CFrac", "I",
            "Mat"]
 
@@ -28,6 +30,12 @@ def _is_exact(x) -> bool:
     """An int that is not a bool, or a Fraction."""
     return isinstance(x, Fraction) or (isinstance(x, int)
                                        and not isinstance(x, bool))
+
+
+def _negligible(value, scale) -> bool:
+    """No entry of value exceeds 64 eps times the operands' scale; a product
+    of inner size k <= 128 rounds by k eps / 2 times its factors' norms."""
+    return bool(np.all(np.abs(value) <= 64 * 2.0 ** -52 * scale))
 
 
 class BackendMismatch(TypeError):

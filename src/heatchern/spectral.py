@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .scalars import _negligible
 
 __all__ = [
     "SpectralModel", "IsometryAction", "FiniteComplex", "TorsionVariation",
@@ -210,8 +211,8 @@ class FiniteComplex:
 
     ``d[q]`` maps C^q to C^{q+1} (one entry per q < m, possibly zero
     rows/cols for trivial spaces); ``phi[q]`` is an endomorphism of C^q
-    commuting with d.  Metrics are supplied separately to the torsion
-    functions as one SPD matrix per level.
+    commuting with d, the identity if none is given; metrics go to the
+    torsion functions, one SPD matrix per level.
     """
 
     dims: tuple
@@ -228,43 +229,32 @@ class FiniteComplex:
             if dq.shape != (self.dims[q + 1], self.dims[q]):
                 raise ValueError(f"differential {q} has wrong shape")
         for q in range(m - 1):
-            # relative to the factors, so a rescaled complex stays valid
-            bound = 1e-12 * np.linalg.norm(self.d[q + 1]) \
-                * np.linalg.norm(self.d[q])
-            if not np.allclose(self.d[q + 1] @ self.d[q], 0.0, atol=bound):
+            if not _negligible(self.d[q + 1] @ self.d[q], np.linalg.norm(
+                    self.d[q + 1]) * np.linalg.norm(self.d[q])):
                 raise ValueError("d squared must vanish")
-        if self.phi is not None:
-            self.phi = [np.asarray(p, dtype=float) for p in self.phi]
-            if len(self.phi) != len(self.dims):
-                raise ValueError("need one action matrix per level")
-            for q, p in enumerate(self.phi):
-                if p.shape != (self.dims[q], self.dims[q]):
-                    raise ValueError(f"action at level {q} has wrong shape")
-            for q, dq in enumerate(self.d):
-                if not np.allclose(dq @ self.phi[q],
-                                   self.phi[q + 1] @ dq, atol=1e-12):
-                    raise ValueError("action must commute with d")
-
-    @property
-    def levels(self) -> int:
-        return len(self.dims)
-
-    def action(self, q: int) -> np.ndarray:
-        if self.phi is None:
-            return np.eye(self.dims[q])
-        return self.phi[q]
+        self.phi = [np.asarray(p, dtype=float) for p in (
+            map(np.eye, self.dims) if self.phi is None else self.phi)]
+        if len(self.phi) != len(self.dims):
+            raise ValueError("need one action matrix per level")
+        for q, p in enumerate(self.phi):
+            if p.shape != (self.dims[q], self.dims[q]):
+                raise ValueError(f"action at level {q} has wrong shape")
+        for q, dq in enumerate(self.d):
+            if not _negligible(dq @ self.phi[q] - self.phi[q + 1] @ dq,
+                               np.linalg.norm(dq) * sum(map(
+                                   np.linalg.norm, self.phi[q:q + 2]))):
+                raise ValueError("action must commute with d")
 
 
 def _check_metrics(cx: FiniteComplex, h) -> list:
-    if h is None:
-        return [np.eye(dim) for dim in cx.dims]
-    mats = [np.asarray(hq, dtype=float) for hq in h]
-    if len(mats) != cx.levels:
+    mats = [np.asarray(hq, dtype=float) for hq in (
+        map(np.eye, cx.dims) if h is None else h)]
+    if len(mats) != len(cx.dims):
         raise ValueError("need one metric per level")
     for q, hq in enumerate(mats):
         if hq.shape != (cx.dims[q], cx.dims[q]):
             raise ValueError(f"metric at level {q} has wrong shape")
-        if not np.allclose(hq, hq.T, atol=1e-12):
+        if not _negligible(hq - hq.T, np.linalg.norm(hq)):
             raise ValueError("metrics must be symmetric")
         if hq.size and np.linalg.eigvalsh(hq).min() <= 0:
             raise ValueError("metrics must be positive definite")
@@ -273,9 +263,9 @@ def _check_metrics(cx: FiniteComplex, h) -> list:
 
 def _laplacians(cx: FiniteComplex, h) -> list:
     """Combinatorial Laplacians d* d + d d* with adjoints taken in h."""
-    m = cx.levels - 1
+    m = len(cx.dims) - 1
     laps = []
-    for q in range(cx.levels):
+    for q in range(m + 1):
         lap = np.zeros((cx.dims[q], cx.dims[q]))
         if q < m and cx.dims[q] and cx.dims[q + 1]:
             dq = cx.d[q]
@@ -287,11 +277,6 @@ def _laplacians(cx: FiniteComplex, h) -> list:
             lap = lap + dqm @ adj
         laps.append(lap)
     return laps
-
-
-# Laplacian eigenvalues at or below this fraction of their level's largest
-# count as zero modes
-_ZERO_TOL = 1e-10
 
 
 def log_finite_torsion(cx: FiniteComplex, h=None) -> float:
@@ -315,8 +300,10 @@ def _log_torsion(cx: FiniteComplex, h: list) -> float:
         sym = chol.T @ lap @ np.linalg.inv(chol.T)
         sym = (sym + sym.T) / 2.0
         evals, evecs = np.linalg.eigh(sym)
-        phi_sym = chol.T @ cx.action(q) @ np.linalg.inv(chol.T)
-        if np.any(evals <= _ZERO_TOL * evals.max()):
+        phi_sym = chol.T @ cx.phi[q] @ np.linalg.inv(chol.T)
+        # eigh and the similarity round by dim * max |lam| * cond(C)
+        if _negligible(evals[0], cx.dims[q] * np.abs(evals).max()
+                       * np.linalg.cond(chol)):
             raise ValueError(f"complex is not acyclic at level {q}")
         for lam, vec in zip(evals, evecs.T):
             total += 0.5 * ((-1) ** q) * q * float(vec @ phi_sym @ vec) \
@@ -350,10 +337,10 @@ def torsion_variation(cx: FiniteComplex, h_path, eps: float,
                     for e in (eps - step, eps, eps + step))
     fd = (_log_torsion(cx, hhi) - _log_torsion(cx, hlo)) / (2.0 * step)
     trace_val = 0.0
-    for q in range(cx.levels):
-        if not cx.dims[q]:
+    for q, dim in enumerate(cx.dims):
+        if not dim:
             continue
         hdot = (hhi[q] - hlo[q]) / (2.0 * step)
         vq = np.linalg.solve(h0[q], hdot)
-        trace_val += 0.5 * ((-1) ** q) * float(np.trace(cx.action(q) @ vq))
+        trace_val += 0.5 * ((-1) ** q) * float(np.trace(cx.phi[q] @ vq))
     return TorsionVariation(fd, trace_val)

@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from . import duhamel, equivariant, getzler, spectral
-from .clifford import (CliffordElement, berezin_supertrace, represent,
-                       supertrace)
+from .clifford import (CliffordElement, berezin_supertrace, clifford_multiply,
+                       represent, supertrace)
 from .report import KINDS, CheckRecord, Report
 from .scalars import I
 from .scenario import ScenarioConfig
@@ -145,8 +145,8 @@ def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random):
     A = CliffordElement(iso.n, {
         ((1 << iso.n) - 1, (1 << iso.n) - 1): 1.0, (0, 0): 0.5})
     yield Check("fixed-point/supertrace-paths", inputs, "two-route", (
-        lambda: equivariant.equivariant_supertrace(iso, A, "matrix"),
-        lambda: equivariant.equivariant_supertrace(iso, A, "decomposition")),
+        lambda: supertrace(clifford_multiply(equivariant.phi_tilde(iso), A)),
+        lambda: sum(equivariant.supertrace_decomposition(iso, A))),
         _small(cfg.tolerance))
     yield Check("fixed-point/pushforward-oracle", inputs, "two-route", (
         lambda: represent(equivariant.phi_tilde(iso)).astype(float),

@@ -41,16 +41,12 @@ CORE_MODULES = ("scalars",)
 CORE_FUNCTIONS = ("multivector._product", "multivector._popcount",
                   "multivector._suffix_parity")
 
-DISPATCH = ("a method-string dispatcher, each method its own body, kept "
-            "because perfbench/checks.py calls it that way")
 PHI = ("builds phi_tilde, which both paths pair with A; "
        "fixed-point/pushforward-oracle checks it against minors")
 READOUT = ("the read-out both sides apply to their own matrix: its size, "
            "the grading check and Str = sum g_i M_ii")
 
 SHARED = {
-    ("fixed-point/supertrace-paths", "equivariant.equivariant_supertrace"):
-        DISPATCH,
     ("fixed-point/supertrace-paths", "equivariant.phi_tilde"): PHI,
     ("fixed-point/supertrace-paths", "clifford.clifford_multiply"): PHI,
     ("fixed-point/supertrace-paths", "clifford.CliffordElement.one"): PHI,

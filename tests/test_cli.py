@@ -2,7 +2,6 @@ import json
 import math
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +10,8 @@ from heatchern.report import CheckRecord, Report, emit
 from heatchern.scenario import ScenarioError, _parse_angle, parse_scenario
 from heatchern.spectral import IsometryAction, SpectralModel, heat_supertrace
 from heatchern.suites import run_suite
+
+from test_report_digests import GOLDEN, GOLDEN_DIR, write_golden
 
 
 def write_scn(tmp_path, text, name="case.scn"):
@@ -502,19 +503,10 @@ def test_run_suite_all_sections(tmp_path):
 
 # -- golden reports --------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = [(p.stem, "text") for p in sorted((ROOT / "scenarios").glob("*.scn"))]
-GOLDEN += [("all", "json"), ("all", "csv")]
-
-
 @pytest.mark.parametrize("name, fmt", GOLDEN)
 def test_scenario_report_matches_golden(tmp_path, capsys, name, fmt):
     """``verify`` reproduces tests/golden/ byte for byte.  After an intended
-    report change, regenerate a file with
-    ``python -m heatchern.cli --config scenarios/NAME.scn --format FMT
-    --out tests/golden/NAME.EXT`` and say why in CHANGES.md."""
-    ext = {"text": "txt", "json": "json", "csv": "csv"}[fmt]
-    out = tmp_path / f"{name}.{ext}"
-    assert main(["--config", str(ROOT / "scenarios" / f"{name}.scn"),
-                 "--format", fmt, "--out", str(out)]) == 0
-    assert out.read_bytes() == (ROOT / "tests" / "golden" / out.name).read_bytes()
+    report change, ``PYTHONPATH=src python tests/test_report_digests.py``
+    regenerates every golden file; say why in CHANGES.md."""
+    out = write_golden(name, fmt, tmp_path)
+    assert out.read_bytes() == (GOLDEN_DIR / out.name).read_bytes()

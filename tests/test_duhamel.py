@@ -29,6 +29,15 @@ def test_finite_operator_validation():
         FiniteOperator(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         FiniteOperator([[0, 1], [0, 0]], hermitian=True)
+    # asymmetry well above rounding, next to the matrix's own size
+    for mat in ([[1, 1 + 5e-6], [1, 2]], 1e-13 * np.array([[1, 5], [-5, 2]])):
+        with pytest.raises(ValueError, match="asserted Hermitian"):
+            FiniteOperator(mat, hermitian=True)
+    # Q D Q^T is symmetric only up to rounding, and that passes
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))
+    h = q @ np.diag(np.arange(1.0, 7.0)) @ q.T
+    assert not np.array_equal(h, h.T)
+    FiniteOperator(h, hermitian=True)
     with pytest.raises(ValueError, match="dimension mismatch"):
         commutator(FiniteOperator(np.eye(2)), FiniteOperator(np.eye(3)))
 

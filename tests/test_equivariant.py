@@ -432,6 +432,20 @@ def test_pfaffian_routes_refuse_float_coefficients():
     assert "\n" not in str(exc.value)
 
 
+def test_index_density_routes_refuse_the_same_float():
+    # both routes of fixed-point/index-density refuse a float component,
+    # where the density once turned 0.1 into a binary Fraction
+    R = CurvatureTensor(2, {(1, 2, 1, 2): 0.1})
+    iso = IsometryNormalForm(2, 2, ())
+    with pytest.raises(BackendMismatch, match="0.1"):
+        euler_form(R, 2)
+    with pytest.raises(BackendMismatch, match="0.1"):
+        local_index_density(R, iso)
+    exact = CurvatureTensor(2, {(1, 2, 1, 2): Fraction(1, 10)})
+    assert local_index_density(exact, iso) == euler_form(exact, 2) \
+        == Fraction(-1, 20)
+
+
 def test_hodge_variation_operator():
     g = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(0)]]
     data = BundleVariationData(n=2, gdot=g)

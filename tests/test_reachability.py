@@ -47,6 +47,7 @@ WAITING = {
     "getzler.GradedDiffOp.d_x": ITEM_4,
     "getzler.GradedDiffOp.word": ITEM_4,
     "getzler.GradedDiffOp.x_coord": ITEM_4,
+    "equivariant.equivariant_supertrace": BENCHMARK,
     "duhamel.remainder_operator": BENCHMARK,
     "duhamel.iterated_commutator": BENCHMARK,
     "spectral.IsometryAction.translation": BENCHMARK,

@@ -177,6 +177,30 @@ def test_finite_complex_validation():
         log_finite_torsion(two_term(), h=[[[1.0]]])
 
 
+def test_action_is_the_identity_when_none_is_given():
+    cx = FiniteComplex(dims=(1, 3, 2), d=[np.zeros((3, 1)), np.zeros((2, 3))])
+    assert [p.tolist() for p in cx.phi] \
+        == [np.eye(dim).tolist() for dim in (1, 3, 2)]
+
+
+def test_float_checks_refuse_more_than_rounding():
+    # each residual is far above rounding next to its operands, though
+    # within 1e-5 of them or within 1e-12 of zero
+    with pytest.raises(ValueError, match="commute"):
+        FiniteComplex(dims=(2, 2), d=[np.diag([1.0, 2.0])],
+                      phi=[np.eye(2), (1 + 5e-6) * np.eye(2)])
+    cx = FiniteComplex(dims=(2, 2), d=[np.diag([1.0, 2.0])])
+    for metric in (1e-13 * np.array([[2.0, 1.0], [-1.0, 2.0]]),
+                   [[1.0, 0.5 + 1e-6], [0.5, 1.0]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            log_finite_torsion(cx, h=[np.eye(2), metric])
+    # a metric Q D Q^T is symmetric only up to rounding, and that passes
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2)))
+    metric = q @ np.diag([1.0, 3.0]) @ q.T
+    assert not np.array_equal(metric, metric.T)
+    assert math.isfinite(log_finite_torsion(cx, h=[np.eye(2), metric]))
+
+
 def test_torsion_closed_form():
     # d = (a): tau = 1/|a|, exactly
     for a in (2.0, 3.0, 0.5, -4.0, 1e-6):
@@ -227,6 +251,40 @@ def test_torsion_requires_acyclic():
     cx = FiniteComplex(dims=(1, 2), d=[[[1e-6], [0.0]]])
     with pytest.raises(ValueError, match="not acyclic at level 1"):
         log_finite_torsion(cx)
+
+
+def test_wide_spectrum_is_acyclic():
+    # Laplacian eigenvalues 1e-6 and 4e6 at both levels: far apart, but the
+    # smaller is far above the rounding of the larger
+    cx = FiniteComplex(dims=(2, 2), d=[np.diag([1e-3, 2e3])])
+    assert log_finite_torsion(cx) == pytest.approx(-math.log(2.0), rel=1e-12)
+
+
+def test_swap_action_at_large_scale():
+    # d = 1e7 (1 + 0.3 S) on the +1 and -1 eigenlines of the swap S
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cx = FiniteComplex(dims=(2, 2), d=[1e7 * np.array([[1.0, 0.3], [0.3, 1.0]])],
+                       phi=[swap, swap])
+    assert log_finite_torsion(cx) == -0.6190392084062228
+    assert log_finite_torsion(cx) == pytest.approx(-math.log(13 / 7), rel=1e-14)
+
+
+def _z3_shift(s, top=1.0):
+    """R^3 -> R^3 with d = s (2 - P) for the cyclic shift P, and phi = P on
+    the bottom level, top P on the top one."""
+    shift = np.roll(np.eye(3), 1, axis=0)
+    return FiniteComplex(dims=(3, 3), d=[s * (2 * np.eye(3) - shift)],
+                         phi=[shift, top * shift])
+
+
+@pytest.mark.parametrize("s", [10.0 ** e for e in range(-8, 9)])
+def test_z3_shift_torsion_is_scale_free(s):
+    # Laplacian eigenvalues s^2 on the invariant line, where tr P = 1, and
+    # 7 s^2 on its complement, where tr P = -1: the s^2 cancels
+    assert log_finite_torsion(_z3_shift(s)) \
+        == pytest.approx(0.5 * math.log(7.0), rel=0, abs=1e-14)
+    with pytest.raises(ValueError, match="commute"):
+        _z3_shift(s, top=1 + 1e-6)
 
 
 def _orthonormal_complex(scale):
