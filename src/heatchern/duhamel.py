@@ -19,7 +19,7 @@ coordinate value.  Within one call, ``remainder_operator`` evaluates its
 integrand once per distinct t_0, and ``duhamel_series`` takes one heat
 factor per distinct coordinate and builds each leading product
 Phi C e(t_0) L ... L e(t_j) of fewer than k coordinates once; nothing is
-kept between calls.
+kept between calls: each call empties its caches before it returns.
 """
 
 from __future__ import annotations
@@ -251,17 +251,24 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
             return head @ heat(x[0])
         return prefix(x[:-1]) @ L.mat @ heat(x[-1])
 
-    total = _supertrace(head @ heat(1.0), g)
-    for k in range(1, K + 1):
-        def integrand(node, _k=k):
-            x = tuple(round(float(v), 15) for v in node)
-            # k coordinates fix the node, so only shorter prefixes are shared
-            j = max(_k - 1, 1)
-            mat = prefix(x[:j]) if _k > 1 else head @ heat(x[0])
-            for xi in x[j:]:
-                mat = mat @ L.mat @ heat(xi)
-            return _supertrace(mat, g)
+    try:
+        total = _supertrace(head @ heat(1.0), g)
+        for k in range(1, K + 1):
+            def integrand(node, _k=k):
+                x = tuple(round(float(v), 15) for v in node)
+                # k coordinates fix the node, so only shorter prefixes are
+                # shared
+                j = max(_k - 1, 1)
+                mat = prefix(x[:j]) if _k > 1 else head @ heat(x[0])
+                for xi in x[j:]:
+                    mat = mat @ L.mat @ heat(xi)
+                return _supertrace(mat, g)
 
-        term = adaptive_simplex_integral(k, integrand)
-        total += ((-t) ** k) * term
+            term = adaptive_simplex_integral(k, integrand)
+            total += ((-t) ** k) * term
+    finally:
+        # prefix calls itself, so it is in a reference cycle: without this
+        # both caches' matrices would live until a full garbage collection
+        prefix.cache_clear()
+        heat.cache_clear()
     return total

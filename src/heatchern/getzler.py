@@ -31,7 +31,12 @@ Both products rest on one multi-index Leibniz rule, ``_leibniz``: d^a
 moved past x^b in ``compose``, and xi^a composed with x^b (weighted by
 (-i)^|alpha|) in ``volterra_compose``.  Its table is memoized per pair
 of exponent tuples; the entries are bounded by the degrees of the
-symbols and operators composed: about 120 pairs in a ``suite all`` run.
+symbols and operators composed: about 120 pairs in one ``suite all`` run,
+145 over 19 seeds.  ``volterra_compose`` also takes each exponent sum of
+its output keys from one memo per pair of summands, ``_exponent_sum``
+(about 290 pairs in one run, 369 over 19 seeds), and builds its result
+in one pass: it is the one caller that attaches its terms without
+``VolterraSymbol._clean``.
 """
 
 from __future__ import annotations
@@ -265,6 +270,12 @@ def _leibniz(d, x):
     return tuple(table)
 
 
+@functools.cache
+def _exponent_sum(a, b):
+    """Entrywise sum of exponent tuples a and b, one shared tuple per pair."""
+    return tuple(map(add, a, b))
+
+
 def _bound(key):
     """(names, order bound) of a term; a concrete one is named "term"."""
     return key if _is_opaque(key) else (("term",), _term_order(key))
@@ -478,11 +489,16 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol) -> VolterraSymbol:
     D_x = -i d/dx.  For polynomial symbols the sum is finite: for each
     pair of terms, ``_leibniz`` lists every alpha up to the xi-exponents
     of the first and the x-exponents of the second, past which each
-    summand vanishes.  The sum runs on exact (re, im) parts; each CFrac
-    is built once.
+    summand vanishes.  The sum runs on exact (re, im) parts, each key's
+    exponent tuples come from ``_exponent_sum``, and each CFrac is built
+    once.
     """
+    for q in (q1, q2):
+        if type(q) is not VolterraSymbol:
+            raise TypeError(
+                f"volterra_compose takes VolterraSymbols, not {type(q).__name__}")
     if q1.n != q2.n:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"dimension mismatch: {q1.n} != {q2.n}")
     parts2 = [(key, c.re, c.im) for key, c in q2.terms.items()]
     sums = {}
     get = sums.get
@@ -494,8 +510,7 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol) -> VolterraSymbol:
             turns = ((re, im), (im, -re), (-re, -im), (-im, re))
             t = t1 + t2
             for coef, xrest, xirest, k in _leibniz(xi1, x2):
-                key = (tuple(map(add, x1, xrest)),
-                       tuple(map(add, xirest, xi2)), t)
+                key = (_exponent_sum(x1, xrest), _exponent_sum(xirest, xi2), t)
                 r, i = turns[k & 3]
                 acc = get(key)
                 if acc is None:
@@ -503,4 +518,11 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol) -> VolterraSymbol:
                 else:
                     acc[0] += coef * r
                     acc[1] += coef * i
-    return VolterraSymbol(q1.n, {key: CFrac(*acc) for key, acc in sums.items()})
+    # The one caller that skips VolterraSymbol._clean, whose second check
+    # of each output term cost about 8% of a sweep-default pass: each key
+    # sums keys of checked symbols (n entries, none negative), and CFrac
+    # still checks each part.
+    out = VolterraSymbol(q1.n)
+    out.terms = {key: CFrac(re, im) for key, (re, im) in sums.items()
+                 if re or im}
+    return out

@@ -27,7 +27,16 @@ FLOAT = "float"
 
 
 def _is_exact(x) -> bool:
-    """An int that is not a bool, or a Fraction."""
+    """An int that is not a bool, or a Fraction.
+
+    The two exact types themselves are told by identity first: on an int,
+    ``isinstance(x, Fraction)`` is an ABC check, as ``Fraction`` derives
+    from ``numbers.Rational``.  Subclasses and every other type go through
+    the full rule.
+    """
+    t = type(x)
+    if t is int or t is Fraction:
+        return True
     return isinstance(x, Fraction) or (isinstance(x, int)
                                        and not isinstance(x, bool))
 

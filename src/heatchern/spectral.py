@@ -296,11 +296,12 @@ def _log_torsion(cx: FiniteComplex, h: list) -> float:
         if not cx.dims[q]:
             continue
         chol = np.linalg.cholesky(h[q])
+        inv_t = np.linalg.inv(chol.T)
         # C^T Lap C^{-T} is symmetric because Lap is h-self-adjoint
-        sym = chol.T @ lap @ np.linalg.inv(chol.T)
+        sym = chol.T @ lap @ inv_t
         sym = (sym + sym.T) / 2.0
         evals, evecs = np.linalg.eigh(sym)
-        phi_sym = chol.T @ cx.phi[q] @ np.linalg.inv(chol.T)
+        phi_sym = chol.T @ cx.phi[q] @ inv_t
         # eigh and the similarity round by dim * max |lam| * cond(C)
         if _negligible(evals[0], cx.dims[q] * np.abs(evals).max()
                        * np.linalg.cond(chol)):

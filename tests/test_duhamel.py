@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -258,6 +259,44 @@ def test_series_bit_identical_to_node_by_node(nprng, d):
         for K in range(0, 6):
             assert duhamel_series(h, L, c, phi, t, K, g) \
                 == _reference_series(h, L, c, phi, t, K, g)
+
+
+def _cached_after(call):
+    """Entry counts of the caches that only the cyclic garbage collector
+    frees once ``call`` has returned or raised."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        try:
+            call()
+        except RuntimeError:
+            pass
+        gc.collect()
+        return [obj.cache_info().currsize for obj in gc.garbage
+                if hasattr(obj, "cache_info")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_series_keeps_no_matrix_after_the_call(nprng):
+    h, L, c, phi, g = _series_data(nprng, 8)
+    assert not any(_cached_after(
+        lambda: duhamel_series(h, L, c, phi, 0.1, 3, g)))
+
+    def fails_at_k2(k, f, *args, **kwargs):
+        value = adaptive_simplex_integral(k, f, *args, **kwargs)
+        if k == 2:
+            raise RuntimeError("simplex quadrature did not converge")
+        return value
+
+    with mock.patch.object(duhamel, "adaptive_simplex_integral", fails_at_k2):
+        assert not any(_cached_after(
+            lambda: duhamel_series(h, L, c, phi, 0.1, 3, g)))
 
 
 @pytest.mark.parametrize("d", [4, 8])

@@ -15,7 +15,7 @@ from heatchern.getzler import (ExteriorDiffOp, GradedDiffOp, VolterraSymbol, _cu
                                getzler_order, lichnerowicz_split,
                                model_operator, top_order_part,
                                volterra_compose, weitzenbock)
-from heatchern.multivector import _SparseElement, _popcount
+from heatchern.multivector import Multivector, _SparseElement, _popcount
 from heatchern.scalars import EXACT, BackendMismatch, CFrac, I, Mat, backend_of
 
 from conftest import gen_c, gen_chat, random_curvature
@@ -428,6 +428,24 @@ def test_volterra_compose_matches_full_oracle(rng, n):
         got, want = volterra_compose(q1, q2), _oracle_compose(q1, q2)
         assert got == want
         assert got.to_text() == want.to_text()
+        # canonical as the constructor would leave it
+        assert VolterraSymbol(n, dict(got.terms)) == got
+        assert all(got.terms.values())
+        for x, xi, tp in got.terms:
+            assert type(x) is tuple and type(xi) is tuple and type(tp) is int
+            assert len(x) == len(xi) == n
+
+
+def test_volterra_compose_refuses_other_elements():
+    sym = VolterraSymbol.xi(2, 1)
+    for other in (Multivector.scalar(2, 1), CliffordElement(2, {(1, 0): 1}),
+                  GradedDiffOp.d_x(2, 1)):
+        name = type(other).__name__
+        for args in ((sym, other), (other, sym)):
+            with pytest.raises(TypeError, match=f"not {name}"):
+                volterra_compose(*args)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        volterra_compose(sym, VolterraSymbol.xi(3, 1))
 
 
 def test_graded_op_text_golden():

@@ -1,6 +1,7 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -93,8 +94,16 @@ def test_cfrac_refuses_non_rational_parts():
 
 
 def test_exact_means_int_or_fraction_not_bool():
-    assert all(map(_is_exact, (0, -3, Fraction(1, 2), Fraction(2))))
-    assert not any(map(_is_exact, (True, False, 0.5, 1.0, CFrac(1), "1")))
+    class Int(int):
+        pass
+
+    class Frac(Fraction):
+        pass
+
+    assert all(map(_is_exact, (0, -3, Fraction(1, 2), Fraction(2), Int(3),
+                               Frac(1, 3))))
+    assert not any(map(_is_exact, (True, False, 0.5, 1.0, CFrac(1), "1",
+                                   np.int64(1), np.bool_(True))))
     assert backend_of([True, False]) is None
 
 

@@ -210,6 +210,22 @@ def test_torsion_closed_form():
                                                               rel=1e-14)
 
 
+def test_torsion_inverts_each_cholesky_factor_once(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    # levels 1 and 2 are non-empty, level 0 is empty
+    cx = FiniteComplex(dims=(0, 2, 2), d=[np.zeros((2, 0)), np.diag([1.0, 2.0])])
+    h = [np.eye(0), np.diag([2.0, 3.0]), np.array([[2.0, 1.0], [1.0, 2.0]])]
+    assert math.isfinite(log_finite_torsion(cx, h))
+    assert calls == [(2, 2), (2, 2)]
+
+
 def test_torsion_metric_scaling_closed_form():
     # rescaling the top metric by s^2 rescales d* by s^2 in the Laplacian
     cx = two_term(2.0)
