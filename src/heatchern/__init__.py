@@ -10,8 +10,7 @@ from .scalars import EXACT, FLOAT, BackendMismatch, CFrac, I
 from .multivector import (Multivector, wedge, grade_component, berezin,
                           exp_even)
 from .clifford import (CliffordElement, clifford_multiply, represent,
-                       apply_to_basis, symbol_map, supertrace,
-                       berezin_supertrace)
+                       symbol_map, supertrace, berezin_supertrace)
 from .equivariant import (IsometryNormalForm, CurvatureTensor,
                           BundleVariationData, phi_tilde,
                           exterior_pushforward, lambda_pushforward_oracle,

@@ -6,6 +6,16 @@ format of :mod:`heatchern.multivector`, and the product is its kernel
 with generator squares (-1, +1): c(e_i)^2 = -1, chat(e_i)^2 = +1, and
 all distinct generators (including across the two factors) anticommute.
 The representation on Lambda(V) uses c = eps - iota, chat = eps + iota.
+
+A word acts in closed form.  Rightmost first, each generator flips its
+bit j of e^S with the sign of the bits below j, and c(e_j) adds a minus
+when it clears bit j.  The chat-generators act from the top index down,
+so each sees the bits of S below it unchanged: their signs multiply to
+(-1)^{|S & sp(hm)|}, sp the suffix parity.  The c-generators act on
+S ^ hm alike and add |(S ^ hm) & (sp(cm) ^ cm)| to the exponent.  So the
+word (cm, hm) sends e^S to (-1)^p e^{S ^ cm ^ hm} with p that sum, and
+as |(S ^ hm) & m| = |S & m| + |hm & m| mod 2, the part of p that depends
+on S is |S & (sp(hm) ^ sp(cm) ^ cm)|: one popcount per monomial.
 """
 
 from __future__ import annotations
@@ -13,11 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from .multivector import (Multivector, _SparseElement, _mask_indices,
-                          _popcount, _product, berezin)
+                          _popcount, _product, _suffix_parity, berezin)
 
 __all__ = [
     "CliffordElement", "clifford_multiply",
-    "represent", "apply_to_basis", "symbol_map", "supertrace",
+    "represent", "symbol_map", "supertrace",
     "berezin_supertrace",
 ]
 
@@ -50,56 +60,22 @@ def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement
     return CliffordElement(x.n, _product(x.terms, y.terms, -1, +1))
 
 
-def _apply_generator(j: int, subset: int, kind: str):
-    """Apply c(e_j) or chat(e_j) to a basis monomial of Lambda(V).
-
-    Returns (subset', sign); every generator maps a monomial to a single
-    signed monomial.
-    """
-    bit = 1 << (j - 1)
-    below = _popcount(subset & (bit - 1))
-    sign = -1 if below & 1 else 1
-    if subset & bit:
-        # interior multiplication; c carries the extra minus
-        if kind == "c":
-            sign = -sign
-        return subset ^ bit, sign
-    return subset | bit, sign
-
-
-def _apply_word(cm: int, hm: int, subset: int):
-    """Apply the normal-ordered word to a basis monomial, rightmost first."""
-    sign = 1
-    for j in reversed(list(_mask_indices(hm))):
-        subset, s = _apply_generator(j, subset, "chat")
-        sign *= s
-    for j in reversed(list(_mask_indices(cm))):
-        subset, s = _apply_generator(j, subset, "c")
-        sign *= s
-    return subset, sign
-
-
-def apply_to_basis(x: CliffordElement, subset: int):
-    """Image of the basis monomial e^subset under the representation.
-
-    Returns a dict subset' -> coefficient.
-    """
-    out = {}
-    for (cm, hm), c in x.terms.items():
-        tgt, sign = _apply_word(cm, hm, subset)
-        out[tgt] = out.get(tgt, 0) + sign * c
-        if out[tgt] == 0:
-            del out[tgt]
-    return out
+def _word_action(cm: int, hm: int, c):
+    """(flip, mask, v): c times the word (cm, hm) sends e^S to
+    (-1)^{|S & mask|} v e^{S ^ flip} (the closed form in the module
+    docstring)."""
+    b = _suffix_parity(cm) ^ cm
+    return cm ^ hm, _suffix_parity(hm) ^ b, -c if _popcount(hm & b) & 1 else c
 
 
 def represent(x: CliffordElement) -> np.ndarray:
     """Dense 2^n x 2^n matrix of x on Lambda(V), basis indexed by subsets."""
     dim = 1 << x.n
     mat = np.zeros((dim, dim), dtype=object)
+    actions = [_word_action(cm, hm, c) for (cm, hm), c in x.terms.items()]
     for col in range(dim):
-        for row, c in apply_to_basis(x, col).items():
-            mat[row, col] += c
+        for flip, mask, v in actions:
+            mat[col ^ flip, col] += -v if _popcount(col & mask) & 1 else v
     return mat
 
 
@@ -112,17 +88,19 @@ def supertrace(x: CliffordElement):
     """Supertrace on C(V,q) (x) C(V,-q), by the matrix route.
 
     The sum over subsets S of (-1)^{|S|} <S| x |S> in the Lambda(V)
-    representation.  c(e_j) and chat(e_j) each flip bit j of S, so the
-    word (cm, hm) maps e^S to +-e^{S xor cm xor hm}: only the words with
-    cm == hm reach the diagonal, and only they are applied.  The
-    independent route is :func:`berezin_supertrace`.
+    representation.  The word (cm, hm) maps e^S to +-e^{S xor cm xor hm},
+    with the sign of the closed form in the module docstring.  Only the
+    words with cm == hm reach the diagonal; each gets its sign mask once,
+    and then every one of them is applied to every S.  The independent
+    route is :func:`berezin_supertrace`.
     """
-    words = [(cm, c) for (cm, hm), c in x.terms.items() if cm == hm]
+    words = [_word_action(cm, hm, c)[1:]
+             for (cm, hm), c in x.terms.items() if cm == hm]
     total = 0
     for subset in range(1 << x.n):
         diag = 0
-        for cm, c in words:
-            diag += _apply_word(cm, cm, subset)[1] * c
+        for mask, v in words:
+            diag += -v if _popcount(subset & mask) & 1 else v
         if diag:
             total += -diag if _popcount(subset) & 1 else diag
     return total

@@ -460,7 +460,12 @@ def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
                         total[w] = total.get(w, 0) + sign * c
         return {w: c for w, c in total.items() if c}
 
-    top = rec(tuple(range(1, a + 1)), marked is None)
+    try:
+        top = rec(tuple(range(1, a + 1)), marked is None)
+    finally:
+        # rec calls itself, so it is in a reference cycle: without this its
+        # cache would live until a full garbage collection
+        rec.cache_clear()
     scale = D ** (a // 2)
     return Multivector(a, {w: Fraction(c, scale) for w, c in top.items()})
 
@@ -554,7 +559,10 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
             total += c * sub
         return total
 
-    coeff = Fraction(top(tan, tan), (2 * D) ** (a // 2))
+    try:
+        coeff = Fraction(top(tan, tan), (2 * D) ** (a // 2))
+    finally:
+        top.cache_clear()  # top calls itself, as rec does in the expansion
     pref = Fraction((-1) ** (n // 2) * (1 << n))
     pref *= Fraction(-1, 4) ** (b // 2)
     pref *= Fraction(1, 4) ** (a // 2)

@@ -80,7 +80,9 @@ class CFrac:
     convention puts factors of i into otherwise rational coefficients.
     The parts are kept as given; one that is not an int or a Fraction
     (a float or a bool, say) raises :class:`BackendMismatch`.  A CFrac
-    with zero imaginary part equals and hashes like its real part.
+    with zero imaginary part equals and hashes like its real part; ``==``
+    with a value that is not exact (a bool, a float) is False and never
+    raises.
     """
 
     __slots__ = ("re", "im")
@@ -133,10 +135,11 @@ class CFrac:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, CFrac):
+            return self.re == other.re and self.im == other.im
+        if _is_exact(other):
+            return self.re == other and self.im == 0
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im)) if self.im else hash(self.re)

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from contextlib import contextmanager
@@ -61,3 +62,25 @@ def profiled():
         yield reached
     finally:
         sys.setprofile(None)
+
+
+def cached_after(call):
+    """Entry counts of the caches that only the cyclic garbage collector
+    frees once ``call`` has returned or raised ``RuntimeError``."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        try:
+            call()
+        except RuntimeError:
+            pass
+        gc.collect()
+        return [obj.cache_info().currsize for obj in gc.garbage
+                if hasattr(obj, "cache_info")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()

@@ -1,16 +1,18 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern.clifford import (CliffordElement, apply_to_basis,
+from heatchern import clifford
+from heatchern.clifford import (CliffordElement, _word_action,
                                 berezin_supertrace, represent, supertrace,
                                 symbol_map)
-from heatchern.multivector import Multivector
+from heatchern.multivector import Multivector, _mask_indices, _popcount
 
 from conftest import gen_c, gen_chat
 
@@ -52,10 +54,8 @@ def test_generator_action_single_monomial():
     n = 3
     for i in range(1, n + 1):
         for g in (gen_c(n, i), gen_chat(n, i)):
-            for subset in range(1 << n):
-                img = apply_to_basis(g, subset)
-                assert len(img) == 1
-                assert abs(next(iter(img.values()))) == 1
+            for column in represent(g).T:
+                assert sorted(map(abs, column)) == [0] * 7 + [1]
 
 
 def test_symbol_map_identity_on_words():
@@ -113,6 +113,87 @@ def test_matrix_supertrace_is_diagonal_of_represent(n, exact):
         want = sum(-mat[S, S] if bin(S).count("1") & 1 else mat[S, S]
                    for S in range(1 << n))
         assert supertrace(x) == want
+
+
+def _loop_apply_word(cm, hm, subset):
+    """The word (cm, hm) on e^subset one generator at a time, rightmost
+    first: each flips its bit j with the sign of the bits below j, and
+    c(e_j) adds a minus when it clears bit j."""
+    sign = 1
+    for kind, mask in (("chat", hm), ("c", cm)):
+        for j in reversed(list(_mask_indices(mask))):
+            bit = 1 << (j - 1)
+            if _popcount(subset & (bit - 1)) & 1:
+                sign = -sign
+            if subset & bit and kind == "c":
+                sign = -sign
+            subset ^= bit
+    return subset, sign
+
+
+def _closed_form(cm, hm, subset):
+    flip, mask, v = _word_action(cm, hm, 1)
+    return subset ^ flip, -v if _popcount(subset & mask) & 1 else v
+
+
+def test_word_action_matches_generator_loop():
+    for n in range(1, 6):
+        for cm, hm, subset in itertools.product(range(1 << n), repeat=3):
+            assert _closed_form(cm, hm, subset) \
+                == _loop_apply_word(cm, hm, subset), (n, cm, hm, subset)
+    rng = random.Random(29)
+    for n in (6, 7, 8):
+        for _ in range(20000):
+            cm, hm, subset = (rng.randrange(1 << n) for _ in range(3))
+            assert _closed_form(cm, hm, subset) \
+                == _loop_apply_word(cm, hm, subset), (n, cm, hm, subset)
+
+
+def _loop_supertrace(x):
+    """The matrix supertrace with every word applied by the generator loop,
+    summed per subset over the words, then over the subsets."""
+    words = [(cm, c) for (cm, hm), c in x.terms.items() if cm == hm]
+    total = 0
+    for subset in range(1 << x.n):
+        diag = 0
+        for cm, c in words:
+            diag += _loop_apply_word(cm, cm, subset)[1] * c
+        if diag:
+            total += -diag if _popcount(subset) & 1 else diag
+    return total
+
+
+def _seeded_element(n, exact, seed=0):
+    """min(40, 2^n) words of n generators, the first the top word, every
+    other one with cm == hm."""
+    rng = random.Random(1000 * n + seed)
+    top = (1 << n) - 1
+    words = {(top, top): Fraction(1, 3) if exact else 1 / 3}
+    while len(words) < min(40, 1 << n):
+        cm = rng.randrange(1 << n)
+        hm = cm if len(words) % 2 else rng.randrange(1 << n)
+        words[(cm, hm)] = (Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                           if exact else rng.uniform(-1.0, 1.0))
+    return CliffordElement(n, words)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("exact", [True, False])
+def test_supertrace_bit_identical_to_generator_loop(n, exact):
+    for seed in range(3):
+        x = _seeded_element(n, exact, seed=seed)
+        got, want = supertrace(x), _loop_supertrace(x)
+        assert type(got) is type(want) and got == want
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("route,n", [(supertrace, 8), (represent, 6)])
+def test_sign_masks_built_once_per_word(route, n):
+    x = _seeded_element(n, exact=False)
+    with mock.patch.object(clifford, "_suffix_parity",
+                           wraps=clifford._suffix_parity) as sp:
+        route(x)
+    assert 0 < sp.call_count <= 2 * len(x.terms)
 
 
 def test_berezin_path_needs_even_dimension():

@@ -1,4 +1,3 @@
-import gc
 import itertools
 import math
 from fractions import Fraction
@@ -15,6 +14,8 @@ from heatchern.duhamel import (FiniteOperator, SimplexQuadrature,
                                commutator_expansion, direct_supertrace,
                                duhamel_series, iterated_commutator,
                                remainder_operator)
+
+from conftest import cached_after
 
 def rand_hermitian(nprng, d, shift=0.0):
     m = nprng.standard_normal((d, d))
@@ -261,31 +262,9 @@ def test_series_bit_identical_to_node_by_node(nprng, d):
                 == _reference_series(h, L, c, phi, t, K, g)
 
 
-def _cached_after(call):
-    """Entry counts of the caches that only the cyclic garbage collector
-    frees once ``call`` has returned or raised."""
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        try:
-            call()
-        except RuntimeError:
-            pass
-        gc.collect()
-        return [obj.cache_info().currsize for obj in gc.garbage
-                if hasattr(obj, "cache_info")]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
-
-
 def test_series_keeps_no_matrix_after_the_call(nprng):
     h, L, c, phi, g = _series_data(nprng, 8)
-    assert not any(_cached_after(
+    assert not any(cached_after(
         lambda: duhamel_series(h, L, c, phi, 0.1, 3, g)))
 
     def fails_at_k2(k, f, *args, **kwargs):
@@ -295,7 +274,7 @@ def test_series_keeps_no_matrix_after_the_call(nprng):
         return value
 
     with mock.patch.object(duhamel, "adaptive_simplex_integral", fails_at_k2):
-        assert not any(_cached_after(
+        assert not any(cached_after(
             lambda: duhamel_series(h, L, c, phi, 0.1, 3, g)))
 
 

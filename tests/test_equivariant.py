@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from heatchern import _kernels
+from heatchern import _kernels, equivariant
 from heatchern._kernels import gauss_hermite_gaussian_integral
 from heatchern.clifford import CliffordElement, represent, symbol_map
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
@@ -26,7 +26,7 @@ from heatchern.multivector import (Multivector, _product, exp_even,
                                    grade_component, wedge)
 from heatchern.scalars import BackendMismatch, Mat
 
-from conftest import random_curvature
+from conftest import cached_after, random_curvature
 
 # exact Pythagorean (cos, sin) pairs for rational-backend checks
 PYTH = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
@@ -313,6 +313,33 @@ def test_index_density_recursion_matches_pairing(n, a, rng):
         got = local_index_density(R, iso)
         assert type(got) is Fraction
         assert got == _density_by_pairing(R, iso)
+
+
+def _raising_on_third_call(real, calls):
+    def wrapped(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("third call")
+        return real(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("name,kernel", [("euler_form", "_product"),
+                                         ("local_index_density", "_popcount")])
+def test_recursion_keeps_no_cache_after_the_call(name, kernel, rng):
+    # the Pfaffian's rec and the density's top call themselves, so only
+    # the cyclic collector would free their caches if the call kept them
+    R = random_curvature(8, rng)
+    args = (R, 8) if name == "euler_form" else (R, IsometryNormalForm(8, 8, ()))
+    call = functools.partial(getattr(equivariant, name), *args)
+    want = call()
+    assert not any(cached_after(call))
+    calls = []
+    with mock.patch.object(equivariant, kernel, _raising_on_third_call(
+            getattr(equivariant, kernel), calls)):
+        assert not any(cached_after(call))
+    assert len(calls) == 3
+    assert call() == want
 
 
 def _pushforward_by_minors(mat):

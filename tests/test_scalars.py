@@ -85,6 +85,21 @@ def test_equal_values_hash_alike():
     assert len({CFrac(3), 3, Fraction(3)}) == 1
 
 
+def test_cfrac_equality_with_any_type_never_raises():
+    cfracs = [CFrac(0), CFrac(1), CFrac(Fraction(1, 2)), CFrac(1, 1)]
+    others = [0, 1, Fraction(1), Fraction(1, 2), True, False, 1.0, 0.5,
+              0.0, "1", "CFrac(1, 0)"]
+    for a in cfracs:
+        for b in cfracs + others:
+            eq = a == b
+            assert eq is (b == a) and eq is not (a != b), (a, b)
+            if eq:
+                assert hash(a) == hash(b), (a, b)
+    # equal to exact values only: a bool, a float or a str never equals
+    assert [b for b in others if CFrac(1) == b] == [1, Fraction(1)]
+    assert CFrac(0) in [False, 0] and CFrac(1) not in [True, 1.0, "1"]
+
+
 def test_cfrac_refuses_non_rational_parts():
     for bad in (0.1, 1.0, 1j, Decimal("0.5"), "1/2", True, False):
         with pytest.raises(BackendMismatch):
