@@ -70,6 +70,9 @@ def _word_action(cm: int, hm: int, c):
 
 def represent(x: CliffordElement) -> np.ndarray:
     """Dense 2^n x 2^n matrix of x on Lambda(V), basis indexed by subsets."""
+    if type(x) is not CliffordElement:
+        raise TypeError(
+            f"represent takes a CliffordElement, not {type(x).__name__}")
     dim = 1 << x.n
     mat = np.zeros((dim, dim), dtype=object)
     actions = [_word_action(cm, hm, c) for (cm, hm), c in x.terms.items()]
@@ -94,6 +97,9 @@ def supertrace(x: CliffordElement):
     and then every one of them is applied to every S.  The independent
     route is :func:`berezin_supertrace`.
     """
+    if type(x) is not CliffordElement:
+        raise TypeError(
+            f"supertrace takes a CliffordElement, not {type(x).__name__}")
     words = [_word_action(cm, hm, c)[1:]
              for (cm, hm), c in x.terms.items() if cm == hm]
     total = 0
@@ -111,6 +117,9 @@ def berezin_supertrace(x: CliffordElement):
 
     The independent route is the matrix trace :func:`supertrace`.
     """
+    if type(x) is not CliffordElement:
+        raise TypeError("berezin_supertrace takes a CliffordElement, "
+                        f"not {type(x).__name__}")
     if x.n % 2:
         raise ValueError("berezin supertrace path requires even n")
     sign = -1 if (x.n // 2) & 1 else 1

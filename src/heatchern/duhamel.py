@@ -14,19 +14,25 @@ importing the package (and every suite but ``duhamel``) never loads it.
 Simplex integrals use the Grundmann-Moller family with the rule index
 raised until two successive rules agree: to 1e-9 by index 12 in
 ``duhamel_series`` (the default of ``adaptive_simplex_integral``), to 1e-11
-by index 13 in ``remainder_operator``.  Each rule makes one ``Fraction`` per
-coordinate value.  Within one call, ``remainder_operator`` evaluates its
-integrand once per distinct t_0, and ``duhamel_series`` takes one heat
-factor per distinct coordinate and builds each leading product
-Phi C e(t_0) L ... L e(t_j) of fewer than k coordinates once; nothing is
-kept between calls: each call empties its caches before it returns.
+by index 13 in ``remainder_operator``.  The rules are nested: rule s is
+group s followed by rule s-1, node for node, where group j holds the nodes
+with coordinates (2b+1)/(2j+1+k) for the compositions b of j into k+1
+parts, and only the weights, one per group, change with s.  So raising the
+index evaluates the integrand on the new group alone, as one batch; the
+rule's sum reuses the lower groups' values and adds them all left to right
+in node order.  ``duhamel_series`` evaluates a group by one chain of stacked
+products Phi C e(t_0) L e(t_1) ... L e(t_k), e stacking the heat factors
+by coordinate index, with one heat factor per distinct coordinate value;
+``remainder_operator`` takes two exponentials per distinct t_0.  Nothing
+is kept between calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import chain, combinations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,62 +94,107 @@ def iterated_commutator(h: FiniteOperator, b: FiniteOperator,
 
 # -- simplex quadrature ---------------------------------------------------
 
+class _Group(NamedTuple):
+    """The nodes of one rule that share a weight.
+
+    Node r has coordinates ``coords[index[r]]``: ``coords`` holds the
+    float values (2b+1)/(2j+1+k), b = 0..j, and the rows of ``index`` are
+    the compositions of j into k+1 parts, in lexicographic order.
+    """
+
+    coords: np.ndarray
+    index: np.ndarray
+    weight: Fraction
+
+
 class SimplexQuadrature:
     """Grundmann-Moller rule on the simplex t_0+...+t_k = 1, t_i >= 0.
 
     ``nodes`` holds barycentric coordinates (k+1 per node); weights sum
     to the simplex volume 1/k!.  The rule of index s integrates
-    polynomials of degree <= 2s+1 exactly.
+    polynomials of degree <= 2s+1 exactly.  Its nodes come in ``groups``
+    j = s, s-1, ..., 0, one weight each.  Group j is the same in every
+    rule of index >= j, so the nodes of rule s are those of group s
+    followed by those of rule s-1: given that rule as ``coarser``, the
+    rule builds group s alone and shares the others' arrays.
     """
 
-    __slots__ = ("k", "nodes", "weights")
+    __slots__ = ("k", "groups", "nodes", "weights")
 
-    def __init__(self, k: int, s: int):
+    def __init__(self, k: int, s: int,
+                 coarser: "SimplexQuadrature | None" = None):
         if k < 1 or s < 0:
             raise ValueError("need simplex dimension >= 1 and rule index >= 0")
+        known = [] if coarser is None else coarser.groups
+        if coarser is not None and (coarser.k != k or len(known) != s):
+            raise ValueError("coarser must be the rule of index s-1 on the "
+                             "same simplex")
         self.k = k
-        nodes = []
-        weights = []
-        d = k
-        deg = 2 * s + 1
-        for i in range(s + 1):
-            denom = deg + d - 2 * i
-            w = ((-1) ** i) * Fraction(denom ** deg, 2 ** (2 * s)) \
-                / (Fraction(factorial(i)) * factorial(deg + d - i))
-            coords = [Fraction(2 * b + 1, denom) for b in range(s - i + 1)]
-            for beta in _compositions(s - i, d + 1):
-                nodes.append(tuple(coords[bj] for bj in beta))
-                weights.append(w)
+        layout, nodes = [], []
+        for j in range(s, len(known) - 1, -1):
+            denom = 2 * j + 1 + k
+            odd = np.arange(1, 2 * j + 2, 2)
+            index = _compositions(j, k + 1)
+            layout.append((odd / denom, index))
+            exact = np.array([Fraction(int(a), denom) for a in odd],
+                             dtype=object)
+            nodes.extend(zip(*exact[index.T]))
+        layout += [(g.coords, g.index) for g in known]
+        if coarser is not None:
+            nodes += coarser.nodes
         self.nodes = nodes
-        self.weights = weights
+        self.groups = []
+        self.weights = []
+        deg = 2 * s + 1
+        for i, (coords, index) in enumerate(layout):
+            w = Fraction((-1) ** i * (2 * (s - i) + 1 + k) ** deg,
+                         2 ** (2 * s) * factorial(i) * factorial(deg + k - i))
+            self.groups.append(_Group(coords, index, w))
+            self.weights.extend([w] * len(index))
 
-    def integrate(self, f) -> complex:
-        """Integral of f(t_0, ..., t_k) over the simplex."""
-        total = 0.0
-        for node, w in zip(self.nodes, self.weights):
-            total = total + float(w) * f(node)
-        return total
+    def integrate(self, values):
+        """Sum of weight times value over the nodes, added in node order.
+
+        ``values[i]`` holds the integrand at the nodes of ``groups[i]``,
+        stacked along its first axis; the sum starts from +0.0.
+        """
+        terms = np.concatenate([float(g.weight) * v
+                                for g, v in zip(self.groups, values)])
+        seeded = np.concatenate((np.zeros_like(terms[:1]), terms))
+        return np.add.accumulate(seeded)[-1]
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative ints summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All rows of ``parts`` non-negative ints summing to ``total``, in
+    lexicographic order: the gaps between ``parts - 1`` bars placed among
+    ``total + parts - 1`` slots, taken in the order of the bar positions."""
+    slots = total + parts - 1
+    cuts = np.fromiter(chain.from_iterable(combinations(range(slots),
+                                                        parts - 1)),
+                       dtype=np.intp).reshape(-1, parts - 1)
+    bounds = np.empty((len(cuts), parts + 1), dtype=np.intp)
+    bounds[:, 0] = -1
+    bounds[:, 1:-1] = cuts
+    bounds[:, -1] = slots
+    return bounds[:, 1:] - bounds[:, :-1] - 1
 
 
 def adaptive_simplex_integral(k: int, f, tol: float = 1e-9,
                               max_index: int = 12):
     """Raise the rule index until two successive results agree to tol.
 
-    f may return a scalar or an array; arrays must agree entrywise.
+    f takes a group of nodes (``SimplexQuadrature.groups``) and returns
+    the integrand at each of them, stacked along the first axis; a value
+    may be a scalar or an array, and arrays must agree entrywise.  f is
+    called once per group: raising the index to s adds group s alone.
     """
-    prev = None
+    values = []    # f on group j, for j = 0, 1, ...
+    prev = rule = None
     for s in range(1, max_index + 1):
-        val = SimplexQuadrature(k, s).integrate(f)
+        rule = SimplexQuadrature(k, s, rule)
+        while len(values) <= s:
+            values.append(f(rule.groups[s - len(values)]))
+        val = rule.integrate(values[::-1])
         if prev is not None and np.max(np.abs(val - prev)) < tol:
             return val
         prev = val
@@ -188,21 +239,27 @@ def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
     h._check(b)
     from scipy.linalg import expm
     bN = iterated_commutator(h, b, N)
+    at = {}    # u_1 -> the integrand there, for this call only
 
-    @lru_cache(maxsize=None)
-    def at(u1: float) -> np.ndarray:
-        return expm(-u1 * s * h.mat) @ bN.mat @ expm(-(1.0 - u1) * s * h.mat)
+    def integrand(group):
+        # simplex coordinates (t_0,...,t_N) with u_1 = t_0
+        u = group.coords.tolist()
+        for u1 in u:
+            if u1 not in at:
+                at[u1] = (expm(-u1 * s * h.mat) @ bN.mat
+                          @ expm(-(1.0 - u1) * s * h.mat))
+        return np.stack([at[u1] for u1 in u])[group.index[:, 0]]
 
-    # simplex coordinates (t_0,...,t_N) with u_1 = t_0
-    total = adaptive_simplex_integral(N, lambda node: at(float(node[0])),
-                                      tol=1e-11, max_index=13)
+    total = adaptive_simplex_integral(N, integrand, tol=1e-11, max_index=13)
     return FiniteOperator(((-1) ** N) * (s ** N) * total)
 
 
 # -- perturbative heat series --------------------------------------------
 
-def _supertrace(mat: np.ndarray, grading: np.ndarray) -> float:
-    return float(np.real(np.sum(grading * np.diag(mat))))
+def _supertrace(mat: np.ndarray, grading: np.ndarray):
+    """Str = sum_i g_i M_ii of a matrix, or of each matrix of a stack."""
+    return np.real(np.sum(grading * np.diagonal(mat, axis1=-2, axis2=-1),
+                          axis=-1))
 
 
 def _check_grading(grading, d: int) -> np.ndarray:
@@ -219,7 +276,7 @@ def direct_supertrace(h: FiniteOperator, L: FiniteOperator,
     from scipy.linalg import expm
     g = _check_grading(grading, h.dim)
     mat = phi.mat @ c.mat @ expm(-t * (h.mat + L.mat))
-    return _supertrace(mat, g)
+    return float(_supertrace(mat, g))
 
 
 def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
@@ -237,38 +294,28 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
     if t <= 0 or K < 0:
         raise ValueError("need t > 0 and K >= 0")
     g = _check_grading(grading, h.dim)
-
-    @lru_cache(maxsize=None)
-    def heat(tau: float) -> np.ndarray:
-        return expm(-tau * t * h.mat)
-
     head = phi.mat @ c.mat
+    heat = {}  # round(tau, 15) -> exp(-tau t H), for this call only
 
-    @lru_cache(maxsize=None)
-    def prefix(x: tuple) -> np.ndarray:
-        # head e(x_0) L e(x_1) ... L e(x_j), associated from the left
-        if len(x) == 1:
-            return head @ heat(x[0])
-        return prefix(x[:-1]) @ L.mat @ heat(x[-1])
+    def heat_factor(tau: float) -> np.ndarray:
+        if tau not in heat:
+            heat[tau] = expm(-tau * t * h.mat)
+        return heat[tau]
 
-    try:
-        total = _supertrace(head @ heat(1.0), g)
-        for k in range(1, K + 1):
-            def integrand(node, _k=k):
-                x = tuple(round(float(v), 15) for v in node)
-                # k coordinates fix the node, so only shorter prefixes are
-                # shared
-                j = max(_k - 1, 1)
-                mat = prefix(x[:j]) if _k > 1 else head @ heat(x[0])
-                for xi in x[j:]:
-                    mat = mat @ L.mat @ heat(xi)
-                return _supertrace(mat, g)
+    def integrand(group):
+        # head e(t_0) L e(t_1) ... L e(t_k) at every node, associated from
+        # the left, one stacked product per factor (head e(t_0) once per
+        # coordinate value)
+        e = np.stack([heat_factor(round(tau, 15))
+                      for tau in group.coords.tolist()])
+        index = group.index
+        mat = (head @ e)[index[:, 0]]
+        for i in range(1, index.shape[1]):
+            mat = mat @ L.mat @ e[index[:, i]]
+        return _supertrace(mat, g)
 
-            term = adaptive_simplex_integral(k, integrand)
-            total += ((-t) ** k) * term
-    finally:
-        # prefix calls itself, so it is in a reference cycle: without this
-        # both caches' matrices would live until a full garbage collection
-        prefix.cache_clear()
-        heat.cache_clear()
+    total = float(_supertrace(head @ heat_factor(1.0), g))
+    for k in range(1, K + 1):
+        term = float(adaptive_simplex_integral(k, integrand))
+        total += ((-t) ** k) * term
     return total

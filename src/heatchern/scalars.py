@@ -82,7 +82,7 @@ class CFrac:
     (a float or a bool, say) raises :class:`BackendMismatch`.  A CFrac
     with zero imaginary part equals and hashes like its real part; ``==``
     with a value that is not exact (a bool, a float) is False and never
-    raises.
+    raises, and ``+``, ``-`` or ``*`` with one raises ``TypeError``.
     """
 
     __slots__ = ("re", "im")
@@ -96,9 +96,11 @@ class CFrac:
 
     @staticmethod
     def _coerce(other) -> "CFrac":
+        """other as a CFrac, or NotImplemented where ``_is_exact`` refuses
+        it (a bool, a float), so the operator raises TypeError."""
         if isinstance(other, CFrac):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_exact(other):
             return CFrac(other)
         return NotImplemented
 

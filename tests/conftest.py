@@ -64,9 +64,9 @@ def profiled():
         sys.setprofile(None)
 
 
-def cached_after(call):
-    """Entry counts of the caches that only the cyclic garbage collector
-    frees once ``call`` has returned or raised ``RuntimeError``."""
+def cyclic_garbage(call):
+    """The objects that only the cyclic garbage collector frees once
+    ``call`` has returned or raised ``RuntimeError``."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -77,10 +77,15 @@ def cached_after(call):
         except RuntimeError:
             pass
         gc.collect()
-        return [obj.cache_info().currsize for obj in gc.garbage
-                if hasattr(obj, "cache_info")]
+        return list(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def cached_after(call):
+    """Entry counts of the caches among ``cyclic_garbage(call)``."""
+    return [obj.cache_info().currsize for obj in cyclic_garbage(call)
+            if hasattr(obj, "cache_info")]

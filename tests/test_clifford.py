@@ -196,6 +196,19 @@ def test_sign_masks_built_once_per_word(route, n):
     assert 0 < sp.call_count <= 2 * len(x.terms)
 
 
+@pytest.mark.parametrize("route", [supertrace, berezin_supertrace,
+                                   represent])
+def test_reads_take_only_clifford_elements(route):
+    # an exterior word is no Clifford word: the matrix supertrace once read
+    # this one, e^1 e^2 in both factors, as c1 c2 ch1 ch2 and returned -4
+    x = Multivector(2, {(3, 3): 1})
+    with pytest.raises(TypeError,
+                       match=f"{route.__name__} takes a CliffordElement, "
+                             "not Multivector"):
+        route(x)
+    assert route(CliffordElement(2, {(3, 3): 1})) is not None
+
+
 def test_berezin_path_needs_even_dimension():
     with pytest.raises(ValueError):
         berezin_supertrace(CliffordElement.one(3))

@@ -15,7 +15,7 @@ from heatchern.duhamel import (FiniteOperator, SimplexQuadrature,
                                duhamel_series, iterated_commutator,
                                remainder_operator)
 
-from conftest import cached_after
+from conftest import cyclic_garbage
 
 def rand_hermitian(nprng, d, shift=0.0):
     m = nprng.standard_normal((d, d))
@@ -67,31 +67,78 @@ def test_expansion_first_term(nprng):
     assert np.allclose(approx.mat, b.mat @ heat)
 
 
+def _at_nodes(f):
+    """A group integrand from a node integrand f(t_0, ..., t_k)."""
+    return lambda group: np.array([f(x) for x in group.coords[group.index]])
+
+
 def test_gm_quadrature_exactness():
     for k in (1, 2, 3):
         for s in (1, 2, 3):
             q = SimplexQuadrature(k, s)
             assert sum(q.weights) == Fraction(1, math.factorial(k))
         q = SimplexQuadrature(k, 3)
-        assert abs(q.integrate(lambda t: t[0]) - 1 / math.factorial(k + 1)) \
-            < 1e-13
-        assert abs(q.integrate(lambda t: t[0] ** 2 * t[1])
-                   - 2 / math.factorial(k + 3)) < 1e-13
+        for f, want in ((lambda t: t[0], 1 / math.factorial(k + 1)),
+                        (lambda t: t[0] ** 2 * t[1], 2 / math.factorial(k + 3))):
+            values = [_at_nodes(f)(group) for group in q.groups]
+            assert abs(q.integrate(values) - want) < 1e-13
 
 
 def test_adaptive_integral():
-    val = adaptive_simplex_integral(2, lambda t: math.exp(t[0]))
+    val = adaptive_simplex_integral(2, lambda g: np.exp(g.coords[g.index[:, 0]]))
     assert abs(val - (math.e - 2.0)) < 1e-9
 
 
 def test_quadrature_permutation_invariance():
     # the simplex measure is symmetric in the barycentric coordinates
     q = SimplexQuadrature(2, 4)
-    f01 = q.integrate(lambda t: t[0] ** 3 * t[1])
-    f10 = q.integrate(lambda t: t[1] ** 3 * t[0])
-    f21 = q.integrate(lambda t: t[2] ** 3 * t[1])
-    assert abs(f01 - f10) < 1e-14
-    assert abs(f01 - f21) < 1e-14
+
+    def integral(a, b):
+        return q.integrate([g.coords[g.index[:, a]] ** 3 * g.coords[g.index[:, b]]
+                            for g in q.groups])
+    f01 = integral(0, 1)
+    assert abs(f01 - integral(1, 0)) < 1e-14
+    assert abs(f01 - integral(2, 1)) < 1e-14
+
+
+def test_rules_are_nested():
+    # rule s is group s followed by rule s - 1, node for node; only the
+    # weights change, one per group
+    for k in range(1, 6):
+        for s in range(1, 9):
+            q, prev = SimplexQuadrature(k, s), SimplexQuadrature(k, s - 1)
+            assert q.nodes[-len(prev.nodes):] == prev.nodes
+            assert len(q.nodes) == len(q.groups[0].index) + len(prev.nodes)
+            for g, p in zip(q.groups[1:], prev.groups, strict=True):
+                assert np.array_equal(g.coords, p.coords)
+                assert np.array_equal(g.index, p.index)
+            start = 0
+            for i, g in enumerate(q.groups):
+                # group j = s - i: its weight and its exact coordinates
+                end = start + len(g.index)
+                assert q.weights[start:end] == [g.weight] * len(g.index)
+                denom = 2 * (s - i) + 1 + k
+                assert q.nodes[start:end] == [
+                    tuple(Fraction(2 * b + 1, denom) for b in row)
+                    for row in g.index.tolist()]
+                assert g.coords.tolist() == [
+                    float(Fraction(2 * b + 1, denom)) for b in range(s - i + 1)]
+                start = end
+            # built on rule s - 1, the rule is the same and shares its arrays
+            finer = SimplexQuadrature(k, s, prev)
+            assert finer.nodes == q.nodes and finer.weights == q.weights
+            assert [g.weight for g in finer.groups] \
+                == [g.weight for g in q.groups]
+            for g, p in zip(finer.groups[1:], prev.groups):
+                assert g.coords is p.coords and g.index is p.index
+
+
+def test_coarser_rule_must_be_the_previous_index():
+    for k, s, coarser in ((2, 3, SimplexQuadrature(2, 1)),
+                          (2, 3, SimplexQuadrature(3, 2)),
+                          (2, 0, SimplexQuadrature(2, 0))):
+        with pytest.raises(ValueError, match="coarser must be the rule"):
+            SimplexQuadrature(k, s, coarser)
 
 
 def test_remainder_slopes(nprng):
@@ -185,15 +232,15 @@ def test_sigma_extraction_first_order(nprng):
         direct = float(np.real(np.sum(g * np.diag(phi.mat @ c.mat @ odd_part))))
         # series route: the k=1 term with a single odd insertion
         approx = -t * adaptive_simplex_integral(
-            1, lambda node: float(np.real(np.sum(g * np.diag(
+            1, _at_nodes(lambda node: float(np.real(np.sum(g * np.diag(
                 phi.mat @ c.mat @ expm(-node[0] * t * h.mat) @ b
-                @ expm(-node[1] * t * h.mat))))))
+                @ expm(-node[1] * t * h.mat)))))))
         return abs(direct - approx)
     ratio = first_order_error(b_odd.mat) / first_order_error(b_odd.mat / 2)
     assert 7 < ratio < 9
 
 
-# -- oracles: the node-by-node code, before shared values were computed once
+# -- oracles: the node-by-node code, every node of every rule evaluated anew
 
 
 def _reference_rule(k, s):
@@ -210,6 +257,19 @@ def _reference_rule(k, s):
     return nodes, weights
 
 
+def _reference_adaptive(k, f, tol=1e-9, max_index=12):
+    prev = None
+    for s in range(1, max_index + 1):
+        nodes, weights = _reference_rule(k, s)
+        val = 0.0
+        for node, w in zip(nodes, weights):
+            val = val + float(w) * f(node)
+        if prev is not None and np.max(np.abs(val - prev)) < tol:
+            return val
+        prev = val
+    raise RuntimeError("simplex quadrature did not converge to tolerance")
+
+
 def _reference_remainder(h, b, s, N):
     bN = iterated_commutator(h, b, N)
 
@@ -218,7 +278,7 @@ def _reference_remainder(h, b, s, N):
         return (scipy.linalg.expm(-u1 * s * h.mat) @ bN.mat
                 @ scipy.linalg.expm(-(1.0 - u1) * s * h.mat))
 
-    total = adaptive_simplex_integral(N, integrand, tol=1e-11, max_index=13)
+    total = _reference_adaptive(N, integrand, tol=1e-11, max_index=13)
     return ((-1) ** N) * (s ** N) * total
 
 
@@ -239,7 +299,7 @@ def _reference_series(h, L, c, phi, t, K, g):
                 mat = mat @ L.mat @ heat(round(float(node[i]), 15))
             return supertrace(mat)
 
-        total += ((-t) ** k) * adaptive_simplex_integral(k, integrand)
+        total += ((-t) ** k) * _reference_adaptive(k, integrand)
     return total
 
 
@@ -263,9 +323,16 @@ def test_series_bit_identical_to_node_by_node(nprng, d):
 
 
 def test_series_keeps_no_matrix_after_the_call(nprng):
+    # no cache, and no matrix in a reference cycle, outlives the call, also
+    # when the quadrature raises
     h, L, c, phi, g = _series_data(nprng, 8)
-    assert not any(cached_after(
-        lambda: duhamel_series(h, L, c, phi, 0.1, 3, g)))
+
+    def kept(garbage):
+        return [o for o in garbage
+                if isinstance(o, np.ndarray) or hasattr(o, "cache_info")]
+
+    assert kept(cyclic_garbage(
+        lambda: duhamel_series(h, L, c, phi, 0.1, 3, g))) == []
 
     def fails_at_k2(k, f, *args, **kwargs):
         value = adaptive_simplex_integral(k, f, *args, **kwargs)
@@ -274,8 +341,47 @@ def test_series_keeps_no_matrix_after_the_call(nprng):
         return value
 
     with mock.patch.object(duhamel, "adaptive_simplex_integral", fails_at_k2):
-        assert not any(cached_after(
-            lambda: duhamel_series(h, L, c, phi, 0.1, 3, g)))
+        assert kept(cyclic_garbage(
+            lambda: duhamel_series(h, L, c, phi, 0.1, 3, g))) == []
+
+
+def _recording_rules(built):
+    """A SimplexQuadrature that appends each rule it builds to ``built``."""
+    class Recording(SimplexQuadrature):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    return Recording
+
+
+def test_series_evaluates_each_node_once(nprng):
+    h, L, c, phi, g = _series_data(nprng, 4)
+    built, rows, finals = [], [], []
+
+    def counting(k, f, *args, **kwargs):
+        def rows_of(group):
+            rows.append(len(group.index))
+            return f(group)
+
+        start = len(built)
+        value = adaptive_simplex_integral(k, rows_of, *args, **kwargs)
+        finals.append(built[-1])
+        assert len(built) - start >= 2
+        return value
+
+    with mock.patch.object(duhamel, "SimplexQuadrature",
+                           _recording_rules(built)), \
+            mock.patch.object(duhamel, "adaptive_simplex_integral", counting), \
+            mock.patch("scipy.linalg.expm", wraps=scipy.linalg.expm) as expm:
+        duhamel_series(h, L, c, phi, 0.1, 3, g)
+    assert len(finals) == 3
+    assert sum(rows) == sum(len(q.nodes) for q in finals)
+    taus = {round(float(v), 15) for q in built for node in q.nodes
+            for v in node}
+    assert expm.call_count == len(taus) + 1
 
 
 @pytest.mark.parametrize("d", [4, 8])
@@ -288,22 +394,15 @@ def test_remainder_bit_identical_to_node_by_node(nprng, d):
 
 def test_remainder_takes_two_exponentials_per_distinct_t0(nprng):
     built = []
-
-    class Recording(SimplexQuadrature):
-        __slots__ = ()
-
-        def __init__(self, k, s):
-            super().__init__(k, s)
-            built.append(self)
-
     h, b = rand_hermitian(nprng, 8), rand_op(nprng, 8)
-    with mock.patch.object(duhamel, "SimplexQuadrature", Recording), \
+    with mock.patch.object(duhamel, "SimplexQuadrature",
+                           _recording_rules(built)), \
             mock.patch("scipy.linalg.expm", wraps=scipy.linalg.expm) as expm:
         remainder_operator(h, b, 0.3, 3)
     nodes = sum(len(q.nodes) for q in built)
     t0 = {float(node[0]) for q in built for node in q.nodes}
     assert len(built) >= 2
-    assert expm.call_count <= 2 * len(t0) < 2 * nodes
+    assert expm.call_count == 2 * len(t0) < 2 * nodes
 
 
 @pytest.mark.parametrize("N, s", [(0, 0.3), (-1, 0.3), (1, 0.0), (1, -0.5),

@@ -1,3 +1,4 @@
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -106,6 +107,23 @@ def test_cfrac_refuses_non_rational_parts():
             CFrac(bad)
         with pytest.raises(BackendMismatch):
             CFrac(1, bad)
+
+
+def test_cfrac_arithmetic_with_an_inexact_value_is_unsupported():
+    # a bool or a float is no operand at all, as for any other type: the
+    # operator raises TypeError, not BackendMismatch from a CFrac it built
+    ops = (operator.add, operator.sub, operator.mul)
+    for bad in (True, False, 1.0, 0.5):
+        for op in ops:
+            for args in ((CFrac(1), bad), (bad, CFrac(1))):
+                with pytest.raises(TypeError, match="unsupported operand") \
+                        as info:
+                    op(*args)
+                assert type(info.value) is TypeError, (op, args)
+    # exact operands still mix in, from either side
+    assert CFrac(1) + 2 == 2 + CFrac(1) == 3
+    assert 2 - CFrac(1) == 1 and CFrac(1) - 2 == -1
+    assert Fraction(1, 2) * CFrac(2, 4) == CFrac(1, 2)
 
 
 def test_exact_means_int_or_fraction_not_bool():
