@@ -53,11 +53,9 @@ class CliffordElement(_SparseElement):
 
 
 def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    if type(x) is not CliffordElement:
-        raise TypeError(
-            f"clifford_multiply takes CliffordElements, not {type(x).__name__}")
+    CliffordElement._require(x, "clifford_multiply")
     x._check(y)
-    return CliffordElement(x.n, _product(x.terms, y.terms, -1, +1))
+    return CliffordElement._built(x.n, _product(x.terms, y.terms, -1, +1))
 
 
 def _word_action(cm: int, hm: int, c):
@@ -70,9 +68,7 @@ def _word_action(cm: int, hm: int, c):
 
 def represent(x: CliffordElement) -> np.ndarray:
     """Dense 2^n x 2^n matrix of x on Lambda(V), basis indexed by subsets."""
-    if type(x) is not CliffordElement:
-        raise TypeError(
-            f"represent takes a CliffordElement, not {type(x).__name__}")
+    CliffordElement._require(x, "represent")
     dim = 1 << x.n
     mat = np.zeros((dim, dim), dtype=object)
     actions = [_word_action(cm, hm, c) for (cm, hm), c in x.terms.items()]
@@ -84,7 +80,8 @@ def represent(x: CliffordElement) -> np.ndarray:
 
 def symbol_map(x: CliffordElement) -> Multivector:
     """sigma: normal-ordered words to the matching exterior words."""
-    return Multivector(x.n, dict(x.terms))
+    CliffordElement._require(x, "symbol_map")
+    return Multivector._built(x.n, x.terms)
 
 
 def supertrace(x: CliffordElement):
@@ -97,9 +94,7 @@ def supertrace(x: CliffordElement):
     and then every one of them is applied to every S.  The independent
     route is :func:`berezin_supertrace`.
     """
-    if type(x) is not CliffordElement:
-        raise TypeError(
-            f"supertrace takes a CliffordElement, not {type(x).__name__}")
+    CliffordElement._require(x, "supertrace")
     words = [_word_action(cm, hm, c)[1:]
              for (cm, hm), c in x.terms.items() if cm == hm]
     total = 0
@@ -117,9 +112,7 @@ def berezin_supertrace(x: CliffordElement):
 
     The independent route is the matrix trace :func:`supertrace`.
     """
-    if type(x) is not CliffordElement:
-        raise TypeError("berezin_supertrace takes a CliffordElement, "
-                        f"not {type(x).__name__}")
+    CliffordElement._require(x, "berezin_supertrace")
     if x.n % 2:
         raise ValueError("berezin supertrace path requires even n")
     sign = -1 if (x.n // 2) & 1 else 1

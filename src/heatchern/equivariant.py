@@ -167,10 +167,6 @@ class CurvatureTensor:
         return sum(self.get(i, j, i, j) for i in range(1, self.n + 1)
                    for j in range(1, self.n + 1))
 
-    def tangent_block(self, a: int) -> "CurvatureTensor":
-        comp = {k: v for k, v in self.components.items() if max(k) <= a}
-        return CurvatureTensor(a, comp)
-
 
 @dataclass(frozen=True)
 class BundleVariationData:

@@ -34,9 +34,9 @@ of exponent tuples; the entries are bounded by the degrees of the
 symbols and operators composed: about 120 pairs in one ``suite all`` run,
 145 over 19 seeds.  ``volterra_compose`` also takes each exponent sum of
 its output keys from one memo per pair of summands, ``_exponent_sum``
-(about 290 pairs in one run, 369 over 19 seeds), and builds its result
-in one pass: it is the one caller that attaches its terms without
-``VolterraSymbol._clean``.
+(about 290 pairs in one run, 369 over 19 seeds).  Like every result
+computed from checked elements, each product is built without a second
+run of ``_clean`` (see ``multivector._SparseElement``).
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def model_operator(op: GradedDiffOp) -> ExteriorDiffOp:
     top = top_order_part(op)
     if any(map(_is_opaque, top.terms)):
         raise ValueError("opaque summand reaches the top grading; model unknown")
-    return ExteriorDiffOp(op.n, top.terms)
+    return ExteriorDiffOp._built(op.n, top.terms)
 
 
 def _curvature_quartic(R: CurvatureTensor) -> CliffordElement:
@@ -330,8 +330,8 @@ class LichnerowiczSplit:
 def _merged(n: int, *summands) -> GradedDiffOp:
     """The operator sum of term dicts, added in the order given.
 
-    One constructor call checks each term once: adding the summands one
-    operator at a time would re-check every term at each ``+``.
+    One constructor call checks each term once; a ``+`` per summand would
+    walk both operands' coefficients again, in ``_check``'s ``backend_of``.
     """
     terms = {}
     for summand in summands:
@@ -478,7 +478,7 @@ class VolterraSymbol(_SparseElement):
         if not _is_exact(lam):
             raise BackendMismatch(f"dilation {lam!r} is not an int or a Fraction")
         lam = Fraction(lam)
-        return VolterraSymbol(self.n, {
+        return self._like({
             k: (lam ** (sum(k[1]) + 2 * k[2] - sum(k[0]))) * c
             for k, c in self.terms.items()})
 
@@ -494,9 +494,7 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol) -> VolterraSymbol:
     once.
     """
     for q in (q1, q2):
-        if type(q) is not VolterraSymbol:
-            raise TypeError(
-                f"volterra_compose takes VolterraSymbols, not {type(q).__name__}")
+        VolterraSymbol._require(q, "volterra_compose")
     if q1.n != q2.n:
         raise ValueError(f"dimension mismatch: {q1.n} != {q2.n}")
     parts2 = [(key, c.re, c.im) for key, c in q2.terms.items()]
@@ -518,11 +516,5 @@ def volterra_compose(q1: VolterraSymbol, q2: VolterraSymbol) -> VolterraSymbol:
                 else:
                     acc[0] += coef * r
                     acc[1] += coef * i
-    # The one caller that skips VolterraSymbol._clean, whose second check
-    # of each output term cost about 8% of a sweep-default pass: each key
-    # sums keys of checked symbols (n entries, none negative), and CFrac
-    # still checks each part.
-    out = VolterraSymbol(q1.n)
-    out.terms = {key: CFrac(re, im) for key, (re, im) in sums.items()
-                 if re or im}
-    return out
+    return VolterraSymbol._built(q1.n, {key: CFrac(re, im)
+                                        for key, (re, im) in sums.items()})

@@ -103,18 +103,19 @@ class _SparseElement:
     ``getzler.GradedDiffOp``.  A subclass supplies its product,
     ``_word(*key)`` for printing, and, unless its keys are mask pairs,
     ``_clean``.  Elements combine only with elements of their own type.
+
+    The constructor checks each term from outside (user or parsed terms,
+    curvature and isometry data) with ``_clean``; a result computed from
+    checked elements is built by ``_built``, which only drops zero
+    coefficients.  A function that takes one type only calls ``_require``.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        clean = {}
-        for key, c in (terms or {}).items():
-            key, c = self._clean(n, key, c)
-            if c:
-                clean[key] = c
-        self.terms = clean
+        cleaned = (self._clean(n, key, c) for key, c in (terms or {}).items())
+        self.terms = {key: c for key, c in cleaned if c}
 
     @staticmethod
     def _clean(n: int, key, c):
@@ -150,9 +151,24 @@ class _SparseElement:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
         backend_of(chain(self.terms.values(), other.terms.values()))
 
-    def _like(self, terms):
-        """An element of the same type as self with the given terms."""
-        return type(self)(self.n, terms)
+    @classmethod
+    def _built(cls, n: int, terms: dict):
+        """An element of cls with terms computed from checked elements:
+        zero coefficients are dropped, nothing is checked again."""
+        out = cls.__new__(cls)
+        out.n, out.terms = n, {key: c for key, c in terms.items() if c}
+        return out
+
+    def _like(self, terms: dict):
+        """An element of the type of self with computed terms."""
+        return self._built(self.n, terms)
+
+    @classmethod
+    def _require(cls, x, caller: str):
+        """Raise TypeError unless x is an element of exactly cls."""
+        if type(x) is not cls:
+            raise TypeError(f"{caller} takes a {cls.__name__}, "
+                            f"not {type(x).__name__}")
 
     def __add__(self, other):
         self._check(other)
@@ -207,10 +223,9 @@ class Multivector(_SparseElement):
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
-    if type(x) is not Multivector:
-        raise TypeError(f"wedge takes Multivectors, not {type(x).__name__}")
+    Multivector._require(x, "wedge")
     x._check(y)
-    return Multivector(x.n, _product(x.terms, y.terms, 0, 0))
+    return Multivector._built(x.n, _product(x.terms, y.terms, 0, 0))
 
 
 def grade_component(x: Multivector, a: int, selector) -> Multivector:
@@ -231,7 +246,7 @@ def grade_component(x: Multivector, a: int, selector) -> Multivector:
         if (_popcount(s & tan) == k1 and _popcount(s & nor) == l1
                 and _popcount(t & tan) == k2 and _popcount(t & nor) == l2):
             terms[(s, t)] = c
-    return Multivector(x.n, terms)
+    return Multivector._built(x.n, terms)
 
 
 def berezin(x: Multivector):

@@ -152,7 +152,7 @@ def _suite_fixed_point(cfg: ScenarioConfig, rng: random.Random):
         lambda: represent(equivariant.phi_tilde(iso)).astype(float),
         lambda: equivariant.lambda_pushforward_oracle(iso)), _small(1e-12))
     yield Check("fixed-point/index-density", inputs, "two-route", (
-        lambda: equivariant.euler_form(R.tangent_block(iso.a), iso.a),
+        lambda: equivariant.euler_form(R, iso.a),
         lambda: equivariant.local_index_density(R, iso)), _exact)
 
     # cfg.validate() has refused a t that puts a route past the float range

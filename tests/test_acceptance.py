@@ -72,7 +72,7 @@ def test_criterion_02_index_density_polynomial_identity(rng):
         iso = IsometryNormalForm(n, a, angles)
         for _ in range(count):
             R = random_curvature(n, rng)
-            if local_index_density(R, iso) != euler_form(R.tangent_block(a), a):
+            if local_index_density(R, iso) != euler_form(R, a):
                 ok = False
             checked += 1
     # one n = a = 10 identity

@@ -197,10 +197,11 @@ def test_sign_masks_built_once_per_word(route, n):
 
 
 @pytest.mark.parametrize("route", [supertrace, berezin_supertrace,
-                                   represent])
+                                   represent, symbol_map])
 def test_reads_take_only_clifford_elements(route):
     # an exterior word is no Clifford word: the matrix supertrace once read
-    # this one, e^1 e^2 in both factors, as c1 c2 ch1 ch2 and returned -4
+    # this one, e^1 e^2 in both factors, as c1 c2 ch1 ch2 and returned -4,
+    # and symbol_map returned it unchanged
     x = Multivector(2, {(3, 3): 1})
     with pytest.raises(TypeError,
                        match=f"{route.__name__} takes a CliffordElement, "

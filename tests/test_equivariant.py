@@ -91,11 +91,17 @@ def test_curvature_symmetries():
                             (1, 3, 1, 2): Fraction(2)})
 
 
-def test_scalar_curvature_and_tangent_block():
+def test_scalar_curvature_and_tangent_block(rng):
     R = CurvatureTensor(4, {(1, 2, 1, 2): Fraction(3), (3, 4, 3, 4): Fraction(1)})
     assert R.scalar_curvature() == 2 * 3 + 2 * 1
-    Rt = R.tangent_block(2)
-    assert Rt.components == {(1, 2, 1, 2): Fraction(3)}
+    # euler_form(R, a) reads only the tangent block, the components on
+    # indices <= a: adding normal components to R leaves it unchanged
+    for n, a in [(4, 2), (6, 4)]:
+        full = random_curvature(n, rng)
+        block = {k: v for k, v in full.components.items() if max(k) <= a}
+        assert block != full.components
+        assert (euler_form(full, a) == euler_form(CurvatureTensor(n, block), a)
+                == euler_form(CurvatureTensor(a, block), a))
 
 
 def test_phi_tilde_exact_structure():
@@ -229,7 +235,7 @@ def test_index_density_identity_exact(rng):
         for _ in range(3):
             R = random_curvature(n, rng)
             assert local_index_density(R, iso) \
-                == euler_form(R.tangent_block(a), a)
+                == euler_form(R, a)
 
 
 def _density_by_full_exp(R, iso):

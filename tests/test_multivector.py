@@ -111,11 +111,13 @@ def test_elements_of_different_types_do_not_mix(left, right):
 
 def test_each_product_takes_its_own_algebra():
     m, c = ELEMENTS[Multivector], ELEMENTS[CliffordElement]
-    with pytest.raises(TypeError, match="wedge takes Multivectors"):
+    with pytest.raises(TypeError,
+                       match="wedge takes a Multivector, not CliffordElement"):
         wedge(c, c)
     with pytest.raises(TypeError, match="Multivector with CliffordElement"):
         wedge(m, c)
-    with pytest.raises(TypeError, match="clifford_multiply takes"):
+    with pytest.raises(TypeError, match="clifford_multiply takes a "
+                                        "CliffordElement, not Multivector"):
         clifford_multiply(m, m)
     with pytest.raises(TypeError, match="CliffordElement with Multivector"):
         clifford_multiply(c, m)
