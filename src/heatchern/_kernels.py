@@ -1,9 +1,9 @@
 """Numeric inner loops: Gauss-Hermite fiber quadrature and spectral sums.
 
-Each kernel runs as numpy work over chunks of ``_CHUNK`` points, so its
-memory stays bounded, and returns the bits a per-point Python loop
-returns.  The reports print these kernels' rounding digits, so every
-point sees the same float operations in the same order:
+Each kernel runs as numpy work over chunks of ``_CHUNK`` points and
+returns the bits a per-point Python loop returns.  The reports print
+these kernels' rounding digits, so every point sees the same float
+operations in the same order:
 
 * the quadratic form and ``|u|^2`` go through ``np.vecmat`` and
   ``np.vecdot``, which reach the same BLAS gemv and dot as ``v @ A @ v``
@@ -14,6 +14,22 @@ point sees the same float operations in the same order:
   of inputs);
 * sums run left to right through ``np.add.accumulate``, seeded with the
   running total (``np.sum`` adds pairwise).
+
+A value that repeats is evaluated once, and reused bit for bit:
+
+* ``hermgauss`` makes its nodes exactly antisymmetric and its weights
+  exactly symmetric, and round-to-nearest is sign-symmetric, so grid
+  point ``size - 1 - p`` is ``-u(p)`` with the term of ``p``.  The
+  Gauss-Hermite sum evaluates the first half of the grid and adds its
+  kept terms again backwards.
+* A torus heat factor ``exp(-t * |k|^2)`` depends on the integer
+  ``|k|^2`` alone, so ``math.exp`` runs once per distinct live ``|k|^2``
+  and the modes read it from a table.
+
+These two buffers outlive a chunk: the kept half of the Gauss-Hermite
+terms (``(m^b + 1) // 2`` floats at order m) and the torus heat table
+(one float per ``|k|^2`` up to the last live one, at most
+``2 reach^2 + 1``).  Every other array is one chunk long.
 
 The mode sums skip every mode whose heat argument -t * lambda is at or
 below -746, where ``math.exp`` returns exactly 0.0.  Such a term is
@@ -66,20 +82,32 @@ def _gh_sum(nodes, weights, scales, A):
     """Sum over the tensor grid of prod(w) * exp(|u|^2 - (Su)^T A (Su)).
 
     Point ``flat`` takes node ``(flat // m^j) % m`` on axis j, so the
-    first axis varies fastest.
+    first axis varies fastest.  Point ``size - 1 - flat`` takes node
+    ``m - 1 - i`` wherever ``flat`` takes node i, which ``hermgauss`` makes
+    the exact negative with the same weight: its term has the same bits.
+    So only the first half of the grid (the middle point included) is
+    evaluated; its terms are kept and added again backwards.
     """
     m = len(nodes)
     size = m ** len(scales)
+    half = (size + 1) // 2
     radix = m ** np.arange(len(scales))
+    terms = np.empty(half)
     total = 0.0
-    for start in range(0, size, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, size))
+    for start in range(0, half, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, half))
         idx = flat[:, None] // radix % m
         u = nodes[idx]
         v = u * scales
         q = np.vecdot(np.vecmat(v, A), v)
         w = np.prod(weights[idx], axis=1)
-        total = _running_sum(total, w * _mapped(math.exp, np.vecdot(u, u) - q))
+        chunk = terms[start:start + len(flat)]
+        chunk[:] = w * _mapped(math.exp, np.vecdot(u, u) - q)
+        total = _running_sum(total, chunk)
+    # points half .. size - 1 mirror points size - 1 - half .. 0
+    mirrored = terms[:size - half][::-1]
+    for start in range(0, len(mirrored), _CHUNK):
+        total = _running_sum(total, mirrored[start:start + _CHUNK])
     return total
 
 
@@ -139,24 +167,29 @@ def torus_supertrace(kmax, vx, vy, minus_id, t):
     """
     if minus_id:
         return (1.0 + 2.0 + 1.0) * math.exp(-t * 0.0)
-    side = 2 * kmax + 1
     # the loop's math.cos raises on an angle k.v that overflows, also on
     # a mode past the reach; the corner mode has the largest |k.v|
     math.cos(kmax * abs(vx) + kmax * abs(vy))
-    # rows with |kx| past the reach hold only zero heat factors; in the
-    # other rows the modes past the underflow are masked out
+    # rows and columns with |k_i| past the reach hold only zero heat
+    # factors; the other modes are live while s = |k|^2 is at most top,
+    # the last s <= 2 reach^2 above the underflow (a NaN t cuts nothing)
     reach = _reach(kmax, t, lambda k: float(k * k))
-    stop = (kmax + reach + 1) * side
+    top = _reach(2 * reach * reach, t, float)
+    # heat[s] = exp(-t * s), evaluated when a chunk first meets s (-1.0
+    # until then: exp is never negative)
+    heat = np.full(top + 1, -1.0)
+    ky = np.arange(-reach, reach + 1)
+    rows = max(1, _CHUNK // len(ky))
     total = 0.0
-    for start in range((kmax - reach) * side, stop, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, stop))
-        kx = flat // side - kmax
-        ky = flat % side - kmax
-        arg = -t * (kx * kx + ky * ky).astype(float)
-        live = ~(arg <= _UNDERFLOW)     # a NaN argument stays, as in the loop
-        heat = _mapped(math.exp, arg[live])
-        w = _mapped(math.cos, kx[live] * vx + ky[live] * vy)
-        total = _running_sum(total, w * (1.0 - 2.0 + 1.0) * heat)
+    for first in range(-reach, reach + 1, rows):
+        kx = np.arange(first, min(first + rows, reach + 1))[:, None]
+        s = kx * kx + ky * ky
+        live = s <= top
+        s = s[live]
+        new = np.unique(s[heat[s] < 0.0])
+        heat[new] = _mapped(math.exp, -t * new.astype(float))
+        w = _mapped(math.cos, (kx * vx + ky * vy)[live])
+        total = _running_sum(total, w * (1.0 - 2.0 + 1.0) * heat[s])
     return total
 
 

@@ -318,8 +318,8 @@ def mehler_body(R: CurvatureTensor, t: float) -> Multivector:
 
 def mehler_kernel(R: CurvatureTensor, t: float, x, y) -> Multivector:
     """Model heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2/4t) exp(t Rdot / 2)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pref = (4.0 * math.pi * t) ** (-R.n / 2.0)
@@ -359,8 +359,8 @@ def fiber_integral(iso: IsometryNormalForm, t: float) -> float:
     This is the closed form (4 pi t)^{-a/2} det^{-1}(1 - phi^N); the
     independent route is :func:`fiber_integral_quadrature`.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     det = iso.det_one_minus_normal()
     return (4.0 * math.pi * t) ** (-iso.a / 2.0) / det
 
@@ -372,8 +372,8 @@ def fiber_integral_quadrature(iso: IsometryNormalForm, t: float) -> float:
     normal fiber, refined until successive orders differ by < 1e-8 of the
     value.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     from ._kernels import gauss_hermite_gaussian_integral
     one_minus = np.eye(iso.b) - iso.normal_rotation()
     M = one_minus.T @ one_minus

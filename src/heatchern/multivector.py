@@ -234,6 +234,7 @@ def grade_component(x: Multivector, a: int, selector) -> Multivector:
     Indices 1..a are tangent, a+1..n normal; k counts tangent and l
     normal generators, of the first family (k1, l1) and the second.
     """
+    Multivector._require(x, "grade_component")
     (k1, l1), (k2, l2) = selector
     b = x.n - a
     if not (0 <= k1 <= a and 0 <= k2 <= a
@@ -251,6 +252,7 @@ def grade_component(x: Multivector, a: int, selector) -> Multivector:
 
 def berezin(x: Multivector):
     """Berezin integral T: the coefficient of the volume element omega."""
+    Multivector._require(x, "berezin")
     full = (1 << x.n) - 1
     return x.coefficient(full, full)
 

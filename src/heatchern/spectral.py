@@ -144,8 +144,8 @@ def tail_bound(model: SpectralModel, t: float) -> float:
     The form weights of a torus mode are bounded by 4 in total and those
     of sphere tower l by 4(2l+1); the 1-d tails are summed by ``_tail_sum``.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     if model.geometry == "torus":
         kmax = model.cutoff
         # the dropped set {|kx| > kmax or |ky| > kmax} has Gaussian mass
@@ -174,8 +174,8 @@ def heat_supertrace(model: SpectralModel, action: IsometryAction,
     """Alternating-degree heat trace weighted by the isometry action, over
     the modes up to the cutoff; ``tail_bound`` bounds what it drops."""
     check_pair(model.geometry, action.kind)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     return _mode_sum(model.cutoff, action, t)
 
 

@@ -208,6 +208,20 @@ def test_fiber_integral_routes_agree(rng):
         assert err < 1e-6
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_fiber_integrals_take_positive_finite_t(t):
+    # NaN passes a t <= 0 test, and the quadrature then ran every order
+    iso = IsometryNormalForm(4, 2, (0.8,))
+    for route in (fiber_integral, fiber_integral_quadrature):
+        with mock.patch.object(_kernels, "gauss_hermite_gaussian_integral") \
+                as quadrature, pytest.raises(
+                    ValueError, match="t must be positive and finite"):
+            route(iso, t)
+        quadrature.assert_not_called()
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        mehler_kernel(CurvatureTensor(2, {}), t, (0.0, 0.0), (0.1, 0.2))
+
+
 def test_gauss_hermite_reports_tolerance_and_order():
     with mock.patch.multiple(_kernels, _GH_TOL=1e-9, _GH_MAX_ORDER=8), \
             pytest.raises(RuntimeError,

@@ -7,6 +7,7 @@ are compared by ``repr``, not with a tolerance.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from heatchern import _kernels
 from heatchern._kernels import (gauss_hermite_gaussian_integral,
                                 sphere_supertrace, torus_supertrace)
+from heatchern.equivariant import IsometryNormalForm, fiber_integral_quadrature
 
 CHUNK = _kernels._CHUNK
 
@@ -102,6 +104,8 @@ def spd_matrices(draw, b):
 
 # order^b grid points per example, so the loop oracle stays fast
 GRID_POINTS = 20000
+DENSE_B = np.array([[1.35, -0.75, 0.92, 0.53], [0.65, 0.39, 1.41, -0.5],
+                    [-0.31, -0.89, -1.35, -0.86], [1.25, 1.02, -1.16, 0.31]])
 positive_t = st.floats(1e-3, 4.0, allow_nan=False)
 angles = st.one_of(st.just(0.0), st.floats(0.0, 2 * math.pi,
                                            exclude_max=True))
@@ -127,9 +131,7 @@ def test_gh_sum_matches_loop(data):
 def test_gh_sum_dense_b4_matches_loop():
     # a dense b = 4 form, where a stacked V @ A (gemm) would round the
     # quadratic form differently from the per-point v @ A (gemv)
-    B = np.array([[1.35, -0.75, 0.92, 0.53], [0.65, 0.39, 1.41, -0.5],
-                  [-0.31, -0.89, -1.35, -0.86], [1.25, 1.02, -1.16, 0.31]])
-    M = B @ B.T + 0.98 * np.eye(4)
+    M = DENSE_B @ DENSE_B.T + 0.98 * np.eye(4)
     nodes, weights = np.polynomial.hermite.hermgauss(8)
     scales = np.sqrt(2.42 / np.diag(M))
     A = M / 2.42
@@ -166,6 +168,50 @@ def test_gh_refinement_error_text():
     assert str(got.value) == str(expected.value) == (
         "Gauss-Hermite refinement did not converge to 0.0 of the value "
         "by order 16")
+
+
+@pytest.mark.parametrize("order", [8, 16, 24, 32, 40, 48, 9, 17, 91])
+def test_hermgauss_is_exactly_mirrored(order):
+    # _gh_sum evaluates half the grid on this premise
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    assert np.array_equal(nodes[::-1], -nodes)
+    assert np.array_equal(weights[::-1], weights)
+
+
+@pytest.mark.parametrize("order,b", [(9, 1), (9, 2), (9, 3), (9, 4),
+                                     (90, 2), (91, 2)])
+def test_gh_sum_mirror_matches_loop(order, b):
+    # an odd order has a middle point, which is summed once; at b = 2 the
+    # stored half of 90^2 points fits one chunk and that of 91^2 does not
+    assert (90 ** 2 + 1) // 2 <= CHUNK < (91 ** 2 + 1) // 2
+    B = DENSE_B[:b, :b]
+    M = B @ B.T + 0.98 * np.eye(b)
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    scales = np.sqrt(2.42 / np.diag(M))
+    A = M / 2.42
+    assert repr(_kernels._gh_sum(nodes, weights, scales, A)) == \
+        repr(gh_sum_loop(nodes, weights, scales, A))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_gh_maps_exp_once_per_mirrored_pair(b):
+    # (m^b + 1) // 2 exp calls at order m, the middle point of an odd m^b
+    # included, in chunks of the evaluated half
+    M = np.eye(b) + 0.25
+    _, count = mapped_count(_kernels._gh_sum,
+                            *np.polynomial.hermite.hermgauss(9), np.ones(b), M)
+    assert count == (9 ** b + 1) // 2
+    # the refinement runs orders 8, 16 and 24 before it gives up
+    with mock.patch.object(_kernels, "_mapped", wraps=_kernels._mapped) \
+            as mapped, mock.patch.multiple(_kernels, _GH_TOL=0.0,
+                                           _GH_MAX_ORDER=24), \
+            pytest.raises(RuntimeError):
+        gauss_hermite_gaussian_integral(M, 1.3)
+    expected = []
+    for m in (8, 16, 24):
+        half = (m ** b + 1) // 2
+        expected += [min(CHUNK, half - start) for start in range(0, half, CHUNK)]
+    assert [len(c.args[1]) for c in mapped.call_args_list] == expected
 
 
 # -- spectral mode sums -----------------------------------------------------
@@ -236,8 +282,10 @@ def test_cut_either_side_of_underflow(t_lam):
     # sin and exp on each tower the sphere evaluates: l = 1 goes at -746
     _, count = mapped_count(sphere_supertrace, 1, 0.7, t_lam / 2.0)
     assert count == (2 if t_lam >= 746.0 else 4)
+    # cos on each live torus mode, exp on each distinct live |k|^2: (0, 0)
+    # alone from -746 on, below it also the four modes with |k|^2 = 1
     _, count = mapped_count(torus_supertrace, 1, 0.3, 2.9, False, t_lam)
-    assert count == (2 if t_lam >= 746.0 else 10)
+    assert count == (2 if t_lam >= 746.0 else 5 + 2)
 
 
 @pytest.mark.parametrize("lmax", [CHUNK - 1, CHUNK, CHUNK + 1])
@@ -274,12 +322,15 @@ def test_tiny_t_matches_loop(t, cutoff):
 
 
 def test_mode_sums_map_only_the_modes_inside_the_reach():
-    # exp and cos (torus) or sin and exp (sphere) once per live mode
+    # cos once per live mode and exp once per distinct live |k|^2 (torus),
+    # sin and exp once per live tower (sphere)
     k = np.arange(-300, 301)
     lam = (k[:, None] ** 2 + k[None, :] ** 2).astype(float)
-    live = int(np.count_nonzero(-1.0 * lam > -746.0))
+    live = lam[-1.0 * lam > -746.0]
+    distinct = len(np.unique(live))
     value, count = mapped_count(torus_supertrace, 300, 0.3, 2.9, False, 1.0)
-    assert count == 2 * live < 2 * 601 ** 2 // 100
+    assert count == len(live) + distinct < 601 ** 2 // 100
+    assert distinct < len(live) // 4
     assert repr(value) == repr(torus_loop(30, 0.3, 2.9, False, 1.0))
     # 0.5 l (l + 1) < 746 holds up to l = 38
     value, count = mapped_count(sphere_supertrace, 100000, 0.7, 0.5)
@@ -306,3 +357,20 @@ def test_infinite_angle_on_the_zero_mode_alone_is_nan():
     # 0 * inf is nan, which math.cos takes without an error
     assert repr(torus_supertrace(0, math.inf, 0.0, False, 1.0)) == \
         repr(torus_loop(0, math.inf, 0.0, False, 1.0)) == "nan"
+
+
+def test_kernel_memory_stays_bounded():
+    # what outlives a chunk, the evaluated half of the b = 4 Gauss-Hermite
+    # terms (16^4 / 2 at the last order) and the torus heat factor per
+    # |k|^2 <= 2 * 300^2, fits in 2 MB; the whole grid would not
+    iso = IsometryNormalForm(4, 0, (0.9, 2.1))
+    for call, args in ((torus_supertrace, (300, 0.3, 2.9, False, 0.005)),
+                       (fiber_integral_quadrature, (iso, 0.7))):
+        call(*args)
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10 ** 6

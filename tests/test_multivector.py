@@ -123,6 +123,17 @@ def test_each_product_takes_its_own_algebra():
         clifford_multiply(c, m)
 
 
+def test_exterior_reads_take_only_multivectors():
+    # a Clifford word is not an exterior word, also where the bits agree
+    c = CliffordElement(2, {(3, 3): 1})
+    with pytest.raises(TypeError, match="grade_component takes a "
+                                        "Multivector, not CliffordElement"):
+        grade_component(c, 2, ((2, 0), (2, 0)))
+    with pytest.raises(TypeError,
+                       match="berezin takes a Multivector, not CliffordElement"):
+        berezin(c)
+
+
 def test_exp_even_inverse():
     x = Multivector(4, {(0b11, 0): Fraction(2), (0, 0b1100): Fraction(-3)})
     e_pos = exp_even(x)

@@ -105,6 +105,19 @@ def test_tail_bound_dominates_brute_force(geometry, K, t):
     assert bound <= true * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_t_must_be_positive_and_finite(t):
+    # NaN passes a t <= 0 test: the sum returned nan and the tail bound
+    # ran a million terms before it gave up
+    for geometry, action in (("torus", IsometryAction.translation(0.3, 0.2)),
+                             ("sphere", IsometryAction.rotation(0.7))):
+        model = SpectralModel(geometry, CUTOFF)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            heat_supertrace(model, action, t)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            tail_bound(model, t)
+
+
 @pytest.mark.parametrize("geometry", ["torus", "sphere"])
 def test_tail_bound_gives_up_after_a_million_terms(geometry):
     with pytest.raises(RuntimeError, match="1000000 terms"):
