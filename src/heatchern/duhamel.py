@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import factorial
+from math import factorial, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -211,8 +211,10 @@ def commutator_expansion(h: FiniteOperator, b: FiniteOperator, s: float,
     remainder_norm = ||exp(-sH) B - approximation||, which decays like
     s^N as s -> 0.
     """
-    if N < 1 or s <= 0:
-        raise ValueError("need N >= 1 and s > 0")
+    if N < 1:
+        raise ValueError("need N >= 1")
+    if not (isfinite(s) and s > 0):
+        raise ValueError("s must be positive and finite")
     h._check(b)
     from scipy.linalg import expm
     heat = expm(-s * h.mat)
@@ -234,8 +236,10 @@ def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
     Adding this to the truncated expansion recovers exp(-sH) B exactly.
     The integrand is evaluated once per distinct u_1 over all the rules.
     """
-    if N < 1 or s <= 0:
-        raise ValueError("need N >= 1 and s > 0")
+    if N < 1:
+        raise ValueError("need N >= 1")
+    if not (isfinite(s) and s > 0):
+        raise ValueError("s must be positive and finite")
     h._check(b)
     from scipy.linalg import expm
     bN = iterated_commutator(h, b, N)
@@ -291,8 +295,10 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
     from scipy.linalg import expm
     for op in (L, c, phi):
         h._check(op)
-    if t <= 0 or K < 0:
-        raise ValueError("need t > 0 and K >= 0")
+    if K < 0:
+        raise ValueError("need K >= 0")
+    if not (isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     g = _check_grading(grading, h.dim)
     head = phi.mat @ c.mat
     heat = {}  # round(tau, 15) -> exp(-tau t H), for this call only

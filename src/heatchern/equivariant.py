@@ -230,19 +230,62 @@ def exterior_pushforward(mat: np.ndarray) -> np.ndarray:
 
     Entry [S, T] is the minor det(mat[S, T]); the degree-1 block is mat
     itself.  This is the independent oracle for represent(phi_tilde).
-    The minors of each degree k come from one stacked determinant call.
+    The nonzero entries of mat split its rows and columns into connected
+    blocks, and a minor whose rows and columns meet some block unequally
+    often is zero by structure: only the other minors are computed, each
+    degree's in one stacked determinant call, and the rest stay 0.0.
     """
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"exterior_pushforward needs a square matrix, "
+                         f"not shape {mat.shape}")
     n = mat.shape[0]
-    dim = 1 << n
-    out = np.zeros((dim, dim))
+    pattern = tuple(sum(1 << j for j in np.flatnonzero(row).tolist())
+                    for row in mat)
+    out = np.zeros((1 << n, 1 << n))
     out[0, 0] = 1.0
-    for k in range(1, n + 1):
-        subsets = np.array(list(itertools.combinations(range(n), k)))
-        masks = (1 << subsets).sum(axis=1)
-        # blocks[r, c] is the k x k block on rows subsets[r], columns subsets[c]
-        blocks = mat[subsets[:, None, :, None], subsets[None, :, None, :]]
-        out[np.ix_(masks, masks)] = np.linalg.det(blocks)
+    for rows, cols, row_masks, col_masks in _minor_tables(n, pattern):
+        out[row_masks, col_masks] = np.linalg.det(
+            mat[rows[:, :, None], cols[:, None, :]])
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _minor_tables(n: int, pattern: tuple) -> tuple:
+    """The minors of an n x n matrix that its nonzero pattern allows.
+
+    pattern[i] is the mask of the nonzero columns of row i.  Rows and
+    columns joined by a nonzero entry fall in one block; a k x k minor
+    can be nonzero only if its row subset and its column subset have the
+    same signature, the count of their members in each block.  For each
+    degree k with such minors: their row and column index arrays (one
+    row per minor) and the subset masks they fill.
+    """
+    blocks = []   # (row mask, column mask) of each connected block
+    for rows, cols in ([(1 << i, m) for i, m in enumerate(pattern)]
+                       + [(0, 1 << j) for j in range(n)]):
+        for r, c in [b for b in blocks if b[1] & cols]:
+            blocks.remove((r, c))
+            rows, cols = rows | r, cols | c
+        blocks.append((rows, cols))
+    tables = []
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        masks = [sum(1 << i for i in sub) for sub in subsets]
+        by_rows, by_cols = {}, {}
+        for index, m in enumerate(masks):
+            by_rows.setdefault(tuple((m & r).bit_count() for r, _ in blocks),
+                               []).append(index)
+            by_cols.setdefault(tuple((m & c).bit_count() for _, c in blocks),
+                               []).append(index)
+        pairs = [(r, c) for signature, row_ids in by_rows.items()
+                 for r in row_ids for c in by_cols.get(signature, ())]
+        if pairs:
+            r, c = np.array(pairs).T
+            subsets = np.array(subsets, dtype=np.int8)
+            masks = np.array(masks, dtype=np.int32)
+            tables.append((subsets[r], subsets[c], masks[r], masks[c]))
+    return tuple(tables)
 
 
 def lambda_pushforward_oracle(iso: IsometryNormalForm) -> np.ndarray:
@@ -250,7 +293,10 @@ def lambda_pushforward_oracle(iso: IsometryNormalForm) -> np.ndarray:
 
     The lift acts by pullback, i.e. by the exterior powers of the inverse
     block rotation; for the orthogonal normal form that inverse is the
-    transpose.
+    transpose.  Its blocks are the a tangent indices, one each, and the
+    normal 2 x 2 rotations (two 1 x 1 blocks where an exact cos or sin is
+    0), so ``exterior_pushforward`` computes 2^a 6^(b/2) - 1 of the
+    C(2n, n) - 1 minors: 383 of 12,869 at n = 8, a = 6.
     """
     return exterior_pushforward(iso.full_matrix().T)
 
@@ -491,8 +537,8 @@ def euler_form(R: CurvatureTensor, a: int):
     division by D^(a/2) is exact.  R must be exact; a float component
     raises ``BackendMismatch``.
     """
-    if a % 2:
-        raise ValueError("Euler form needs even dimension")
+    if a % 2 or not 0 <= a <= R.n:
+        raise ValueError(f"Euler form needs an even a in [0, {R.n}], not {a}")
     if a == 0:
         return Fraction(1)
     mat = curvature_form_matrix(R, a)
@@ -517,15 +563,27 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
     the m! cancels: the top coefficient is the sum, over the sets of m
     words whose e-parts split {e^1..e^a} and whose ehat-parts split
     {ehat^1..ehat^a}, of the product of their coefficients and the sign
-    of their product.  ``top(S, T)`` sums those sets on the remaining
-    masks S, T.  It always places the word holding the lowest index of S,
-    so each set is counted once, and a placed word (s, t) moves in front
-    of the rest (S ^ s, T ^ t) with the sign of its two merges (|t| = 2,
-    so no cross-family sign).  It runs on integer numerators
-    (denominators cleared by their lcm D) and divides by (2D)^m once.
+    of their product.
+
+    That sum is built level by level.  Level j holds M_j(S, T), the sum
+    over the sets of j words that split the masks S and T, for |S| = |T|
+    = 2j: M_j(S, T) is the sum over the pairs s of S holding its lowest
+    index and the pairs t of T of c(s, t) M_{j-1}(S ^ s, T ^ t), signed
+    by the merges of s and t in front of the rest (|t| = 2, so no
+    cross-family sign).  Placing the lowest index first counts each set
+    once, and leaves at level j only the S above the m - j lowest
+    indices; T ranges over all 2j-subsets.  The index tables of the levels
+    depend on a alone (``_density_tables``).  The sum runs on integer
+    numerators (denominators cleared by their lcm D) and divides by
+    (2D)^m once: in int64 when |M_j| <= (2j-1) C(2j, 2) cmax |M_{j-1}|
+    bounds every partial sum below 2^63, where cmax is the largest
+    numerator, and in Python ints (``dtype=object``) otherwise.
     A float coefficient raises ``BackendMismatch``, as in ``euler_form``.
     """
+    if R.n != iso.n:
+        raise ValueError(f"curvature has n={R.n}, isometry n={iso.n}")
     n, a, b = iso.n, iso.a, iso.b
+    m = a // 2
     tan = (1 << a) - 1
     rdot = {(s, t): c for (s, t), c in curvature_bivector(R).terms.items()
             if not (s | t) & ~tan}
@@ -533,36 +591,79 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
         if not _is_exact(c):
             raise BackendMismatch(f"curvature {c!r} is not an int or a Fraction")
     D = math.lcm(*(c.denominator for c in rdot.values()))
-    # words by their lowest e-index, with the suffix parities of their
-    # two parts, which give the merge signs
-    by_low = {}
-    for (s, t), c in rdot.items():
-        by_low.setdefault(s & -s, []).append(
-            (s, t, int(c * D), _suffix_parity(s), _suffix_parity(t)))
-
-    @functools.cache
-    def top(S, T):
-        if not S:
-            return 1
-        total = 0
-        for s, t, c, ps, pt in by_low.get(S & -S, ()):
-            if s & S != s or t & T != t:
-                continue
-            rest_s, rest_t = S ^ s, T ^ t
-            sub = top(rest_s, rest_t)
-            if (_popcount(ps & rest_s) + _popcount(pt & rest_t)) & 1:
-                sub = -sub
-            total += c * sub
-        return total
-
-    try:
-        coeff = Fraction(top(tan, tan), (2 * D) ** (a // 2))
-    finally:
-        top.cache_clear()  # top calls itself, as rec does in the expansion
+    nums = {w: c.numerator * (D // c.denominator) for w, c in rdot.items()}
+    cmax = max(map(abs, nums.values()), default=0)
+    bound = math.prod((2 * j - 1) * math.comb(2 * j, 2) * cmax
+                      for j in range(1, m + 1))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    pair_index, levels = _density_tables(a)
+    # c(s, t) by the indices of the pairs s and t
+    words = np.zeros((len(pair_index), len(pair_index)), dtype=dtype)
+    if nums:
+        rows, cols = zip(*((pair_index[s], pair_index[t]) for s, t in nums))
+        words[rows, cols] = np.array(list(nums.values()), dtype=dtype)
+    M = np.ones((1, 1), dtype=dtype)
+    for s_pair, s_prev, s_sign, t_pair, t_prev, t_sign in levels:
+        signed = words[:, t_pair] * t_sign   # +-c(s, t) for each pair s
+        nxt = np.empty((len(s_pair), len(t_pair)), dtype=dtype)
+        # a chunk of S at a time, each term array under _CHUNK entries
+        step = max(1, _CHUNK // (signed[0].size * s_pair.shape[1]))
+        for lo in range(0, len(s_pair), step):
+            rest = M[s_prev[lo:lo + step]] * s_sign[lo:lo + step, :, None]
+            terms = signed[s_pair[lo:lo + step]] * rest[..., t_prev]
+            nxt[lo:lo + step] = terms.sum(axis=(1, 3))
+        M = nxt
+    coeff = Fraction(int(M[0, 0]), (2 * D) ** m)
     pref = Fraction((-1) ** (n // 2) * (1 << n))
     pref *= Fraction(-1, 4) ** (b // 2)
     pref *= Fraction(1, 4) ** (a // 2)
     return pref * coeff
+
+
+_CHUNK = 1 << 16
+
+
+@functools.cache
+def _density_tables(a: int):
+    """Index tables of ``local_index_density``'s levels, for a tangent
+    indices.
+
+    Returns the index of each 2-subset (pair) mask of the a indices and,
+    for each level j = 1 .. a/2, the arrays
+    ``s_pair, s_prev, s_sign`` (one row per S, one column per partner of
+    its lowest index: the pair s, the row of S ^ s one level down, the
+    sign of s's merge in front of S ^ s) and ``t_pair, t_prev, t_sign``
+    (one row per T, one column per pair t of T, likewise).
+    """
+    pairs = [sum(1 << i for i in p) for p in itertools.combinations(range(a), 2)]
+    pair_index = {p: i for i, p in enumerate(pairs)}
+
+    def merge_sign(w, rest):
+        return -1 if _popcount(_suffix_parity(w) & rest) & 1 else 1
+
+    s_rows, t_rows = {0: 0}, {0: 0}   # mask -> row, one level down
+    levels = []
+    for j in range(1, a // 2 + 1):
+        low = a // 2 - j   # the levels above j place the low lowest indices
+        s_masks = [sum(1 << i for i in sub)
+                   for sub in itertools.combinations(range(low, a), 2 * j)]
+        t_masks = [sum(1 << i for i in sub)
+                   for sub in itertools.combinations(range(a), 2 * j)]
+        s_cols = [[(S & -S) | 1 << i for i in range(a) if (S & S - 1) >> i & 1]
+                  for S in s_masks]
+        t_cols = [[t for t in pairs if t & T == t] for T in t_masks]
+        levels.append(tuple(np.array(table) for table in (
+            [[pair_index[s] for s in row] for row in s_cols],
+            [[s_rows[S ^ s] for s in row] for S, row in zip(s_masks, s_cols)],
+            [[merge_sign(s, S ^ s) for s in row]
+             for S, row in zip(s_masks, s_cols)],
+            [[pair_index[t] for t in row] for row in t_cols],
+            [[t_rows[T ^ t] for t in row] for T, row in zip(t_masks, t_cols)],
+            [[merge_sign(t, T ^ t) for t in row]
+             for T, row in zip(t_masks, t_cols)])))
+        s_rows = {S: i for i, S in enumerate(s_masks)}
+        t_rows = {T: i for i, T in enumerate(t_masks)}
+    return pair_index, tuple(levels)
 
 
 def transgression(R: CurvatureTensor, sdot: dict, a: int) -> Multivector:

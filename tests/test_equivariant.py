@@ -1,5 +1,8 @@
 import functools
+import gc
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -26,7 +29,7 @@ from heatchern.multivector import (Multivector, _product, exp_even,
                                    grade_component, wedge)
 from heatchern.scalars import BackendMismatch, Mat
 
-from conftest import cached_after, random_curvature
+from conftest import cached_after, cyclic_garbage, random_curvature
 
 # exact Pythagorean (cos, sin) pairs for rational-backend checks
 PYTH = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
@@ -344,14 +347,12 @@ def _raising_on_third_call(real, calls):
     return wrapped
 
 
-@pytest.mark.parametrize("name,kernel", [("euler_form", "_product"),
-                                         ("local_index_density", "_popcount")])
+@pytest.mark.parametrize("name,kernel", [("euler_form", "_product")])
 def test_recursion_keeps_no_cache_after_the_call(name, kernel, rng):
-    # the Pfaffian's rec and the density's top call themselves, so only
-    # the cyclic collector would free their caches if the call kept them
+    # the Pfaffian's rec calls itself, so only the cyclic collector would
+    # free its cache if the call kept it
     R = random_curvature(8, rng)
-    args = (R, 8) if name == "euler_form" else (R, IsometryNormalForm(8, 8, ()))
-    call = functools.partial(getattr(equivariant, name), *args)
+    call = functools.partial(getattr(equivariant, name), R, 8)
     want = call()
     assert not any(cached_after(call))
     calls = []
@@ -362,23 +363,163 @@ def test_recursion_keeps_no_cache_after_the_call(name, kernel, rng):
     assert call() == want
 
 
+def test_index_density_keeps_no_curvature_data_after_the_call(rng):
+    # the level tables depend on a alone; nothing built from R outlives
+    # the call, neither in reference cycles nor anywhere else
+    iso = IsometryNormalForm(8, 8, ())
+    first, *others = (random_curvature(8, rng) for _ in range(4))
+    local_index_density(first, iso)
+    tables = equivariant._density_tables(8)
+    for R in others:
+        assert cyclic_garbage(
+            functools.partial(local_index_density, R, iso)) == []
+    # what the module allocates and keeps, after one traced call has set
+    # up numpy's own lazily built state
+    here = [tracemalloc.Filter(True, equivariant.__file__)]
+    tracemalloc.start()
+    try:
+        local_index_density(first, iso)
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces(here)
+        for R in others:
+            local_index_density(R, iso)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(here)
+    finally:
+        tracemalloc.stop()
+    assert [d for d in after.compare_to(before, "lineno") if d.size_diff] == []
+    assert equivariant._density_tables(8) is tables
+
+
+def test_index_density_peak_memory_at_n10():
+    # the level sums run a chunk of S at a time: about 3.4 MB here, cold,
+    # where a whole level of terms at once peaks near 10 MB
+    R = random_curvature(10, random.Random(10))
+    iso = IsometryNormalForm(10, 10, ())
+    equivariant._density_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        local_index_density(R, iso)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
+@pytest.mark.parametrize("n,a,scale", [(6, 6, 1), (6, 4, 1), (6, 6, 10 ** 7),
+                                       (6, 4, 10 ** 10), (8, 8, 10 ** 6)])
+def test_index_density_int64_and_object_paths(n, a, scale, rng):
+    # scale 1 keeps every level sum in int64; the large numerators put the
+    # top sum past 2^63, so only the Python-int path can get it right (the
+    # full exponential at n = 8 is left to the pairing oracle, for time)
+    iso = IsometryNormalForm(n, a, tuple(0.4 + 0.5 * i
+                                         for i in range((n - a) // 2)))
+    R = CurvatureTensor(n, {k: v * rng.randint(scale, 2 * scale)
+                            for k, v in random_curvature(n, rng)
+                            .components.items()})
+    with mock.patch.object(np, "ones", wraps=np.ones) as ones:
+        got = local_index_density(R, iso)
+    assert type(got) is Fraction
+    assert got == _density_by_pairing(R, iso)
+    if n <= 6:
+        assert got == _density_by_full_exp(R, iso)
+    dtype = ones.call_args.kwargs["dtype"]
+    if scale == 1:
+        assert dtype is np.int64
+    else:
+        # the prefactor is +-1 and D = 1, so the top sum is got * 2^(a/2)
+        assert dtype is object and abs(got) * 2 ** (a // 2) > 2 ** 63
+
+
 def _pushforward_by_minors(mat):
     n = mat.shape[0]
     out = np.zeros((1 << n, 1 << n))
-    for s_mask in range(1 << n):
-        rows = [i for i in range(n) if s_mask >> i & 1]
-        for t_mask in range(1 << n):
-            cols = [i for i in range(n) if t_mask >> i & 1]
+    members = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    for s_mask, rows in enumerate(members):
+        for t_mask, cols in enumerate(members):
             if len(rows) == len(cols):
                 out[s_mask, t_mask] = float(np.linalg.det(
                     mat[np.ix_(rows, cols)])) if rows else 1.0
     return out
 
 
+def _same_bits(x, y):
+    """Equal bit for bit, the sign of zero included."""
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_exterior_pushforward_matches_minor_loop(n):
     mat = np.random.default_rng(n).normal(size=(n, n))
-    assert np.array_equal(exterior_pushforward(mat), _pushforward_by_minors(mat))
+    assert _same_bits(exterior_pushforward(mat), _pushforward_by_minors(mat))
+
+
+def _normal_forms(max_n, rng):
+    for n in range(2, max_n + 1, 2):
+        for a in range(0, n + 1, 2):
+            yield IsometryNormalForm(n, a, tuple(
+                rng.uniform(0.3, 2.8) for _ in range((n - a) // 2)))
+
+
+def test_exterior_pushforward_matches_minor_loop_on_normal_forms(rng):
+    for iso in _normal_forms(8, rng):
+        mat = iso.full_matrix().T
+        assert _same_bits(exterior_pushforward(mat),
+                          _pushforward_by_minors(mat)), (iso.n, iso.a)
+
+
+# exact rotations with a zero cos or sin split their 2 x 2 block in two
+SPLIT = [(0, 1), (0, -1), (-1, 0)]
+
+
+@pytest.mark.parametrize("rotations", [SPLIT[:1], SPLIT[1:2], SPLIT[2:],
+                                       [SPLIT[0], PYTH[0]],
+                                       [PYTH[1], SPLIT[2]],
+                                       [SPLIT[2], SPLIT[1], PYTH[2]]])
+@pytest.mark.parametrize("a", [0, 2])
+def test_exterior_pushforward_where_the_block_pattern_changes(rotations, a):
+    iso = IsometryNormalForm(a + 2 * len(rotations), a, rotations=rotations)
+    mat = iso.full_matrix().T
+    assert _same_bits(exterior_pushforward(mat), _pushforward_by_minors(mat))
+    assert _same_bits(lambda_pushforward_oracle(iso), _pushforward_by_minors(mat))
+
+
+@pytest.mark.parametrize("n,a,rotations", [
+    (8, 6, None), (8, 0, None), (6, 2, None), (4, 2, SPLIT[:1]),
+    (6, 0, [SPLIT[2], PYTH[0], SPLIT[1]])])
+def test_exterior_pushforward_computes_only_the_allowed_minors(n, a, rotations):
+    # a k x k minor is computed when its rows and columns meet each block
+    # equally often; summed over those signatures, the counts of subsets
+    # squared give prod C(2 size, size) over the blocks, less the empty minor
+    if rotations is None:
+        iso = IsometryNormalForm(n, a, tuple(0.5 + 0.4 * i
+                                             for i in range((n - a) // 2)))
+    else:
+        iso = IsometryNormalForm(n, a, rotations=rotations)
+    whole = sum(c != 0 and s != 0 for c, s in iso.rotations)
+    singletons = a + 2 * (len(iso.rotations) - whole)
+    with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
+        lambda_pushforward_oracle(iso)
+    passed = sum(call.args[0].shape[0] for call in det.call_args_list)
+    assert passed == math.comb(2, 1) ** singletons * math.comb(4, 2) ** whole - 1
+
+
+def test_exterior_pushforward_needs_a_square_matrix():
+    with pytest.raises(ValueError, match=r"square matrix, not shape \(2, 3\)"):
+        exterior_pushforward(np.ones((2, 3)))
+
+
+def test_index_density_needs_one_dimension():
+    R = random_curvature(4, random.Random(4))
+    with pytest.raises(ValueError, match="curvature has n=4, isometry n=6"):
+        local_index_density(R, IsometryNormalForm(6, 4, (0.5,)))
+
+
+@pytest.mark.parametrize("a", [6, -2])
+def test_euler_form_needs_a_tangent_dimension_in_range(a):
+    R = random_curvature(4, random.Random(4))
+    with pytest.raises(ValueError, match=rf"an even a in \[0, 4\], not {a}$"):
+        euler_form(R, a)
 
 
 def test_euler_form_surface():
