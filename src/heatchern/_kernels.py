@@ -47,6 +47,8 @@ import math
 
 import numpy as np
 
+from .scalars import _positive_finite
+
 # No compiled backend exists; the flag stays for callers that report the
 # kernel backend in their environment line (the benchmark worker does).
 USE_NUMBA = False
@@ -118,6 +120,7 @@ def gauss_hermite_gaussian_integral(M, four_t):
     Gaussian; the order is refined until two successive results differ by
     less than ``_GH_TOL`` of the value.
     """
+    _positive_finite(four_t, "four_t")
     M = np.asarray(M, dtype=float)
     b = M.shape[0]
     if b == 0:

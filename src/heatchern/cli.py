@@ -39,19 +39,11 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_scenario(args.config)
-        if args.suite is not None:
-            cfg.suite = args.suite
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.format is not None:
-            cfg.format = args.format
+        for name in ("suite", "seed", "out", "format"):
+            if getattr(args, name) is not None:
+                setattr(cfg, name, getattr(args, name))
         report = run_suite(cfg)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = emit(report, cfg.format)

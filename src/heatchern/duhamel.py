@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from math import factorial, isfinite
+from math import factorial
 from typing import NamedTuple
 
 import numpy as np
 
-from .scalars import _negligible
+from .scalars import _count, _negligible, _positive_finite
 
 __all__ = [
     "FiniteOperator", "SimplexQuadrature",
@@ -84,8 +84,7 @@ def commutator(h: FiniteOperator, b: FiniteOperator) -> FiniteOperator:
 def iterated_commutator(h: FiniteOperator, b: FiniteOperator,
                         l: int) -> FiniteOperator:
     """l-fold bracket with h: B^[0] = B, B^[l] = [H, B^[l-1]]."""
-    if l < 0:
-        raise ValueError("l must be non-negative")
+    _count(l, "l", 0)
     out = b
     for _ in range(l):
         out = commutator(h, out)
@@ -123,8 +122,8 @@ class SimplexQuadrature:
 
     def __init__(self, k: int, s: int,
                  coarser: "SimplexQuadrature | None" = None):
-        if k < 1 or s < 0:
-            raise ValueError("need simplex dimension >= 1 and rule index >= 0")
+        _count(k, "k", 1)
+        _count(s, "s", 0)
         known = [] if coarser is None else coarser.groups
         if coarser is not None and (coarser.k != k or len(known) != s):
             raise ValueError("coarser must be the rule of index s-1 on the "
@@ -211,10 +210,8 @@ def commutator_expansion(h: FiniteOperator, b: FiniteOperator, s: float,
     remainder_norm = ||exp(-sH) B - approximation||, which decays like
     s^N as s -> 0.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if not (isfinite(s) and s > 0):
-        raise ValueError("s must be positive and finite")
+    _count(N, "N", 1)
+    _positive_finite(s, "s")
     h._check(b)
     from scipy.linalg import expm
     heat = expm(-s * h.mat)
@@ -236,10 +233,8 @@ def remainder_operator(h: FiniteOperator, b: FiniteOperator, s: float,
     Adding this to the truncated expansion recovers exp(-sH) B exactly.
     The integrand is evaluated once per distinct u_1 over all the rules.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if not (isfinite(s) and s > 0):
-        raise ValueError("s must be positive and finite")
+    _count(N, "N", 1)
+    _positive_finite(s, "s")
     h._check(b)
     from scipy.linalg import expm
     bN = iterated_commutator(h, b, N)
@@ -292,13 +287,11 @@ def duhamel_series(h: FiniteOperator, L: FiniteOperator, c: FiniteOperator,
     adaptive simplex quadrature; the truncation error decays like
     t^{K+1} ||L||^{K+1}.
     """
-    from scipy.linalg import expm
     for op in (L, c, phi):
         h._check(op)
-    if K < 0:
-        raise ValueError("need K >= 0")
-    if not (isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    _count(K, "K", 0)
+    _positive_finite(t, "t")
+    from scipy.linalg import expm
     g = _check_grading(grading, h.dim)
     head = phi.mat @ c.mat
     heat = {}  # round(tau, 15) -> exp(-tau t H), for this call only

@@ -36,7 +36,7 @@ from .multivector import (
     Multivector, _popcount, _product, _suffix_parity, berezin, exp_even,
     grade_component, wedge,
 )
-from .scalars import BackendMismatch, Mat, _is_exact
+from .scalars import Mat, _is_exact, _positive_finite, _require_exact
 
 __all__ = [
     "IsometryNormalForm", "CurvatureTensor", "BundleVariationData",
@@ -81,6 +81,9 @@ class IsometryNormalForm:
             angles = tuple(math.atan2(s, c) for c, s in rotations)
         else:
             angles = tuple(float(t) for t in self.angles)
+            for t in angles:
+                if not math.isfinite(t):
+                    raise ValueError(f"rotation angle {t} is not finite")
             rotations = tuple((math.cos(t), math.sin(t)) for t in angles)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "rotations", rotations)
@@ -109,11 +112,11 @@ class IsometryNormalForm:
     def det_one_minus_normal(self):
         """det(1 - phi^N) = prod (2 - 2 cos theta_j); always positive.
 
-        Exact pairs give the exact product of 2 - 2c.  Float pairs give
-        each factor as 4 sin^2(theta_j / 2), which keeps its digits at
-        small angles.
+        Exact pairs, or none, give the exact product of 2 - 2c.  Float
+        pairs give each factor as 4 sin^2(theta_j / 2), which keeps its
+        digits at small angles.
         """
-        if self.rotations and _is_exact(self.rotations[0][0]):
+        if all(_is_exact(c) for c, _ in self.rotations):
             return math.prod(2 - 2 * c for c, _ in self.rotations)
         return math.prod((4 * math.sin(t / 2) ** 2 for t in self.angles),
                          start=1.0)
@@ -364,8 +367,7 @@ def mehler_body(R: CurvatureTensor, t: float) -> Multivector:
 
 def mehler_kernel(R: CurvatureTensor, t: float, x, y) -> Multivector:
     """Model heat kernel (4 pi t)^{-n/2} exp(-|x-y|^2/4t) exp(t Rdot / 2)."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    _positive_finite(t, "t")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pref = (4.0 * math.pi * t) ** (-R.n / 2.0)
@@ -405,8 +407,7 @@ def fiber_integral(iso: IsometryNormalForm, t: float) -> float:
     This is the closed form (4 pi t)^{-a/2} det^{-1}(1 - phi^N); the
     independent route is :func:`fiber_integral_quadrature`.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    _positive_finite(t, "t")
     det = iso.det_one_minus_normal()
     return (4.0 * math.pi * t) ** (-iso.a / 2.0) / det
 
@@ -418,8 +419,7 @@ def fiber_integral_quadrature(iso: IsometryNormalForm, t: float) -> float:
     normal fiber, refined until successive orders differ by < 1e-8 of the
     value.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    _positive_finite(t, "t")
     from ._kernels import gauss_hermite_gaussian_integral
     one_minus = np.eye(iso.b) - iso.normal_rotation()
     M = one_minus.T @ one_minus
@@ -472,9 +472,7 @@ def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
             if e.n != a:
                 raise ValueError(f"entry {key} has n={e.n}, not {a}")
             for c in e.terms.values():
-                if not _is_exact(c):
-                    raise BackendMismatch(f"Pfaffian entry coefficient {c!r} "
-                                          "is not an int or a Fraction")
+                _require_exact(c, "Pfaffian entry coefficient")
     D = math.lcm(*(c.denominator for matrix in matrices
                    for e in matrix.values() for c in e.terms.values()))
     base_nums, marked_nums = (
@@ -588,8 +586,7 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
     rdot = {(s, t): c for (s, t), c in curvature_bivector(R).terms.items()
             if not (s | t) & ~tan}
     for c in rdot.values():
-        if not _is_exact(c):
-            raise BackendMismatch(f"curvature {c!r} is not an int or a Fraction")
+        _require_exact(c, "curvature")
     D = math.lcm(*(c.denominator for c in rdot.values()))
     nums = {w: c.numerator * (D // c.denominator) for w, c in rdot.items()}
     cmax = max(map(abs, nums.values()), default=0)

@@ -51,7 +51,7 @@ from operator import add
 from .clifford import CliffordElement
 from .equivariant import BundleVariationData, CurvatureTensor
 from .multivector import _SparseElement, _mask_indices, _popcount, _product
-from .scalars import BackendMismatch, CFrac, Mat, _is_exact
+from .scalars import CFrac, Mat, _require_exact
 
 __all__ = [
     "GradedDiffOp", "ExteriorDiffOp", "VolterraSymbol",
@@ -472,11 +472,10 @@ class VolterraSymbol(_SparseElement):
 
         Composition commutes with this rescaling; on symbols that are
         parabolically homogeneous of degree m (counting x as degree -1)
-        it multiplies by lam^m.  A lam that is not an int or a Fraction
-        (a float, say) raises :class:`BackendMismatch`.
+        it multiplies by lam^m.  A lam that is not exact (a float or a
+        bool, say) raises :class:`BackendMismatch`.
         """
-        if not _is_exact(lam):
-            raise BackendMismatch(f"dilation {lam!r} is not an int or a Fraction")
+        _require_exact(lam, "dilation")
         lam = Fraction(lam)
         return self._like({
             k: (lam ** (sum(k[1]) + 2 * k[2] - sum(k[0]))) * c

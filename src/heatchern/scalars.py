@@ -10,12 +10,19 @@ when one is exact and another floating.
 Where a value must be exact, :func:`_is_exact` is the one rule: an int
 that is not a bool, or a ``Fraction``.  End(F) coefficients are
 :class:`Mat`, a square tuple of row tuples.
+
+Each argument rule lives here once: a time is positive and finite
+(:func:`_positive_finite`), a count an integer at or above its bound
+(:func:`_count`), an exact input one that :func:`_is_exact` takes
+(:func:`_require_exact`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -49,6 +56,26 @@ def _negligible(value, scale) -> bool:
 
 class BackendMismatch(TypeError):
     """Raised when exact and floating coefficients meet in one operation."""
+
+
+def _positive_finite(value, name: str):
+    """ValueError unless value is positive and finite (not NaN or +-inf)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def _count(value, name: str, least: int):
+    """TypeError for a bool or a non-integer, ValueError below least."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}")
+
+
+def _require_exact(value, what: str):
+    """BackendMismatch unless :func:`_is_exact` takes value."""
+    if not _is_exact(value):
+        raise BackendMismatch(f"{what} {value!r} is not an int or a Fraction")
 
 
 def backend_of(values) -> str | None:

@@ -64,6 +64,10 @@ MAX_FIXED_POINT_DIM = 10
 # |log| of a float the fiber integral's routes may produce, below the log of
 # the smallest normal float (-708.4) and of the largest (709.8)
 MAX_LOG_FLOAT = 700
+# the keys that take one value, each setting its field, by the value's type
+_SINGLE_VALUE_KEYS = {"suite": str, "n": int, "a": int, "geometry": str,
+                      "cutoff": int, "tolerance": float, "seed": int,
+                      "format": str}
 
 
 class ScenarioError(ValueError):
@@ -209,12 +213,8 @@ def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str):
             raise ScenarioError(f"{key} takes one value")
         return args[0]
 
-    if key == "suite":
-        cfg.suite = one()
-    elif key == "n":
-        cfg.n = int(one())
-    elif key == "a":
-        cfg.a = int(one())
+    if key in _SINGLE_VALUE_KEYS:
+        setattr(cfg, key, _SINGLE_VALUE_KEYS[key](one()))
     elif key == "angles":
         cfg.angles = tuple(_parse_angle(x) for x in args)
     elif key == "R":
@@ -232,8 +232,6 @@ def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str):
             _parse_lines(text, cfg, os.path.dirname(path), include=True)
         except ScenarioError as exc:
             raise ScenarioError(f"include {path}: {exc}") from None
-    elif key == "geometry":
-        cfg.geometry = one()
     elif key == "action":
         if not args:
             raise ScenarioError("action needs a kind")
@@ -256,16 +254,8 @@ def _apply(key: str, args, cfg: ScenarioConfig, base_dir: str):
             raise ScenarioError(f"unknown action kind {kind!r}")
     elif key == "t-grid":
         cfg.t_grid = tuple(float(x) for x in args)
-    elif key == "cutoff":
-        cfg.cutoff = int(one())
-    elif key == "tolerance":
-        cfg.tolerance = float(one())
-    elif key == "seed":
-        cfg.seed = int(one())
     elif key == "out":
         cfg.out = os.path.join(base_dir, one())
-    elif key == "format":
-        cfg.format = one()
     else:
         raise ScenarioError(f"unknown key {key!r}")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .scalars import _negligible
+from .scalars import _count, _negligible, _positive_finite
 
 __all__ = [
     "SpectralModel", "IsometryAction", "FiniteComplex", "TorsionVariation",
@@ -62,8 +62,7 @@ class SpectralModel:
     def __post_init__(self):
         if self.geometry not in _ACTION_KINDS:
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        _count(self.cutoff, "cutoff", 1)
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,7 @@ def tail_bound(model: SpectralModel, t: float) -> float:
     The form weights of a torus mode are bounded by 4 in total and those
     of sphere tower l by 4(2l+1); the 1-d tails are summed by ``_tail_sum``.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    _positive_finite(t, "t")
     if model.geometry == "torus":
         kmax = model.cutoff
         # the dropped set {|kx| > kmax or |ky| > kmax} has Gaussian mass
@@ -174,8 +172,7 @@ def heat_supertrace(model: SpectralModel, action: IsometryAction,
     """Alternating-degree heat trace weighted by the isometry action, over
     the modes up to the cutoff; ``tail_bound`` bounds what it drops."""
     check_pair(model.geometry, action.kind)
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    _positive_finite(t, "t")
     return _mode_sum(model.cutoff, action, t)
 
 
@@ -334,6 +331,7 @@ def torsion_variation(cx: FiniteComplex, h_path, eps: float,
     """
     if step < 1e-12:
         raise ValueError("step size underflow")
+    _positive_finite(step, "step")
     hlo, h0, hhi = (_check_metrics(cx, h_path(e))
                     for e in (eps - step, eps, eps + step))
     fd = (_log_torsion(cx, hhi) - _log_torsion(cx, hlo)) / (2.0 * step)

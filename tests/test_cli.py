@@ -163,6 +163,31 @@ def test_error_carries_line_number(tmp_path):
         parse_scenario(path)
 
 
+# key -> (a good value, the field it sets), and a bad number where the key
+# converts its value
+SINGLE_VALUE_KEYS = {
+    "suite": ("getzler", "getzler", None), "n": ("6", 6, "6.0"),
+    "a": ("4", 4, "x"), "geometry": ("torus", "torus", None),
+    "cutoff": ("12", 12, "1e3"), "tolerance": ("1e-6", 1e-6, "1e-6x"),
+    "seed": ("7", 7, "-"), "format": ("json", "json", None),
+}
+
+
+@pytest.mark.parametrize("key", SINGLE_VALUE_KEYS)
+def test_single_value_keys(tmp_path, key):
+    good, field, bad = SINGLE_VALUE_KEYS[key]
+    cfg = parse_scenario(write_scn(tmp_path, f"{key} {good}\n"))
+    assert getattr(cfg, key) == field
+    assert type(getattr(cfg, key)) is type(field)
+    with pytest.raises(ScenarioError,
+                       match=f"^line 2: {key} takes one value$"):
+        parse_scenario(write_scn(tmp_path, f"# two\n{key} {good} {good}\n"))
+    if bad is not None:
+        with pytest.raises(ScenarioError,
+                           match=f"^line 1: bad value for {key}: .*{bad}"):
+            parse_scenario(write_scn(tmp_path, f"{key} {bad}\n"))
+
+
 def test_missing_scenario_file():
     with pytest.raises(ScenarioError):
         parse_scenario("/nonexistent/nowhere.scn")

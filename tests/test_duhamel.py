@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
@@ -415,21 +414,6 @@ def test_remainder_refuses_what_the_expansion_refuses(N, s):
     for f in (commutator_expansion, remainder_operator):
         with pytest.raises(ValueError, match=match):
             f(h, b, s, N)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_time_arguments_must_be_positive_and_finite(value, nprng):
-    # NaN passes a bare "<= 0" test and inf reaches expm; both are refused
-    # before any arithmetic, so no RuntimeWarning is raised on the way
-    h, L, c, phi, g = _series_data(nprng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for f in (commutator_expansion, remainder_operator):
-            with pytest.raises(ValueError,
-                               match="^s must be positive and finite$"):
-                f(h, L, value, 2)
-        with pytest.raises(ValueError, match="^t must be positive and finite$"):
-            duhamel_series(h, L, c, phi, value, 2, g)
 
 
 # -- oracle: the expansion in the operator arithmetic FiniteOperator had

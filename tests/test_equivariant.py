@@ -48,6 +48,14 @@ def test_isometry_validation():
     assert iso.det_one_minus_normal() == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_refused(angle):
+    # NaN built an isometry with det(1 - phi^N) = nan; inf failed in cos
+    with pytest.raises(ValueError,
+                       match=f"^rotation angle {angle} is not finite$"):
+        IsometryNormalForm(2, 0, (angle,))
+
+
 NOT_EXACT = r"is not ints or Fractions with c\^2"
 
 
@@ -164,6 +172,17 @@ def test_supertrace_paths_exact_rotations(n, a, want):
         assert type(got) is Fraction and got == want
 
 
+def test_identity_isometry_stays_exact():
+    # with no normal block, det(1 - phi^N) is the empty product, the int 1,
+    # so an exact A keeps both routes exact
+    iso = IsometryNormalForm(4, 4)
+    assert type(iso.det_one_minus_normal()) is int
+    A = CliffordElement(4, {(15, 15): Fraction(1, 3), (0, 0): 2})
+    for method in ("matrix", "decomposition"):
+        got = equivariant_supertrace(iso, A, method)
+        assert type(got) is Fraction and got == Fraction(16, 3)
+
+
 def test_supertrace_float_paths_agree(rng):
     iso = IsometryNormalForm(4, 2, (0.9,))
     A = CliffordElement(4, {(rng.randrange(16), rng.randrange(16)):
@@ -209,20 +228,6 @@ def test_fiber_integral_routes_agree(rng):
         keys = set(cf.terms) | set(qd.terms)
         err = max(abs(cf.coefficient(*k) - qd.coefficient(*k)) for k in keys)
         assert err < 1e-6
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_fiber_integrals_take_positive_finite_t(t):
-    # NaN passes a t <= 0 test, and the quadrature then ran every order
-    iso = IsometryNormalForm(4, 2, (0.8,))
-    for route in (fiber_integral, fiber_integral_quadrature):
-        with mock.patch.object(_kernels, "gauss_hermite_gaussian_integral") \
-                as quadrature, pytest.raises(
-                    ValueError, match="t must be positive and finite"):
-            route(iso, t)
-        quadrature.assert_not_called()
-    with pytest.raises(ValueError, match="t must be positive and finite"):
-        mehler_kernel(CurvatureTensor(2, {}), t, (0.0, 0.0), (0.1, 0.2))
 
 
 def test_gauss_hermite_reports_tolerance_and_order():
