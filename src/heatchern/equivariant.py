@@ -33,10 +33,11 @@ import numpy as np
 
 from .clifford import CliffordElement, clifford_multiply, supertrace, symbol_map
 from .multivector import (
-    Multivector, _popcount, _product, _suffix_parity, berezin, exp_even,
-    grade_component, wedge,
+    Multivector, _popcount, _suffix_parity, berezin, exp_even, grade_component,
+    wedge,
 )
-from .scalars import Mat, _is_exact, _positive_finite, _require_exact
+from ._pfaffian import _pfaffian_expansion
+from .scalars import Mat, _count, _is_exact, _positive_finite, _require_exact
 
 __all__ = [
     "IsometryNormalForm", "CurvatureTensor", "BundleVariationData",
@@ -68,8 +69,10 @@ class IsometryNormalForm:
     rotations: tuple = ()
 
     def __post_init__(self):
-        if self.n % 2 or self.a % 2 or self.a < 0:
-            raise ValueError("n and a must be even and nonnegative")
+        _count(self.n, "n", 0)
+        _count(self.a, "a", 0)
+        if self.n % 2 or self.a % 2:
+            raise ValueError("n and a must be even")
         if self.rotations:
             if self.angles:
                 raise ValueError("give angles or rotations, not both")
@@ -126,13 +129,19 @@ class CurvatureTensor:
     """Components R_{ijkl} with the full algebraic symmetries.
 
     Stored on the canonical index set i<j, k<l, (i,j) <= (k,l); lookups
-    resolve signs.  Input components that contradict the symmetries raise.
+    resolve signs.  Input components that contradict the symmetries raise,
+    and so does a bool component, which the stored sign * value would
+    turn into an int.
     """
 
     def __init__(self, n: int, components: dict):
+        _count(n, "n", 0)
         self.n = n
         canon: dict = {}
         for (i, j, k, l), v in components.items():
+            if isinstance(v, (bool, np.bool_)):
+                raise TypeError(f"curvature component {v!r} is a bool, "
+                                "not a number")
             for idx in (i, j, k, l):
                 if not 1 <= idx <= n:
                     raise ValueError(f"index {idx} out of range")
@@ -434,92 +443,31 @@ def curvature_form_matrix(R: CurvatureTensor, a: int):
     """Antisymmetric a x a matrix of tangent curvature 2-forms.
 
     Entry (i,j) is sum_{k<l<=a} R_{ijkl} e^k ^ e^l, an element of the
-    exterior algebra on the tangent indices.
+    exterior algebra on the tangent indices.  One pass over the stored
+    components with every index <= a fills it: the component at (i, j, k,
+    l) gives the word e^k ^ e^l of entry (i, j) and, by pair symmetry, the
+    word e^i ^ e^j of entry (k, l).
     """
-    out = {}
-    for i in range(1, a + 1):
-        for j in range(i + 1, a + 1):
-            terms = {}
-            for k in range(1, a + 1):
-                for l in range(k + 1, a + 1):
-                    v = R.get(i, j, k, l)
-                    if v != 0:
-                        terms[((1 << (k - 1)) | (1 << (l - 1)), 0)] = v
-            out[(i, j)] = Multivector(a, terms)
-    return out
-
-
-def _pfaffian_expansion(base: dict, marked: dict | None, a: int) -> Multivector:
-    """Expansion of a Pfaffian of commuting even forms along its first row.
-
-    With marked None this is Pf(base).  Otherwise it is the multilinear
-    sum in which exactly one entry comes from marked and all others from
-    base: the derivative of Pf(base + b marked) at b = 0.  Both dicts map
-    (i,j), i<j, to entries; antisymmetry below the diagonal is implied.
-    A minor (remaining indices, marked entry used or not) is reached along
-    several paths of the expansion and is computed once.
-
-    It runs on integer numerators: every entry is scaled by D, the lcm of
-    the denominators of all coefficients of base and marked, to an int
-    word dict.  Each term of the expansion is a product of exactly a/2
-    entries, so the integer result is D^(a/2) times the Pfaffian, and one
-    division by D^(a/2) at the end is exact.  Coefficients must be ints or
-    Fractions; a float raises ``BackendMismatch``.
-    """
-    matrices = (base, marked or {})
-    for matrix in matrices:
-        for key, e in matrix.items():
-            if e.n != a:
-                raise ValueError(f"entry {key} has n={e.n}, not {a}")
-            for c in e.terms.values():
-                _require_exact(c, "Pfaffian entry coefficient")
-    D = math.lcm(*(c.denominator for matrix in matrices
-                   for e in matrix.values() for c in e.terms.values()))
-    base_nums, marked_nums = (
-        {key: {w: c.numerator * (D // c.denominator) for w, c in e.terms.items()}
-         for key, e in matrix.items() if e.terms}
-        for matrix in matrices)
-
-    @functools.cache
-    def rec(indices, used_marked):
-        if not indices:
-            return {(0, 0): 1} if used_marked else {}
-        i0 = indices[0]
-        rest = indices[1:]
-        # (entries, whether the minor has used the marked entry)
-        sources = (((base_nums, True),) if used_marked
-                   else ((marked_nums, True), (base_nums, False)))
-        total = {}
-        for pos, j in enumerate(rest):
-            sub_rest = tuple(x for x in rest if x != j)
-            sign = -1 if pos & 1 else 1
-            for nums, used in sources:
-                e = nums.get((i0, j))
-                if e:
-                    for w, c in _product(e, rec(sub_rest, used), 0, 0).items():
-                        total[w] = total.get(w, 0) + sign * c
-        return {w: c for w, c in total.items() if c}
-
-    try:
-        top = rec(tuple(range(1, a + 1)), marked is None)
-    finally:
-        # rec calls itself, so it is in a reference cycle: without this its
-        # cache would live until a full garbage collection
-        rec.cache_clear()
-    scale = D ** (a // 2)
-    return Multivector(a, {w: Fraction(c, scale) for w, c in top.items()})
+    terms = {(i, j): {} for i in range(1, a + 1) for j in range(i + 1, a + 1)}
+    for (i, j, k, l), v in R.components.items():
+        if j <= a and l <= a:
+            terms[i, j][(1 << (k - 1)) | (1 << (l - 1)), 0] = v
+            terms[k, l][(1 << (i - 1)) | (1 << (j - 1)), 0] = v
+    return {key: Multivector(a, words) for key, words in terms.items()}
 
 
 def pfaffian(matrix: dict, a: int) -> Multivector:
     """Pfaffian of an antisymmetric matrix of commuting even forms.
 
-    matrix maps (i,j) with i<j to Multivector entries on a tangent
-    indices, with int or Fraction coefficients; implied antisymmetry
-    below the diagonal.  The expansion runs on the entries times D, the
-    lcm of their denominators; the Pfaffian is homogeneous of degree a/2
-    in the entries, so it comes out D^(a/2) times too large, and one exact
-    division by D^(a/2) gives it back.
+    matrix maps (i,j) with i<j to forms on the tangent e-indices 1..a:
+    Multivector entries on a indices whose words have no ehat index (one
+    that has raises ``ValueError``), with int or Fraction coefficients;
+    implied antisymmetry below the diagonal.  The expansion runs on the
+    entries times D, the lcm of their denominators; the Pfaffian is
+    homogeneous of degree a/2 in the entries, so it comes out D^(a/2)
+    times too large, and one exact division by D^(a/2) gives it back.
     """
+    _count(a, "a", 0)
     if a % 2:
         raise ValueError("Pfaffian needs even dimension")
     return _pfaffian_expansion(matrix, None, a)
@@ -533,8 +481,9 @@ def euler_form(R: CurvatureTensor, a: int):
     runs on integer numerators: the components are scaled by D, the lcm of
     their denominators, each term is a product of a/2 entries, and one
     division by D^(a/2) is exact.  R must be exact; a float component
-    raises ``BackendMismatch``.
+    raises ``BackendMismatch``.  a must be an int (``scalars._count``).
     """
+    _count(a, "a", None)
     if a % 2 or not 0 <= a <= R.n:
         raise ValueError(f"Euler form needs an even a in [0, {R.n}], not {a}")
     if a == 0:
@@ -554,14 +503,16 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
 
     Only the word (tan, tan) of the exponential is read, and only what
     reaches it is computed.  The wedge product never removes a generator,
-    so a word of Rdot with a normal index cannot contribute: those words
-    are dropped.  Every remaining word has bidegree (2, 2), so only the
-    power m = a/2 reaches (tan, tan), with weight 1/m!.  Words of even
-    degree commute, so the m! orderings of m words give one product and
-    the m! cancels: the top coefficient is the sum, over the sets of m
-    words whose e-parts split {e^1..e^a} and whose ehat-parts split
-    {ehat^1..ehat^a}, of the product of their coefficients and the sign
-    of their product.
+    so a word of Rdot with a normal index cannot contribute: only the
+    stored components with every index <= a are read, each as the word
+    e^i e^j ehat^k ehat^l and, by pair symmetry, e^k e^l ehat^i ehat^j
+    (the words of ``curvature_bivector``, which is not built).  Every
+    such word has bidegree (2, 2), so only the power m = a/2 reaches
+    (tan, tan), with weight 1/m!.  Words of even degree commute, so the
+    m! orderings of m words give one product and the m! cancels: the top
+    coefficient is the sum, over the sets of m words whose e-parts split
+    {e^1..e^a} and whose ehat-parts split {ehat^1..ehat^a}, of the
+    product of their coefficients and the sign of their product.
 
     That sum is built level by level.  Level j holds M_j(S, T), the sum
     over the sets of j words that split the masks S and T, for |S| = |T|
@@ -582,11 +533,13 @@ def local_index_density(R: CurvatureTensor, iso: IsometryNormalForm):
         raise ValueError(f"curvature has n={R.n}, isometry n={iso.n}")
     n, a, b = iso.n, iso.a, iso.b
     m = a // 2
-    tan = (1 << a) - 1
-    rdot = {(s, t): c for (s, t), c in curvature_bivector(R).terms.items()
-            if not (s | t) & ~tan}
-    for c in rdot.values():
-        _require_exact(c, "curvature")
+    rdot = {}
+    for (i, j, k, l), c in R.components.items():
+        if j <= a and l <= a:
+            _require_exact(c, "curvature")
+            s = (1 << (i - 1)) | (1 << (j - 1))
+            t = (1 << (k - 1)) | (1 << (l - 1))
+            rdot[s, t] = rdot[t, s] = c
     D = math.lcm(*(c.denominator for c in rdot.values()))
     nums = {w: c.numerator * (D // c.denominator) for w, c in rdot.items()}
     cmax = max(map(abs, nums.values()), default=0)
@@ -666,10 +619,13 @@ def _density_tables(a: int):
 def transgression(R: CurvatureTensor, sdot: dict, a: int) -> Multivector:
     """Directional derivative of Pf[-(R + b Sdot)/2 pi] at b = 0, in pi units.
 
-    sdot maps (i,j), i<j, to form-valued entries (antisymmetric implied);
-    computed by multilinear expansion, one marked entry per term, on the
-    integer numerators of R and Sdot together (see ``_pfaffian_expansion``).
+    sdot maps (i,j), i<j, to forms on the tangent e-indices 1..a
+    (antisymmetric implied; an ehat index raises ``ValueError``, as in
+    ``pfaffian``); computed by multilinear expansion, one marked entry per
+    term, on the integer numerators of R and Sdot together (see
+    ``_pfaffian_expansion``).
     """
+    _count(a, "a", 0)
     if a % 2:
         raise ValueError("transgression needs even tangent dimension")
     if any(i >= j for i, j in sdot):

@@ -64,11 +64,12 @@ def _positive_finite(value, name: str):
         raise ValueError(f"{name} must be positive and finite")
 
 
-def _count(value, name: str, least: int):
-    """TypeError for a bool or a non-integer, ValueError below least."""
+def _count(value, name: str, least: int | None):
+    """TypeError for a bool or a non-integer, ValueError below least; with
+    least None the caller states its own range."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"need {name} >= {least}")
 
 

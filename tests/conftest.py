@@ -86,6 +86,11 @@ def cyclic_garbage(call):
 
 
 def cached_after(call):
-    """Entry counts of the caches among ``cyclic_garbage(call)``."""
-    return [obj.cache_info().currsize for obj in cyclic_garbage(call)
-            if hasattr(obj, "cache_info")]
+    """Entry counts of the caches among ``cyclic_garbage(call)``, and a 1
+    for each object there that holds an ndarray: data of the call that
+    only the cyclic collector would free.  The collector does not track
+    an ndarray itself, so the array is found through its holder."""
+    return [obj.cache_info().currsize if hasattr(obj, "cache_info") else 1
+            for obj in cyclic_garbage(call)
+            if hasattr(obj, "cache_info") or any(
+                isinstance(ref, np.ndarray) for ref in gc.get_referents(obj))]

@@ -22,9 +22,10 @@ from heatchern.duhamel import (FiniteOperator, SimplexQuadrature,
                                commutator_expansion, duhamel_series,
                                iterated_commutator, remainder_operator)
 from heatchern.equivariant import (CurvatureTensor, IsometryNormalForm,
-                                   fiber_integral, fiber_integral_quadrature,
+                                   euler_form, fiber_integral,
+                                   fiber_integral_quadrature,
                                    local_index_density, mehler_kernel,
-                                   pfaffian)
+                                   pfaffian, transgression)
 from heatchern.getzler import VolterraSymbol
 from heatchern.multivector import Multivector
 from heatchern.scalars import BackendMismatch
@@ -84,6 +85,20 @@ COUNTS = (
     # only built: a sum over a cutoff of 2.5 never returned
     *((f"SpectralModel-{g}", lambda c, g=g: SpectralModel(g, c), "cutoff", 1)
       for g in MODELS),
+    # the dimensions: a float once built and failed deep in the bitmasks
+    ("IsometryNormalForm", lambda n: IsometryNormalForm(n, 2, (0.8,)), "n", 0),
+    ("IsometryNormalForm", lambda a: IsometryNormalForm(4, a, (0.8,)), "a", 0),
+    ("CurvatureTensor", lambda n: CurvatureTensor(n, {}), "n", 0),
+    ("pfaffian", lambda a: pfaffian({}, a), "a", 0),
+    ("transgression", lambda a: transgression(CurvatureTensor(2, {}), {}, a),
+     "a", 0),
+)
+
+# (entry point, call with the count in place, its name, the message of its
+# own range, which it states for -1): the type rule of the counts
+RANGES = (
+    ("euler_form", lambda a: euler_form(CurvatureTensor(4, {}), a), "a",
+     "Euler form needs an even a in [0, 4], not -1"),
 )
 
 # (entry point, call with the value in place, the message's subject, values)
@@ -92,8 +107,6 @@ EXACT = (
      "Pfaffian entry coefficient", (0.5, True)),
     ("VolterraSymbol.dilate", lambda lam: VolterraSymbol.x(1, 1).dilate(lam),
      "dilation", (0.5, True)),
-    # CurvatureTensor stores sign * value, so a True component arrives at
-    # local_index_density as the int 1
     ("local_index_density", lambda c: local_index_density(
         CurvatureTensor(4, {(1, 2, 1, 2): c}), ISO), "curvature", (0.5,)),
 )
@@ -107,9 +120,10 @@ def _rows():
                        else "step size underflow")
             yield pytest.param(call, t, ValueError, message,
                                id=f"{entry}-{name}={t!r}")
-    for entry, call, name, least in COUNTS:
+    ranges = [(e, c, n, f"need {n} >= {least}") for e, c, n, least in COUNTS]
+    for entry, call, name, below in ranges + list(RANGES):
         for value, error, message in (
-                (-1, ValueError, f"need {name} >= {least}"),
+                (-1, ValueError, below),
                 (2.5, TypeError, f"{name} must be an int, not float"),
                 (True, TypeError, f"{name} must be an int, not bool")):
             yield pytest.param(call, value, error, message,
@@ -120,6 +134,12 @@ def _rows():
                 call, value, BackendMismatch,
                 f"{what} {value!r} is not an int or a Fraction",
                 id=f"{entry}-{value!r}")
+    # CurvatureTensor stored sign * value, which turned True into the int 1
+    yield pytest.param(
+        lambda c: local_index_density(CurvatureTensor(4, {(1, 2, 1, 2): c}),
+                                      ISO),
+        True, TypeError, "curvature component True is a bool, not a number",
+        id="local_index_density-True")
 
 
 @pytest.mark.parametrize("call, value, error, message", _rows())

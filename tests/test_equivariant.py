@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from heatchern import _kernels, equivariant
+from heatchern import _kernels, _pfaffian, equivariant
 from heatchern._kernels import gauss_hermite_gaussian_integral
 from heatchern.clifford import CliffordElement, represent, symbol_map
 from heatchern.equivariant import (BundleVariationData, CurvatureTensor,
@@ -352,17 +352,18 @@ def _raising_on_third_call(real, calls):
     return wrapped
 
 
-@pytest.mark.parametrize("name,kernel", [("euler_form", "_product")])
-def test_recursion_keeps_no_cache_after_the_call(name, kernel, rng):
-    # the Pfaffian's rec calls itself, so only the cyclic collector would
-    # free its cache if the call kept it
+@pytest.mark.parametrize("name,hook", [("euler_form", "_entry_products")])
+def test_recursion_keeps_no_cache_after_the_call(name, hook, rng):
+    # the Pfaffian's minors live in a memo of the call, not in a closure
+    # that calls itself: neither a cache nor an ndarray is left for the
+    # cyclic collector, also when the product of a minor raises part-way
     R = random_curvature(8, rng)
     call = functools.partial(getattr(equivariant, name), R, 8)
     want = call()
     assert not any(cached_after(call))
     calls = []
-    with mock.patch.object(equivariant, kernel, _raising_on_third_call(
-            getattr(equivariant, kernel), calls)):
+    with mock.patch.object(_pfaffian, hook, _raising_on_third_call(
+            getattr(_pfaffian, hook), calls)):
         assert not any(cached_after(call))
     assert len(calls) == 3
     assert call() == want
@@ -606,6 +607,115 @@ def test_pfaffian_routes_match_row_oracle(a, rng):
         got = transgression(R, sdot, a)
         assert got == _pfaffian_by_rows(base, sdot, a).scale(Fraction(-1, 2) ** (a // 2))
         assert all(type(c) is Fraction for c in (*pf.terms.values(), *got.terms.values()))
+
+
+def _recording(calls):
+    """A wrapper of ``_entry_products`` that records, per minor, its
+    arguments' shapes and dtype and the table it gathers over."""
+    real = _pfaffian._entry_products
+
+    def wrapped(entries, minors, signs, table):
+        calls.append((entries.shape, minors.shape, minors.dtype, table))
+        return real(entries, minors, signs, table)
+    return wrapped
+
+
+@pytest.mark.parametrize("a", [2, 4, 6])
+def test_pfaffian_object_path_matches_row_oracle(a, rng):
+    # numerators near 10^12 put (a-1)!! max(a/2, 1) L^(a/2) past 2^63
+    # from a = 4 on; a = 2 stays in int64
+    R = CurvatureTensor(a, {k: v * 10 ** 12 + 1 for k, v in
+                            random_curvature(a, rng).components.items()})
+    base = curvature_form_matrix(R, a)
+    sdot = _marked_entries(a, rng)
+    calls = []
+    with mock.patch.object(_pfaffian, "_entry_products", _recording(calls)):
+        pf = pfaffian(base, a)
+        got = transgression(R, sdot, a)
+    want = object if a > 2 else np.int64
+    assert {d for *_, d, _ in calls} == {np.dtype(want)}
+    assert pf == _pfaffian_by_rows(base, None, a)
+    assert got == _pfaffian_by_rows(base, sdot, a).scale(Fraction(-1, 2) ** (a // 2))
+    assert all(type(c) is Fraction for c in (*pf.terms.values(), *got.terms.values()))
+
+
+@pytest.mark.parametrize("step, dtype", [(0, np.int64), (1, object)])
+def test_pfaffian_dtype_at_the_int64_bound(step, dtype):
+    # at a = 8 the bound is 7!! * 4 * L^4: the largest L under 2^63 runs
+    # in int64, with 105 terms of L^4 that reach a quarter of 2^63, and the
+    # next one on Python ints; both agree with the row oracle
+    L = math.isqrt(math.isqrt((2 ** 63 - 1) // (105 * 4))) + step
+    entries = {(i, j): Multivector(8, {((1 << (i - 1)) | (1 << (j - 1)), 0):
+                                       L if (i + j) % 3 else -L})
+               for i in range(1, 9) for j in range(i + 1, 9)}
+    calls = []
+    with mock.patch.object(_pfaffian, "_entry_products", _recording(calls)):
+        pf = pfaffian(entries, 8)
+    assert {d for *_, d, _ in calls} == {np.dtype(dtype)}
+    assert pf == _pfaffian_by_rows(entries, None, 8)
+
+
+def test_pfaffian_gathers_only_the_table_pairs(rng):
+    # each minor's product reads its partners' minors at exactly the
+    # (entry word p, target w containing p) pairs of the table: the pairs
+    # that overlap, which a word-by-word product would form and drop, are
+    # never touched
+    a = 6
+    base = curvature_form_matrix(random_curvature(a, rng), a)
+    words = sorted({s for e in base.values() for s, _ in e.terms})
+    want = {(p, w) for p in words for w in range(1 << a) if w & p == p}
+    calls = []
+    with mock.patch.object(_pfaffian, "_entry_products", _recording(calls)):
+        pfaffian(base, a)
+    table = calls[0][3]
+    word, rest, *_ = table
+    pairs = [(words[p], r | words[p]) for p, r in zip(word, rest)]
+    assert len(pairs) == len(set(pairs)) and set(pairs) == want
+    assert all(t is table for *_, t in calls)
+    for (rows, npairs), (partners, size), *_ in calls:
+        assert rows == partners and npairs == len(want) and size == 1 << a
+    # one call per nonempty minor: after d steps the first-row recursion
+    # has removed the d lowest indices and d others, so its index sets are
+    # the (a - 2d)-subsets of {d+1..a}, C(a - d, d) of them: 1 + 5 + 6
+    assert len(calls) == sum(math.comb(a - d, d) for d in range(a // 2)) == 12
+
+
+def test_pfaffian_refuses_ehat_words():
+    with pytest.raises(ValueError, match=r"^entry \(1, 2\) has an ehat word") \
+            as exc:
+        pfaffian({(1, 2): Multivector(2, {(1, 1): 1})}, 2)
+    assert "\n" not in str(exc.value)
+    R = CurvatureTensor(2, {(1, 2, 1, 2): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="ehat word"):
+        transgression(R, {(1, 2): Multivector(2, {(0, 2): 3})}, 2)
+
+
+def test_pfaffian_scalar_and_empty_cases():
+    # a = 0: Pf of the empty matrix is 1 and its derivative 0; a = 2: the
+    # entry itself
+    assert pfaffian({}, 0) == Multivector.scalar(0, 1)
+    assert transgression(CurvatureTensor(0, {}), {}, 0).is_zero()
+    assert euler_form(CurvatureTensor(4, {}), 0) == 1
+    x = Fraction(-7, 3)
+    assert pfaffian({(1, 2): Multivector(2, {(0, 0): x})}, 2) \
+        == Multivector.scalar(2, x)
+    assert pfaffian({}, 2).is_zero()
+
+
+def test_euler_form_at_ten_cold(rng):
+    # dense minors over 2^10 masks and a pair table built cold stay under
+    # a cap (the measured peak is 2.7 MiB), and the route still meets the
+    # index density
+    R = random_curvature(10, rng)
+    _pfaffian._pair_table.cache_clear()
+    tracemalloc.start()
+    try:
+        got = euler_form(R, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert got == local_index_density(R, IsometryNormalForm(10, 10))
 
 
 def test_pfaffian_refuses_bool_coefficients():
